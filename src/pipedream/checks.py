@@ -13,8 +13,8 @@ import random
 import time
 from dataclasses import dataclass
 
-from .enumeration import DEFAULT_GUARD, bpd_stream, removable_pipes
-from .errors import CheckFailed, GuardExceeded, UnknownCheck, WitnessNotFound
+from .enumeration import bpd_stream, check_guard, removable_pipes
+from .errors import CheckFailed, UnknownCheck, WitnessNotFound
 from .grid import BpdGrid, Tile, trace
 from .ktheory import (COL_MAJOR, ROW_MAJOR, beta_weight, nonreduced_witness,
                       resolve)
@@ -478,9 +478,7 @@ def run_check(check_id: str, n: int, guard=None) -> CheckReport:
     """Run one named check over everything of size n."""
     if check_id not in _CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    limit = DEFAULT_GUARD if guard is None else guard
-    if n > limit:
-        raise GuardExceeded(f"size {n} exceeds guard {limit}")
+    check_guard(n, guard)
     start = time.perf_counter()
     instances, failures = _CHECKS[check_id](n)
     elapsed = time.perf_counter() - start
@@ -506,11 +504,10 @@ def maxima_table(n: int, beta_value: int, jobs: int = 1, guard=None) -> MaximaRo
     For beta 0 and 1 the winners are checked to be layered, and for beta 1
     the two argmax sets are checked to coincide.
     """
-    limit = DEFAULT_GUARD if guard is None else guard
-    if not 0 <= n <= limit:
-        raise GuardExceeded(f"size {n} outside 0..{limit}")
-    values = coefficient_values(n, beta_value, jobs=jobs, guard=guard)
-    table = nu_table(n, jobs=jobs, guard=guard)
+    check_guard(n, guard)
+    for m in range(n + 1):  # shard every pass the coefficient recursion reads
+        table = nu_table(m, jobs=jobs, guard=guard)
+    values = coefficient_values(n, beta_value, guard=guard)
     perms = all_perms(n)
     nu_vals = {w: table[w](beta_value) for w in perms}
     max_nu = max(nu_vals.values())

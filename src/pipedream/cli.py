@@ -150,9 +150,7 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_poly(args) -> int:
-    loaded = _load_seed(args.cache_path)
     print(grothendieck(_perm(args.perm), guard=args.guard))
-    _persist(args.cache_path, loaded)
     return 0
 
 
@@ -179,13 +177,11 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_maxima(args) -> int:
-    loaded = _load_seed(args.cache_path)
     row = maxima_table(args.n, args.beta, jobs=args.jobs, guard=args.guard)
     names_nu = ",".join(w.text() or "∅" for w in row.argmax_nu)
     names_c = ",".join(w.text() or "∅" for w in row.argmax_c)
     print(f"n={row.n} beta={row.beta_value} max_nu={row.max_nu} max_c={row.max_c} "
           f"argmax_nu={names_nu} argmax_c={names_c}")
-    _persist(args.cache_path, loaded)
     return 0
 
 

@@ -10,9 +10,8 @@ the correctness surface small.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from .errors import GuardExceeded
 from .grid import Asm, BpdGrid, Tile, tiles_from_asm_rows, trace
@@ -24,8 +23,26 @@ DEFAULT_GUARD = 9
 # grid lists are memoized up to this size; larger sizes stream uncached
 _MEMO_MAX_N = 6
 
+# every per-size table of the package, keyed by (kind, size)
+_TABLES: dict[tuple[str, int], object] = {}
 
-@lru_cache(maxsize=None)
+
+def stored(kind: str, n: int, build: Callable[[int], object]):
+    """The ``kind`` table of size n, built by ``build(n)`` on first use."""
+    key = (kind, n)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = build(n)
+    return table
+
+
+def check_guard(n: int, guard: Optional[int] = None) -> None:
+    """Reject a size below 0 or above the guard (default ``DEFAULT_GUARD``)."""
+    limit = DEFAULT_GUARD if guard is None else guard
+    if not 0 <= n <= limit:
+        raise GuardExceeded(f"size {n} outside 0..{limit}")
+
+
 def _valid_rows(n: int):
     """All {0,+-1} rows that sum to 1 with alternating signs, as
     (entries, plus_mask, minus_mask), in lexicographic entry order."""
@@ -48,13 +65,13 @@ def _alternating_line(entries) -> bool:
     return running == 1
 
 
-@lru_cache(maxsize=None)
 def _transitions(n: int):
     """For each column-sum state, the legal rows and successor states."""
     table = {}
+    rows = _valid_rows(n)
     for state in range(1 << n):
         moves = []
-        for entries, plus, minus in _valid_rows(n):
+        for entries, plus, minus in rows:
             if state & plus or minus & ~state:
                 continue
             moves.append((entries, (state | plus) & ~minus))
@@ -71,7 +88,7 @@ def iter_asm_rows(n: int, first_column: Optional[int] = None) -> Iterator[tuple]
     """
     if n < 1:
         raise ValueError("size must be at least 1")
-    table = _transitions(n)
+    table = stored("transitions", n, _transitions)
     full = (1 << n) - 1
     if first_column is None:
         first_moves = table[0]
@@ -134,13 +151,12 @@ def count_asms_bruteforce(n: int) -> int:
 def bpd_stream(n: int) -> Iterator[BpdGrid]:
     """Every grid of size n, via the ASM stream (same deterministic order)."""
     if n <= _MEMO_MAX_N:
-        yield from _bpd_list(n)
+        yield from stored("bpd", n, _bpd_list)
         return
     for rows in iter_asm_rows(n):
         yield BpdGrid(tiles_from_asm_rows(rows, n))
 
 
-@lru_cache(maxsize=None)
 def _bpd_list(n: int) -> tuple[BpdGrid, ...]:
     return tuple(BpdGrid(tiles_from_asm_rows(rows, n))
                  for rows in iter_asm_rows(n))
@@ -198,10 +214,8 @@ class SetQuery:
 
 def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:
     """Materialize a grid family, in the enumeration stream's order."""
-    guard = DEFAULT_GUARD if max_n_guard is None else max_n_guard
     n = q.w.size
-    if n > guard:
-        raise GuardExceeded(f"size {n} exceeds guard {guard}")
+    check_guard(n, max_n_guard)
     if n == 0:
         # the empty grid is the unique diagram of the empty permutation
         empty = BpdGrid(())

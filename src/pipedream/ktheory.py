@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import NegativeExponent, WitnessNotFound
 from .grid import BpdGrid, Tile, trace, validate, walk_strands
-from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection
+from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, ranks
 from .polynomials import BetaPolynomial
 
 _H, _V, _CROSS, _J, _BUMP = (
@@ -170,13 +170,8 @@ class NonreducedWitness:
 
 
 def _first_occurrence(pattern: Permutation, w: Permutation):
-    target = tuple(pattern)
-    m = len(pattern)
-    for idx in combinations(range(1, len(w) + 1), m):
-        values = [w[i - 1] for i in idx]
-        order = sorted(values)
-        rank = {v: r for r, v in enumerate(order, start=1)}
-        if tuple(rank[v] for v in values) == target:
+    for idx in combinations(range(1, len(w) + 1), len(pattern)):
+        if ranks([w[i - 1] for i in idx]) == pattern:
             return SubwordSelection(w, idx)
     return None
 

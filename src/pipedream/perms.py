@@ -45,11 +45,10 @@ class Permutation(tuple):
         text = text.strip()
         if text in ("", "∅"):
             return cls()
-        if "," in text:
-            return cls(int(part) for part in text.split(","))
-        if not text.isdigit():
+        parts = [part.strip() for part in text.split(",")] if "," in text else text
+        if not all(part.isdecimal() for part in parts):
             raise NotAPermutation(f"cannot parse permutation text {text!r}")
-        return cls(int(ch) for ch in text)
+        return cls(int(part) for part in parts)
 
     @property
     def size(self) -> int:
@@ -115,15 +114,23 @@ class SubwordSelection:
         return cls(host, tuple(i for i, v in enumerate(host, start=1) if v in wanted))
 
 
+def ranks(values) -> tuple[int, ...]:
+    """The rank of each of the distinct ``values`` among them, from 1.
+
+    >>> ranks((2, 5, 3))
+    (1, 3, 2)
+    """
+    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
+    return tuple(rank[v] for v in values)
+
+
 def flatten_word(values) -> Permutation:
     """The permutation with the same relative order as ``values``.
 
     >>> flatten_word((2, 5, 3)).text()
     '132'
     """
-    order = sorted(values)
-    rank = {v: r for r, v in enumerate(order, start=1)}
-    return Permutation(rank[v] for v in values)
+    return Permutation(ranks(values))
 
 
 def flatten(selection: SubwordSelection) -> Permutation:
@@ -145,20 +152,7 @@ def all_subwords(w: Permutation):
 
 def pattern_count(u: Permutation, w: Permutation) -> int:
     """Number of subwords of w order-isomorphic to u; 0 means w avoids u."""
-    m, n = len(u), len(w)
-    if m > n:
-        return 0
-    if m == 0:
-        return 1
-    target = tuple(u)
-    count = 0
-    for idx in combinations(range(n), m):
-        values = [w[i] for i in idx]
-        order = sorted(values)
-        rank = {v: r for r, v in enumerate(order, start=1)}
-        if tuple(rank[v] for v in values) == target:
-            count += 1
-    return count
+    return sum(1 for values in combinations(w, len(u)) if ranks(values) == u)
 
 
 def pattern_census(w: Permutation) -> dict[tuple[int, ...], int]:
@@ -166,11 +160,8 @@ def pattern_census(w: Permutation) -> dict[tuple[int, ...], int]:
     n = len(w)
     census: dict[tuple[int, ...], int] = {}
     for m in range(n + 1):
-        for idx in combinations(range(n), m):
-            values = [w[i] for i in idx]
-            order = sorted(values)
-            rank = {v: r for r, v in enumerate(order, start=1)}
-            key = tuple(rank[v] for v in values)
+        for values in combinations(w, m):
+            key = ranks(values)
             census[key] = census.get(key, 0) + 1
     return census
 

@@ -6,9 +6,10 @@ j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
 gives the principal specialization nu; the coefficients c are defined by
 subtracting pattern-weighted contributions of smaller permutations.
 
-Everything here funnels through one exhaustive pass per size, cached
-in-process; the pass stores one coefficient list per type, never the
-grids themselves, so the opt-in large sizes stream in bounded memory.
+Everything here funnels through one exhaustive pass per size, kept in
+the package's table store; the pass stores one coefficient list per type,
+never the grids themselves, so the opt-in large sizes stream in bounded
+memory.
 """
 
 from __future__ import annotations
@@ -16,24 +17,15 @@ from __future__ import annotations
 import multiprocessing
 from dataclasses import dataclass
 
-from .enumeration import DEFAULT_GUARD, bpd_stream, iter_asm_rows, removable_pipes
-from .errors import GuardExceeded
-from .grid import Tile, tiles_from_asm_rows, trace
+from .enumeration import (_TABLES, bpd_stream, check_guard, iter_asm_rows,
+                          removable_pipes, stored)
+from .grid import BpdGrid, Tile, tiles_from_asm_rows, trace
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census
 from .polynomials import BetaPolynomial, MultivariatePolynomial
 
-_NU_TABLES: dict[int, dict[Permutation, BetaPolynomial]] = {}
+# nu of the words asked for, seeded from and snapshotted to the disk cache
 _NU_MEMO: dict[Permutation, BetaPolynomial] = {}
-_C_MEMO: dict[Permutation, BetaPolynomial] = {}
-_C_SIZE_DONE = -1
-_GROTH_TABLES: dict[int, dict[Permutation, MultivariatePolynomial]] = {}
-
-
-def _check_guard(n: int, guard) -> None:
-    limit = DEFAULT_GUARD if guard is None else guard
-    if n > limit:
-        raise GuardExceeded(f"size {n} exceeds guard {limit}")
 
 
 def _pascal_rows(limit):
@@ -69,13 +61,13 @@ def _nu_shard(args):
 
 def nu_table(n: int, jobs: int = 1, guard=None) -> dict[Permutation, BetaPolynomial]:
     """nu for every permutation of size n, from one pass over the stream."""
-    _check_guard(n, guard)
-    if n in _NU_TABLES:
-        return _NU_TABLES[n]
+    check_guard(n, guard)
+    return stored("nu", n, lambda m: _build_nu_table(m, jobs))
+
+
+def _build_nu_table(n: int, jobs: int) -> dict[Permutation, BetaPolynomial]:
     if n == 0:
-        table = {Permutation(): BetaPolynomial.one()}
-        _NU_TABLES[0] = table
-        return table
+        return {Permutation(): BetaPolynomial.one()}
     merged: dict[tuple, list] = {}
     if jobs > 1 and n >= 5:
         with multiprocessing.Pool(min(jobs, n)) as pool:
@@ -97,7 +89,6 @@ def nu_table(n: int, jobs: int = 1, guard=None) -> dict[Permutation, BetaPolynom
         w = Permutation(typ)
         # blanks never dip below the length of the type, so this is exact
         table[w] = BetaPolynomial.from_coeffs(coeffs).shift_down(w.length())
-    _NU_TABLES[n] = table
     return table
 
 
@@ -106,7 +97,7 @@ def nu(w: Permutation, guard=None, jobs: int = 1) -> BetaPolynomial:
 
     Its constant term counts the reduced grids with permutation w.
     """
-    _check_guard(w.size, guard)
+    check_guard(w.size, guard)
     if w in _NU_MEMO:
         return _NU_MEMO[w]
     value = nu_table(w.size, jobs=jobs, guard=guard)[w]
@@ -123,27 +114,23 @@ def nu_memo_snapshot() -> dict[Permutation, BetaPolynomial]:
 
 
 def clear_caches() -> None:
-    """Drop all in-process tables (mainly for tests)."""
-    _NU_TABLES.clear()
+    """Drop every in-process table and memo (mainly for tests)."""
+    _TABLES.clear()
     _NU_MEMO.clear()
-    _C_MEMO.clear()
-    _GROTH_TABLES.clear()
-    global _C_SIZE_DONE
-    _C_SIZE_DONE = -1
 
 
 # -- grothendieck polynomials -------------------------------------------------
 
 
 def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePolynomial]:
-    _check_guard(n, guard)
-    if n in _GROTH_TABLES:
-        return _GROTH_TABLES[n]
-    nvars = max(n - 1, 0)
+    check_guard(n, guard)
+    return stored("groth", n, _build_grothendieck_table)
+
+
+def _build_grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomial]:
     if n == 0:
-        table = {Permutation(): MultivariatePolynomial.constant(0, 1)}
-        _GROTH_TABLES[0] = table
-        return table
+        return {Permutation(): MultivariatePolynomial.constant(0, 1)}
+    nvars = n - 1
     one = BetaPolynomial.one()
     beta = BetaPolynomial.beta()
     zero_expo = (0,) * nvars
@@ -178,7 +165,6 @@ def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePoly
     for typ, total in sums.items():
         w = Permutation(typ)
         table[w] = total.beta_shift_down(w.length())
-    _GROTH_TABLES[n] = table
     return table
 
 
@@ -198,24 +184,6 @@ RECURSIVE = "recursive"
 INCLUSION_EXCLUSION = "inclusion_exclusion"
 
 
-def _coefficients_up_to(n: int, guard=None) -> None:
-    """Fill the coefficient memo bottom-up for all sizes <= n."""
-    global _C_SIZE_DONE
-    if _C_SIZE_DONE >= n:
-        return
-    for m in range(_C_SIZE_DONE + 1, n + 1):
-        table = nu_table(m, guard=guard)
-        for w in all_perms(m):
-            census = pattern_census(w)
-            acc = BetaPolynomial.zero()
-            for key, count in census.items():
-                if len(key) == m:
-                    continue
-                acc = acc + count * _C_MEMO[Permutation(key)]
-            _C_MEMO[w] = table[w] - acc
-    _C_SIZE_DONE = n
-
-
 def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolynomial:
     """The pattern coefficient of w, seeded by 1 on the empty permutation.
 
@@ -223,19 +191,9 @@ def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolyno
     proper patterns of w from nu; ``inclusion_exclusion`` evaluates the
     equivalent signed sum of nu over all subwords.  The two agree.
     """
-    _check_guard(w.size, guard)
+    check_guard(w.size, guard)
     if mode == RECURSIVE:
-        if w in _C_MEMO:
-            return _C_MEMO[w]
-        census = pattern_census(w)
-        acc = BetaPolynomial.zero()
-        for key, count in census.items():
-            if len(key) == w.size:
-                continue
-            acc = acc + count * coefficient(Permutation(key), RECURSIVE, guard=guard)
-        value = nu(w, guard=guard) - acc
-        _C_MEMO[w] = value
-        return value
+        return _coefficient(w, guard)
     if mode in (INCLUSION_EXCLUSION, "ie"):
         total = BetaPolynomial.zero()
         n = w.size
@@ -246,28 +204,37 @@ def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolyno
     raise ValueError(f"unknown coefficient mode {mode!r}")
 
 
+def _coefficient(w: tuple, guard) -> BetaPolynomial:
+    """The memoized recursion behind ``coefficient(w, RECURSIVE)``.
+
+    ``w`` may be a plain census key: a tuple hashes and compares like the
+    permutation it spells, so only a memo miss pays for validation.
+    """
+    n = len(w)
+    memo = stored("c", n, lambda m: {})
+    value = memo.get(w)
+    if value is None:
+        acc = [0]
+        for key, count in pattern_census(w).items():
+            if len(key) < n:
+                coeffs = _coefficient(key, guard).coeffs
+                acc.extend([0] * (len(coeffs) - len(acc)))
+                for k, c in enumerate(coeffs):
+                    acc[k] += count * c
+        w = Permutation(w)
+        value = memo[w] = nu(w, guard=guard) - BetaPolynomial.from_coeffs(acc)
+    return value
+
+
 def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
     """Coefficients of every permutation of size <= n."""
-    _check_guard(n, guard)
-    _coefficients_up_to(n, guard=guard)
-    return {w: _C_MEMO[w] for m in range(n + 1) for w in all_perms(m)}
+    check_guard(n, guard)
+    return {w: coefficient(w, guard=guard) for m in range(n + 1) for w in all_perms(m)}
 
 
-def coefficient_values(n: int, beta_value: int, jobs: int = 1, guard=None) -> dict:
-    """Coefficients of all sizes <= n evaluated at an integer, recursion on
-    plain integers (lighter than full polynomials for the big sweeps)."""
-    _check_guard(n, guard)
-    values: dict[Permutation, int] = {}
-    for m in range(n + 1):
-        table = nu_table(m, jobs=jobs, guard=guard)
-        for w in all_perms(m):
-            acc = 0
-            for key, count in pattern_census(w).items():
-                if len(key) == m:
-                    continue
-                acc += count * values[Permutation(key)]
-            values[w] = table[w](beta_value) - acc
-    return values
+def coefficient_values(n: int, beta_value: int, guard=None) -> dict[Permutation, int]:
+    """``coefficient_table(n)`` evaluated at an integer beta."""
+    return {w: c(beta_value) for w, c in coefficient_table(n, guard=guard).items()}
 
 
 # -- skew sums -----------------------------------------------------------------
@@ -301,7 +268,7 @@ def skew_identities(u: Permutation, v: Permutation, guard=None) -> SkewReport:
     """Compare nu and c of a skew sum against the products of the parts."""
     from .perms import skew_sum
 
-    _check_guard(u.size + v.size, guard)
+    check_guard(u.size + v.size, guard)
     w = skew_sum(u, v)
     return SkewReport(
         u, v,
@@ -325,9 +292,6 @@ class MinimalSummary:
     weight_reduced: BetaPolynomial
 
 
-_MINIMAL_SUMMARY: dict[int, dict[Permutation, MinimalSummary]] = {}
-_MINIMAL_SETS: dict[int, dict[Permutation, tuple]] = {}
-
 EMPTY_SUMMARY = MinimalSummary(0, 0, BetaPolynomial.zero(), BetaPolynomial.zero())
 
 
@@ -337,15 +301,15 @@ def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
     Permutations with no minimal grid are simply absent; use
     ``EMPTY_SUMMARY`` as the default when looking up.
     """
-    _check_guard(n, guard)
-    if n in _MINIMAL_SUMMARY:
-        return _MINIMAL_SUMMARY[n]
-    acc: dict[Permutation, list] = {}
+    check_guard(n, guard)
+    return stored("minimal-summary", n, _build_minimal_summary)
+
+
+def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
     if n == 0:
         one = BetaPolynomial.one()
-        table = {Permutation(): MinimalSummary(1, 1, one, one)}
-        _MINIMAL_SUMMARY[0] = table
-        return table
+        return {Permutation(): MinimalSummary(1, 1, one, one)}
+    acc: dict[Permutation, list] = {}
     for grid in bpd_stream(n):
         report = removable_pipes(grid)
         if not report.minimal:
@@ -359,9 +323,7 @@ def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
         if tr.is_reduced:
             slot[1] += 1
             slot[3] = slot[3] + wt
-    table = {w: MinimalSummary(*vals) for w, vals in acc.items()}
-    _MINIMAL_SUMMARY[n] = table
-    return table
+    return {w: MinimalSummary(*vals) for w, vals in acc.items()}
 
 
 def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
@@ -370,17 +332,15 @@ def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
     Values are (all_minimal, reduced_minimal) tuples of grids, in stream
     order.  Meant for the bijection sweeps at small sizes.
     """
-    _check_guard(n, guard)
-    if n in _MINIMAL_SETS:
-        return _MINIMAL_SETS[n]
-    acc: dict[Permutation, tuple[list, list]] = {}
-    if n == 0:
-        from .grid import BpdGrid
+    check_guard(n, guard)
+    return stored("minimal-sets", n, _build_minimal_sets)
 
+
+def _build_minimal_sets(n: int) -> dict[Permutation, tuple]:
+    if n == 0:
         empty = BpdGrid(())
-        table = {Permutation(): ((empty,), (empty,))}
-        _MINIMAL_SETS[0] = table
-        return table
+        return {Permutation(): ((empty,), (empty,))}
+    acc: dict[Permutation, tuple[list, list]] = {}
     for grid in bpd_stream(n):
         report = removable_pipes(grid)
         if not report.minimal:
@@ -390,6 +350,4 @@ def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
         slot[0].append(grid)
         if tr.is_reduced:
             slot[1].append(grid)
-    table = {w: (tuple(a), tuple(r)) for w, (a, r) in acc.items()}
-    _MINIMAL_SETS[n] = table
-    return table
+    return {w: (tuple(a), tuple(r)) for w, (a, r) in acc.items()}

@@ -3,6 +3,8 @@ from pathlib import Path
 import pytest
 
 from pipedream import Asm, BpdGrid, Tile, removable_pipes
+from pipedream.enumeration import _TABLES
+from pipedream.specialization import _NU_MEMO, clear_caches
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -64,3 +66,15 @@ def fig_asm():
 @pytest.fixture
 def red_bpds():
     return [load_grid(f"fig_red_bpd_{k}") for k in (1, 2, 3, 4)]
+
+
+@pytest.fixture
+def cold_caches():
+    """Run a test from empty in-process caches, then put the old ones back
+    so later tests do not rebuild the large tables."""
+    saved = dict(_TABLES), dict(_NU_MEMO)
+    clear_caches()
+    yield
+    clear_caches()
+    _TABLES.update(saved[0])
+    _NU_MEMO.update(saved[1])

@@ -8,6 +8,7 @@ import pytest
 from pipedream import BetaPolynomial, Permutation, nu
 from pipedream.cache import SCHEMA_VERSION, default_cache_path, load_cache, store_cache
 from pipedream.cli import main
+from pipedream.specialization import clear_caches
 
 
 def P(text):
@@ -156,7 +157,16 @@ class TestCliCommands:
         assert main(["verify", "no-such-check", "--n", "2"]) == 2
 
     def test_bad_permutation(self, capsys):
-        assert main(["nu", "--perm", "1123"]) == 2
+        for text in ("1123", ",", "1,,2", "1,a"):
+            assert main(["nu", "--perm", text]) == 2
+            assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("argv", [["verify", "stanley", "--n", "-1"],
+                                      ["verify", "bk-order", "--n", "-2"],
+                                      ["verify", "conj-gao", "--n", "-1"]])
+    def test_negative_size_rejected(self, argv, capsys):
+        assert main(argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_subword_with_wrong_kind(self, capsys):
         assert main(["enumerate", "--perm", "1243", "--kind", "mBPD",
@@ -166,6 +176,18 @@ class TestCliCommands:
         main(["nu", "--perm", "1243"])
         loaded, _ = load_cache()
         assert loaded[P("1243")] == BetaPolynomial.from_coeffs([3, 3, 1])
+
+    def test_poly_and_maxima_leave_cache_alone(self, isolated_cache, capsys):
+        assert main(["poly", "--perm", "132"]) == 0
+        assert main(["maxima", "--n", "5"]) == 0
+        assert not isolated_cache.exists()
+
+    def test_maxima_process_pool(self, cold_caches, capsys):
+        assert main(["--jobs", "2", "maxima", "--n", "5"]) == 0
+        pooled = capsys.readouterr().out
+        clear_caches()
+        assert main(["--jobs", "1", "maxima", "--n", "5"]) == 0
+        assert capsys.readouterr().out == pooled
 
 
 class TestDeterminism:

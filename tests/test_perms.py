@@ -30,6 +30,11 @@ class TestParse:
         with pytest.raises(NotAPermutation):
             Permutation([2, 3])
 
+    @pytest.mark.parametrize("text", [",", "1,,2", "1,a", "1 2", "12a", "1,2,"])
+    def test_malformed_text_rejected(self, text):
+        with pytest.raises(NotAPermutation):
+            Permutation.from_text(text)
+
     def test_comma_form(self):
         w = Permutation.from_text("10,1,2,3,4,5,6,7,8,9")
         assert w.size == 10

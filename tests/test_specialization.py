@@ -3,9 +3,12 @@ import pytest
 from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
                        coefficient, coefficient_table, grothendieck, nu,
                        nu_table, schubert, skew_identities, skew_sum)
+from pipedream.enumeration import bpd_stream
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import coefficient_values
+from pipedream.specialization import (clear_caches, coefficient_values,
+                                      grothendieck_table, minimal_sets,
+                                      minimal_summary)
 
 
 def P(text):
@@ -50,6 +53,17 @@ class TestNu:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             nu(Permutation.identity(5), guard=4)
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(GuardExceeded):
+            nu_table(-1)
+
+    def test_process_pool_matches_serial(self, cold_caches):
+        serial = nu_table(5)
+        clear_caches()
+        pooled = nu_table(5, jobs=2)
+        assert pooled is not serial
+        assert pooled == serial
 
 
 class TestGrothendieck:
@@ -152,3 +166,18 @@ class TestSkewIdentities:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             skew_identities(Permutation.identity(3), Permutation.identity(3), guard=5)
+
+
+class TestCaches:
+    def test_clear_caches_drops_every_memo(self, cold_caches):
+        w = P("1243")
+        builders = [lambda: nu_table(3), lambda: nu(w), lambda: coefficient(w),
+                    lambda: grothendieck_table(3), lambda: minimal_summary(3),
+                    lambda: minimal_sets(3), lambda: next(bpd_stream(3))]
+        before = [build() for build in builders]
+        assert [build() for build in builders] == before
+        clear_caches()
+        after = [build() for build in builders]
+        assert after == before
+        for old, new in zip(before, after):
+            assert old is not new
