@@ -26,5 +26,5 @@ for n in range(7):
     names = ", ".join(w.text() or "empty" for w in row.argmax_nu)
     print(f" {n} | {row.max_nu:6d} | {row.max_c:5d} | {names}")
 
-# Size 7 reproduces 38259 / 32160 at 1327654 in a few extra seconds, and
-# sizes 8 and 9 are streaming jobs; see the README for the opt-in runs.
+# Size 7 reproduces 38259 / 32160 at 1327654 in a few extra seconds;
+# sizes 8 and 9 spend most of their time in the pattern census.

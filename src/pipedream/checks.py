@@ -498,15 +498,14 @@ class MaximaRow:
     argmax_c: tuple[Permutation, ...]
 
 
-def maxima_table(n: int, beta_value: int, jobs: int = 1, guard=None) -> MaximaRow:
+def maxima_table(n: int, beta_value: int, guard=None) -> MaximaRow:
     """Maximize the evaluated nu and c over all permutations of size n.
 
     For beta 0 and 1 the winners are checked to be layered, and for beta 1
     the two argmax sets are checked to coincide.
     """
     check_guard(n, guard)
-    for m in range(n + 1):  # shard every pass the coefficient recursion reads
-        table = nu_table(m, jobs=jobs, guard=guard)
+    table = nu_table(n, guard=guard)
     values = coefficient_values(n, beta_value, guard=guard)
     perms = all_perms(n)
     nu_vals = {w: table[w](beta_value) for w in perms}

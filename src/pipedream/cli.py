@@ -25,20 +25,6 @@ def _perm(text: str) -> Permutation:
     return Permutation.from_text(text)
 
 
-# checks that consume the specialization tables and so benefit from a
-# sharded prewarm of the exhaustive pass
-_TABLE_HUNGRY = {"upper-bound", "thm-1243", "groth-1243-2143", "conj-gao",
-                 "conj-groth", "skew", "pattern-sum", "stanley"}
-
-
-def _prewarm(n: int, jobs: int, guard) -> None:
-    if jobs > 1:
-        from .specialization import nu_table
-
-        for m in range(n + 1):
-            nu_table(m, jobs=jobs, guard=guard)
-
-
 def _load_seed(path):
     values, skipped = load_cache(path)
     if skipped:
@@ -57,8 +43,6 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pipedream",
         description="Exact combinatorics of bumpless pipe dreams.")
-    parser.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for the exhaustive sweeps")
     parser.add_argument("--guard", type=int, default=None,
                         help="largest permutation size allowed (default 9)")
     parser.add_argument("--cache-path", default=None,
@@ -115,9 +99,13 @@ def _cmd_enumerate(args) -> int:
         if kind not in ("BPD", "bpd"):
             print("--subword only applies to kinds BPD and bpd", file=sys.stderr)
             return 2
-        indices = tuple(int(part) for part in args.subword.split(",")) \
-            if args.subword else ()
-        v = SubwordSelection(w, indices)
+        try:
+            indices = tuple(int(part) for part in args.subword.split(",")) \
+                if args.subword else ()
+            v = SubwordSelection(w, indices)
+        except ValueError as exc:
+            print(f"error: bad --subword {args.subword!r}: {exc}", file=sys.stderr)
+            return 2
         kind = "BPD_v" if kind == "BPD" else "bpd_v"
     grids = query(SetQuery(kind, w, v), max_n_guard=args.guard)
     if args.format == "ascii":
@@ -132,7 +120,7 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_nu(args) -> int:
     loaded = _load_seed(args.cache_path)
-    value = nu(_perm(args.perm), guard=args.guard, jobs=args.jobs)
+    value = nu(_perm(args.perm), guard=args.guard)
     print(value(args.at) if args.at is not None else value)
     _persist(args.cache_path, loaded)
     return 0
@@ -141,7 +129,6 @@ def _cmd_nu(args) -> int:
 def _cmd_coeff(args) -> int:
     loaded = _load_seed(args.cache_path)
     w = _perm(args.perm)
-    _prewarm(w.size, args.jobs, args.guard)
     mode = "recursive" if args.mode == "recursive" else "ie"
     value = coefficient(w, mode=mode, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
@@ -166,8 +153,6 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.check_id in _TABLE_HUNGRY:
-        _prewarm(args.n, args.jobs, args.guard)
     report = run_check(args.check_id, args.n, guard=args.guard)
     if args.format == "json":
         print(report.to_json())
@@ -177,7 +162,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_maxima(args) -> int:
-    row = maxima_table(args.n, args.beta, jobs=args.jobs, guard=args.guard)
+    row = maxima_table(args.n, args.beta, guard=args.guard)
     names_nu = ",".join(w.text() or "∅" for w in row.argmax_nu)
     names_c = ",".join(w.text() or "∅" for w in row.argmax_c)
     print(f"n={row.n} beta={row.beta_value} max_nu={row.max_nu} max_c={row.max_c} "

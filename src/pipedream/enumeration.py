@@ -1,20 +1,23 @@
 """Exhaustive generation of alternating sign matrices and grid families.
 
-One generator feeds everything: the row-by-row DFS over alternating sign
-matrices, with each column's running sum confined to {0, 1}.  Grid
-families (all grids with a given permutation, the reduced ones, the
-minimal ones, and so on) are filters over that single stream, which keeps
-the correctness surface small.
+One transition table drives two walks over the rows of alternating sign
+matrices, with each column's running sum confined to {0, 1}.  The
+depth-first stream yields every matrix; grid families (all grids with a
+given permutation, the reduced ones, the minimal ones, and so on) are
+filters over it.  The row-transfer pass merges matrices that agree below
+a row and sums their weights by type, which is all the nu and
+Grothendieck tables need.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import comb
 from typing import Callable, Iterator, Optional
 
 from .errors import GuardExceeded
-from .grid import Asm, BpdGrid, Tile, tiles_from_asm_rows, trace
+from .grid import Asm, BpdGrid, Tile, tile_row, tiles_from_asm_rows, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 
@@ -66,7 +69,8 @@ def _alternating_line(entries) -> bool:
 
 
 def _transitions(n: int):
-    """For each column-sum state, the legal rows and successor states."""
+    """For each column-sum state, the legal rows as (entries, successor
+    state, tile row)."""
     table = {}
     rows = _valid_rows(n)
     for state in range(1 << n):
@@ -74,30 +78,22 @@ def _transitions(n: int):
         for entries, plus, minus in rows:
             if state & plus or minus & ~state:
                 continue
-            moves.append((entries, (state | plus) & ~minus))
+            moves.append((entries, (state | plus) & ~minus, tile_row(state, entries)))
         table[state] = tuple(moves)
     return table
 
 
-def iter_asm_rows(n: int, first_column: Optional[int] = None) -> Iterator[tuple]:
+def iter_asm_rows(n: int) -> Iterator[tuple]:
     """Yield each alternating sign matrix of size n as a tuple of row tuples.
 
     Deterministic order: depth-first, rows in lexicographic entry order.
-    ``first_column`` (1-based) restricts the stream to matrices whose top
-    row has its +1 in that column; the n shards partition the full stream.
     """
     if n < 1:
         raise ValueError("size must be at least 1")
     table = stored("transitions", n, _transitions)
     full = (1 << n) - 1
-    if first_column is None:
-        first_moves = table[0]
-    else:
-        # from the zero state only single +1 rows are legal, one per column
-        want = 1 << (first_column - 1)
-        first_moves = tuple(m for m in table[0] if m[1] == want)
     prefix = []
-    work = [(1, entries, state) for entries, state in first_moves[::-1]]
+    work = [(1, entries, state) for entries, state, _ in table[0][::-1]]
     while work:
         depth, entries, state = work.pop()
         del prefix[depth - 1:]
@@ -106,13 +102,85 @@ def iter_asm_rows(n: int, first_column: Optional[int] = None) -> Iterator[tuple]
             if state == full:
                 yield tuple(prefix)
             continue
-        for nxt_entries, nxt_state in table[state][::-1]:
+        for nxt_entries, nxt_state, _ in table[state][::-1]:
             work.append((depth + 1, nxt_entries, nxt_state))
 
 
-def enumerate_asm(n: int, first_column: Optional[int] = None) -> Iterator[Asm]:
+def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
+    """Weight sums of all grids of size n, by type, without listing them.
+
+    Returns {type word: {key: count}}.  Row i of a grid contributes
+    (b*x_i)^blanks * (1 + b*x_i)^jelbows, so every b comes with an x and
+    the b-degree of a term is its total x-degree.  With ``per_row`` a key
+    is the tuple of x exponents of rows 1..n; otherwise it is that total
+    degree alone (all x set to 1).  Weights are not shifted by the length
+    of the type.
+
+    Rows are read top-down and each row right to left.  A strand is
+    labelled by the row it exits through, so the label entering a row
+    from the east is the row itself and the labels leaving the last row
+    through the south edge spell the type.  At a cross, a vertical label
+    a above a horizontal label h with a > h means the two strands have
+    already crossed to the north-east: the tile is resolved as a bump and
+    the labels swap.  The scan is ``ktheory.resolve``'s row-major order
+    reversed, so each pair keeps its last crossing here where resolve
+    keeps its first.  Either way the type is the Demazure product of the
+    word the crosses spell, built from one end or from the other; the
+    Demazure product is associative, so the two types agree (the bk-order
+    check confirms that resolve's scan orders agree).  Blanks and
+    j-elbows, hence weights, are untouched by resolution.
+    """
+    table = stored("transitions", n, _transitions)
+    cross, r_elbow = int(Tile.CROSS), int(Tile.R_ELBOW)
+    steps = {}  # column-sum state -> [(successor, label program, row factor)]
+    for state, moves in table.items():
+        steps[state] = []
+        for _, below, tiles in moves:
+            program = tuple((j, tiles[j]) for j in range(n - 1, -1, -1)
+                            if tiles[j] in (Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW))
+            blanks, jelbows = tiles.count(Tile.BLANK), tiles.count(Tile.J_ELBOW)
+            factor = [((blanks + k,) if per_row else blanks + k, comb(jelbows, k))
+                      for k in range(jelbows + 1)]
+            steps[state].append((below, program, factor))
+    level = {(0, (0,) * n): {() if per_row else 0: 1}}
+    for row in range(1, n + 1):
+        nxt: dict[tuple, dict] = {}
+        for (state, labels), weights in level.items():
+            for below, program, factor in steps[state]:
+                out = list(labels)
+                h = row
+                for j, tile in program:
+                    if tile == cross:
+                        a = labels[j]
+                        if a > h:
+                            out[j] = h
+                            h = a
+                    elif tile == r_elbow:
+                        out[j] = h
+                    else:
+                        h = labels[j]
+                        out[j] = 0
+                key = (below, tuple(out))
+                slot = nxt.get(key)
+                if slot is None:
+                    slot = nxt[key] = {}
+                for expo, c in weights.items():
+                    for grow, m in factor:
+                        e = expo + grow
+                        slot[e] = slot.get(e, 0) + c * m
+        level = nxt
+    sums = {}
+    for (_, labels), weights in level.items():
+        word = [0] * n
+        for y, label in enumerate(labels, start=1):
+            word[label - 1] = y
+        sums[tuple(word)] = weights
+    return sums
+
+
+def enumerate_asm(n: int) -> Iterator[Asm]:
     """The public ASM stream; each matrix is yielded exactly once."""
-    for rows in iter_asm_rows(n, first_column):
+    for rows in iter_asm_rows(n):
         yield Asm(rows)
 
 

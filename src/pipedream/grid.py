@@ -289,38 +289,45 @@ def to_asm(grid: BpdGrid) -> Asm:
         for row in grid.rows))
 
 
+_BLANK, _HORIZONTAL, _VERTICAL, _CROSS, _R_ELBOW, _J_ELBOW = (
+    Tile.BLANK, Tile.HORIZONTAL, Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW)
+
+
+def tile_row(above: int, entries) -> tuple[Tile, ...]:
+    """The tiles of one grid row from its ASM entries.
+
+    ``above`` is the column-sum state of the rows above as a bitmask (bit
+    j set when column j+1 sums to 1 there), i.e. the columns whose strand
+    enters this row from the north.  The running row sum says whether a
+    strand runs east through a zero entry; these are the corner sums of
+    the matrix read one row at a time.
+    """
+    tiles = []
+    running = 0
+    for e in entries:
+        if e:
+            running += e
+            tiles.append(_R_ELBOW if e == 1 else _J_ELBOW)
+        elif above & 1:
+            tiles.append(_CROSS if running else _VERTICAL)
+        else:
+            tiles.append(_HORIZONTAL if running else _BLANK)
+        above >>= 1
+    return tuple(tiles)
+
+
 def tiles_from_asm_rows(rows, n):
-    """Reconstruct tile rows from ASM entry rows via corner sums.
+    """Reconstruct tile rows from ASM entry rows, one ``tile_row`` each.
 
     Assumes the entries already satisfy the alternating-sign invariants.
     """
     out = []
-    prev = [0] * (n + 1)  # prev[j] = corner sum of rows above, columns <= j
-    for i in range(n):
-        arow = rows[i]
-        cur = [0] * (n + 1)
-        running = 0
-        tiles = []
-        for j in range(n):
-            e = arow[j]
-            running += e
-            cur[j + 1] = prev[j + 1] + running
-            if e == 1:
-                tiles.append(Tile.R_ELBOW)
-            elif e == -1:
-                tiles.append(Tile.J_ELBOW)
-            else:
-                diff = cur[j + 1] - prev[j]
-                if diff == 2:
-                    tiles.append(Tile.CROSS)
-                elif diff == 0:
-                    tiles.append(Tile.BLANK)
-                elif prev[j + 1] - cur[j] == -1:
-                    tiles.append(Tile.HORIZONTAL)
-                else:
-                    tiles.append(Tile.VERTICAL)
-        out.append(tuple(tiles))
-        prev = cur
+    above = 0
+    for entries in rows:
+        out.append(tile_row(above, entries))
+        for j, e in enumerate(entries):
+            if e:
+                above ^= 1 << j
     return tuple(out)
 
 

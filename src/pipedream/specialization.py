@@ -6,20 +6,19 @@ j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
 gives the principal specialization nu; the coefficients c are defined by
 subtracting pattern-weighted contributions of smaller permutations.
 
-Everything here funnels through one exhaustive pass per size, kept in
-the package's table store; the pass stores one coefficient list per type,
-never the grids themselves, so the opt-in large sizes stream in bounded
-memory.
+The nu and Grothendieck tables of a size come from one row-transfer pass
+(``enumeration.row_transfer``) that aggregates weights row by row without
+listing the grids; the tables are kept in the package's table store.  The
+minimal-grid aggregates still filter the grid stream.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 
-from .enumeration import (_TABLES, bpd_stream, check_guard, iter_asm_rows,
-                          removable_pipes, stored)
-from .grid import BpdGrid, Tile, tiles_from_asm_rows, trace
+from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
+                          row_transfer, stored)
+from .grid import BpdGrid, trace
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census
 from .polynomials import BetaPolynomial, MultivariatePolynomial
@@ -28,71 +27,25 @@ from .polynomials import BetaPolynomial, MultivariatePolynomial
 _NU_MEMO: dict[Permutation, BetaPolynomial] = {}
 
 
-def _pascal_rows(limit):
-    rows = [(1,)]
-    for _ in range(limit):
-        prev = rows[-1]
-        rows.append(tuple(a + b for a, b in
-                          zip((0,) + prev, prev + (0,))))
-    return rows
-
-
-def _nu_shard(args):
-    """Accumulate, per type, the coefficient list of the unshifted weight
-    sum over one shard of the stream (or the whole stream when column is
-    None).  Index k of a list is the count weighted by blanks and the
-    binomial expansion of the j-elbow factor."""
-    n, column = args
-    pascal = _pascal_rows(n * n)
-    acc: dict[tuple, list] = {}
-    for rows in iter_asm_rows(n, first_column=column):
-        tiles = tiles_from_asm_rows(rows, n)
-        _, typ, blanks, jelbows, _ = resolve_stats(tiles, n)
-        slot = acc.get(typ)
-        if slot is None:
-            slot = acc[typ] = []
-        need = blanks + jelbows + 1
-        if len(slot) < need:
-            slot.extend([0] * (need - len(slot)))
-        for k, c in enumerate(pascal[jelbows]):
-            slot[blanks + k] += c
-    return acc
-
-
-def nu_table(n: int, jobs: int = 1, guard=None) -> dict[Permutation, BetaPolynomial]:
-    """nu for every permutation of size n, from one pass over the stream."""
+def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
+    """nu for every permutation of size n, from one row-transfer pass."""
     check_guard(n, guard)
-    return stored("nu", n, lambda m: _build_nu_table(m, jobs))
+    return stored("nu", n, _build_nu_table)
 
 
-def _build_nu_table(n: int, jobs: int) -> dict[Permutation, BetaPolynomial]:
-    if n == 0:
-        return {Permutation(): BetaPolynomial.one()}
-    merged: dict[tuple, list] = {}
-    if jobs > 1 and n >= 5:
-        with multiprocessing.Pool(min(jobs, n)) as pool:
-            for local in pool.imap_unordered(_nu_shard,
-                                             [(n, c) for c in range(1, n + 1)]):
-                for typ, coeffs in local.items():
-                    slot = merged.get(typ)
-                    if slot is None:
-                        merged[typ] = coeffs
-                        continue
-                    if len(slot) < len(coeffs):
-                        slot.extend([0] * (len(coeffs) - len(slot)))
-                    for k, c in enumerate(coeffs):
-                        slot[k] += c
-    else:
-        merged = _nu_shard((n, None))
+def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
     table = {}
-    for typ, coeffs in merged.items():
+    for typ, weights in row_transfer(n, per_row=False).items():
         w = Permutation(typ)
+        coeffs = [0] * (max(weights) + 1)
+        for degree, count in weights.items():
+            coeffs[degree] = count
         # blanks never dip below the length of the type, so this is exact
         table[w] = BetaPolynomial.from_coeffs(coeffs).shift_down(w.length())
     return table
 
 
-def nu(w: Permutation, guard=None, jobs: int = 1) -> BetaPolynomial:
+def nu(w: Permutation, guard=None) -> BetaPolynomial:
     """The principal specialization as a polynomial in b.
 
     Its constant term counts the reduced grids with permutation w.
@@ -100,7 +53,7 @@ def nu(w: Permutation, guard=None, jobs: int = 1) -> BetaPolynomial:
     check_guard(w.size, guard)
     if w in _NU_MEMO:
         return _NU_MEMO[w]
-    value = nu_table(w.size, jobs=jobs, guard=guard)[w]
+    value = nu_table(w.size, guard=guard)[w]
     _NU_MEMO[w] = value
     return value
 
@@ -128,43 +81,14 @@ def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePoly
 
 
 def _build_grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomial]:
-    if n == 0:
-        return {Permutation(): MultivariatePolynomial.constant(0, 1)}
-    nvars = n - 1
-    one = BetaPolynomial.one()
-    beta = BetaPolynomial.beta()
-    zero_expo = (0,) * nvars
-    jfactor = []
-    for i in range(nvars):
-        expo = tuple(1 if k == i else 0 for k in range(nvars))
-        jfactor.append(MultivariatePolynomial(nvars, {zero_expo: one, expo: beta}))
-    sums: dict[tuple, MultivariatePolynomial] = {}
-    for rows in iter_asm_rows(n):
-        tiles = tiles_from_asm_rows(rows, n)
-        _, typ, _, _, _ = resolve_stats(tiles, n)
-        expo = [0] * nvars
-        blanks = 0
-        for i in range(n):
-            row = tiles[i]
-            for j in range(n):
-                t = row[j]
-                if t == Tile.BLANK:
-                    expo[i] += 1
-                    blanks += 1
-        term = MultivariatePolynomial(
-            nvars, {tuple(expo): BetaPolynomial.monomial(blanks)})
-        for i in range(n):
-            count = tiles[i].count(Tile.J_ELBOW)
-            for _ in range(count):
-                term = term * jfactor[i]
-        if typ in sums:
-            sums[typ] = sums[typ] + term
-        else:
-            sums[typ] = term
+    # the last row has no blank or j-elbow, so x_n never occurs
+    nvars = max(n - 1, 0)
     table = {}
-    for typ, total in sums.items():
+    for typ, weights in row_transfer(n, per_row=True).items():
         w = Permutation(typ)
-        table[w] = total.beta_shift_down(w.length())
+        terms = {expo[:nvars]: BetaPolynomial.monomial(sum(expo), count)
+                 for expo, count in weights.items()}
+        table[w] = MultivariatePolynomial(nvars, terms).beta_shift_down(w.length())
     return table
 
 

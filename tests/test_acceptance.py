@@ -2,7 +2,7 @@
 
 Every criterion is pinned to its exact expected values and its exhaustive
 size schedule; each test prints one PASS line on success so a full run
-reads as a checklist.  Sizes 8 and 9 are opt-in via the ``slow`` marker.
+reads as a checklist.  Size 9 is opt-in via the ``slow`` marker.
 """
 
 import pytest
@@ -180,17 +180,26 @@ def test_criterion_7_identity_chain():
     _report("7 identity-chain n<=5")
 
 
-# -- opt-in larger sweeps ------------------------------------------------------
+# -- size 8 --------------------------------------------------------------------
 
 
-@pytest.mark.slow
 def test_maxima_n8():
     row = maxima_table(8, 1)
     assert row.max_nu == 1711251
     assert row.max_c == 1501128
     assert tuple(w.text() for w in row.argmax_nu) == ("13287654",)
     assert row.argmax_nu == row.argmax_c
-    _report("slow maxima n=8")
+    _report("maxima n=8")
+
+
+def test_conjecture_sweep_n8():
+    table = coefficient_table(8)
+    for w in all_perms(8):
+        assert table[w].is_nonnegative(), w
+    _report("conjecture-sweep n=8")
+
+
+# -- opt-in larger sweeps ------------------------------------------------------
 
 
 @pytest.mark.slow
@@ -210,11 +219,3 @@ def test_maxima_n9_beta_zero():
     assert P("132987654") in row.argmax_c
     assert P("132987654") in row.argmax_nu
     _report("slow maxima n=9 beta=0")
-
-
-@pytest.mark.slow
-def test_conjecture_sweep_n8():
-    table = coefficient_table(8)
-    for w in all_perms(8):
-        assert table[w].is_nonnegative(), w
-    _report("slow conjecture-sweep n=8")

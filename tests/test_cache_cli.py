@@ -8,7 +8,6 @@ import pytest
 from pipedream import BetaPolynomial, Permutation, nu
 from pipedream.cache import SCHEMA_VERSION, default_cache_path, load_cache, store_cache
 from pipedream.cli import main
-from pipedream.specialization import clear_caches
 
 
 def P(text):
@@ -160,6 +159,9 @@ class TestCliCommands:
         for text in ("1123", ",", "1,,2", "1,a"):
             assert main(["nu", "--perm", text]) == 2
             assert capsys.readouterr().err.startswith("error:")
+        for text in ("a", "1,9", "1,1"):
+            assert main(["enumerate", "--perm", "1243", "--subword", text]) == 2
+            assert capsys.readouterr().err.startswith("error:")
 
     @pytest.mark.parametrize("argv", [["verify", "stanley", "--n", "-1"],
                                       ["verify", "bk-order", "--n", "-2"],
@@ -181,13 +183,6 @@ class TestCliCommands:
         assert main(["poly", "--perm", "132"]) == 0
         assert main(["maxima", "--n", "5"]) == 0
         assert not isolated_cache.exists()
-
-    def test_maxima_process_pool(self, cold_caches, capsys):
-        assert main(["--jobs", "2", "maxima", "--n", "5"]) == 0
-        pooled = capsys.readouterr().out
-        clear_caches()
-        assert main(["--jobs", "1", "maxima", "--n", "5"]) == 0
-        assert capsys.readouterr().out == pooled
 
 
 class TestDeterminism:
