@@ -14,7 +14,7 @@ import sys
 from .cache import default_cache_path, load_cache, store_cache
 from .checks import CHECK_IDS, maxima_table, run_check
 from .enumeration import SetQuery, query
-from .errors import PipedreamError
+from .errors import CacheError, PipedreamError
 from .grid import render
 from .perms import Permutation, SubwordSelection
 from .specialization import (coefficient, grothendieck, nu, nu_memo_snapshot,
@@ -26,7 +26,10 @@ def _perm(text: str) -> Permutation:
 
 
 def _load_seed(path):
-    values, skipped = load_cache(path)
+    try:
+        values, skipped = load_cache(path)
+    except OSError as exc:
+        raise CacheError(f"cannot read the cache: {exc}") from None
     if skipped:
         print(f"warning: skipped {skipped} unreadable cache line(s)", file=sys.stderr)
     seed_nu_memo(values)
@@ -36,7 +39,10 @@ def _load_seed(path):
 def _persist(path, loaded):
     merged = dict(loaded)
     merged.update(nu_memo_snapshot())
-    store_cache(merged, path)
+    try:
+        store_cache(merged, path)
+    except OSError as exc:
+        raise CacheError(f"cannot write the cache: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -180,6 +186,8 @@ def _cmd_cache(args) -> int:
         print(f"cleared {path}")
     except FileNotFoundError:
         print(f"nothing to clear at {path}")
+    except OSError as exc:
+        raise CacheError(f"cannot clear the cache: {exc}") from None
     return 0
 
 

@@ -5,11 +5,18 @@ the top) forming n pipes.  Pipe y->x enters from the south edge of column y
 and leaves through the east edge of row x, travelling weakly northeast.
 The elbow tiles are in bijection with the nonzero entries of an
 alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
+
+``scan`` is the one pass over a grid's tiles: it labels every edge with
+the entry column of the pipe on it, and so checks the grid, reads its
+permutation and crossing counts, and (with ``resolve``) turns repeated
+crossings into bumps.  ``validate``, ``trace`` and ``ktheory.resolve``
+are thin calls to it.
 """
 
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
@@ -36,7 +43,7 @@ class Tile(IntEnum):
 
 _CHAR_TO_TILE = {t.char: t for t in Tile}
 
-# Edge openness per tile kind, used for local consistency checks.
+# Edge openness per tile kind.
 _EAST = frozenset({Tile.HORIZONTAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP})
 _WEST = frozenset({Tile.HORIZONTAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP})
 _NORTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP})
@@ -45,10 +52,6 @@ _SOUTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP})
 
 def east_open(tile) -> bool:
     return tile in _EAST
-
-
-def west_open(tile) -> bool:
-    return tile in _WEST
 
 
 def north_open(tile) -> bool:
@@ -152,7 +155,11 @@ class Asm:
 
     @classmethod
     def from_rows(cls, rows) -> "Asm":
-        return cls(tuple(tuple(int(v) for v in row) for row in rows))
+        try:
+            entries = tuple(tuple(operator.index(v) for v in row) for row in rows)
+        except TypeError:
+            raise InconsistentAsm("matrix must be a sequence of rows of integers") from None
+        return cls(entries)
 
     def __str__(self):
         return "\n".join(" ".join(f"{v:2d}" for v in row) for row in self.rows)
@@ -176,35 +183,110 @@ class PipeTrace:
         return sorted((a, b, c) for (a, b), c in self.crossings.items() if c >= 2)
 
 
+_BLANK, _HORIZONTAL, _VERTICAL, _CROSS, _R_ELBOW, _J_ELBOW = (
+    Tile.BLANK, Tile.HORIZONTAL, Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW)
+
+
+COL_MAJOR = "col-major"  # columns left to right, rows bottom to top (the default)
+ROW_MAJOR = "row-major"  # rows bottom to top, columns left to right
+
+# Whether each tile kind (indexed by its value) opens its south / west edge.
+_SOUTH_OPEN = tuple(t in _SOUTH for t in Tile)
+_WEST_OPEN = tuple(t in _WEST for t in Tile)
+
+
+def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
+    """Check, trace and optionally resolve a grid in one pass over its tiles.
+
+    Tiles are visited in ``order``; both orders reach a tile after its
+    south and west neighbours.  Every open edge carries a label, the entry
+    column of the pipe on it, and a closed edge carries 0.  At each tile
+    the incoming south and west labels must agree with the tile's open
+    edges; the tile then writes its north and east labels.  Straight tiles
+    pass labels through, elbows and bumps turn them.  A cross counts its
+    pair; with ``resolve`` a pair that already crossed turns the cross into
+    a bump and the two labels swap.  Every tile downstream of that bump
+    comes later in the scan, so one pass resolves the whole grid.
+
+    Faults raise in the order of a full check: ``BrokenStrand`` (a
+    neighbour mismatch or a disallowed bump), then a north and then a west
+    ``BoundaryLeak``, then ``NotBijective``.  Boundary faults are recorded
+    and raised after the pass; a leaking west edge carries the label -1,
+    an unknown pipe, so the tiles east of it are still checked.
+
+    Returns (word, crossings, blanks, jelbows, bumps, tiles): the one-line
+    word read off the east labels, the crossing count of each pair (a, b)
+    with a < b, the blank, j-elbow and bump tile counts, and the tile rows,
+    which are ``rows`` itself unless resolution turned a cross into a bump.
+    """
+    if order == COL_MAJOR:
+        cells = [(i, j) for j in range(n) for i in range(n - 1, -1, -1)]
+    elif order == ROW_MAJOR:
+        cells = [(i, j) for i in range(n - 1, -1, -1) for j in range(n)]
+    else:
+        raise ValueError(f"unknown scan order {order!r}")
+    up = list(range(1, n + 1))  # label on the north edge of the last tile per column
+    east = [0] * n              # label on the east edge of the last tile per row
+    opens_south, opens_west = _SOUTH_OPEN, _WEST_OPEN
+    crossings: dict[tuple[int, int], int] = {}
+    no_entry, west_leaks = [], []
+    work = rows
+    bumps = 0
+    for i, j in cells:
+        t = rows[i][j]
+        s, w = up[j], east[i]
+        if (s != 0) is not opens_south[t]:
+            if i < n - 1:
+                raise BrokenStrand((i + 1, j + 1), "south edge disagrees with neighbour")
+            no_entry.append(j + 1)
+            s = up[j] = 0
+        if (w != 0) is not opens_west[t]:
+            if j:
+                raise BrokenStrand((i + 1, j), "east edge disagrees with neighbour")
+            west_leaks.append(i + 1)
+            w = east[i] = -1
+        if t < _CROSS:  # blank, horizontal, vertical: labels pass through
+            continue
+        if t == _CROSS:
+            key = (s, w) if s < w else (w, s)
+            if not (resolve and key in crossings):
+                crossings[key] = crossings.get(key, 0) + 1
+                continue
+            if work is rows:
+                work = [list(row) for row in rows]
+            work[i][j] = Tile.BUMP
+        elif t == _R_ELBOW:
+            up[j], east[i] = 0, s
+            continue
+        elif t == _J_ELBOW:
+            up[j], east[i] = w, 0
+            continue
+        elif not allow_bump:
+            raise BrokenStrand((i + 1, j + 1), "bump tile in a raw grid")
+        up[j], east[i] = w, s
+        bumps += 1
+    north_leaks = [j + 1 for j in range(n) if up[j]]
+    if north_leaks:
+        raise BoundaryLeak(("N", north_leaks[0]))
+    if west_leaks:
+        raise BoundaryLeak(("W", min(west_leaks)))
+    no_exit = [i + 1 for i in range(n) if not east[i]]
+    if no_entry or no_exit:
+        raise NotBijective(f"columns without entry {no_entry}, rows without exit {no_exit}")
+    if work is not rows:
+        work = tuple(map(tuple, work))
+    blanks = sum(row.count(_BLANK) for row in rows)
+    jelbows = sum(row.count(_J_ELBOW) for row in rows)
+    return tuple(east), crossings, blanks, jelbows, bumps, work
+
+
 def validate(grid: BpdGrid, allow_bump: bool = False) -> None:
     """Raise unless the grid is a well-formed pipe network.
 
-    Checks, in order: no stray bump tiles (unless resolving), local edge
-    consistency between every pair of neighbours, closed north and west
-    boundaries, and one strand per column (south) and per row (east).
+    Bump tiles are faults unless ``allow_bump``; see ``scan`` for the
+    order in which faults are reported.
     """
-    n = grid.n
-    rows = grid.rows
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            t = rows[i - 1][j - 1]
-            if t == Tile.BUMP and not allow_bump:
-                raise BrokenStrand((i, j), "bump tile in a raw grid")
-            if j < n and east_open(t) != west_open(rows[i - 1][j]):
-                raise BrokenStrand((i, j), "east edge disagrees with neighbour")
-            if i < n and south_open(t) != north_open(rows[i][j - 1]):
-                raise BrokenStrand((i, j), "south edge disagrees with neighbour")
-    for j in range(1, n + 1):
-        if north_open(rows[0][j - 1]):
-            raise BoundaryLeak(("N", j))
-    for i in range(1, n + 1):
-        if west_open(rows[i - 1][0]):
-            raise BoundaryLeak(("W", i))
-    missing_entry = [j for j in range(1, n + 1) if not south_open(rows[n - 1][j - 1])]
-    missing_exit = [i for i in range(1, n + 1) if not east_open(rows[i - 1][n - 1])]
-    if missing_entry or missing_exit:
-        raise NotBijective(
-            f"columns without entry {missing_entry}, rows without exit {missing_exit}")
+    scan(grid.rows, grid.n, allow_bump=allow_bump)
 
 
 def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
@@ -215,70 +297,13 @@ def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
     return True
 
 
-def walk_strands(rows, n):
-    """Follow every strand from its south entry to its east exit.
-
-    Accepts rows of ``Tile`` members or plain tile integers.  Returns
-    (exit_row_by_strand, vertical_owner, horizontal_owner) where the owner
-    tables are (n+1) x (n+1) with 1-based indexing and record which strand
-    occupies each cell's vertical/horizontal channel.  Crosses carry both;
-    elbows carry the turning strand.
-    """
-    h, v, cross, relbow, jelbow, bump = 1, 2, 3, 4, 5, 6
-    vown = [[0] * (n + 1) for _ in range(n + 1)]
-    hown = [[0] * (n + 1) for _ in range(n + 1)]
-    exits = [0] * (n + 1)
-    for y in range(1, n + 1):
-        i, j, heading_north = n, y, True
-        while True:
-            t = rows[i - 1][j - 1]
-            if heading_north:
-                vown[i][j] = y
-                if t == v or t == cross:
-                    i -= 1
-                elif t == relbow or t == bump:
-                    heading_north = False
-                    j += 1
-                else:
-                    raise BrokenStrand((i, j),
-                                       f"strand {y} heading north hit {Tile(t).name}")
-            else:
-                hown[i][j] = y
-                if t == h or t == cross:
-                    j += 1
-                elif t == jelbow or t == bump:
-                    heading_north = True
-                    i -= 1
-                else:
-                    raise BrokenStrand((i, j),
-                                       f"strand {y} heading east hit {Tile(t).name}")
-            if j > n:
-                exits[y] = i
-                break
-            if i < 1:
-                raise BoundaryLeak(("N", j))
-    return exits, vown, hown
-
-
 def trace(grid: BpdGrid) -> PipeTrace:
-    """Compute the permutation, crossing multiplicities, and tile counts."""
-    n = grid.n
-    exits, vown, hown = walk_strands(grid.rows, n)
-    word = [0] * n
-    for y in range(1, n + 1):
-        word[exits[y] - 1] = y
-    crossings: dict[tuple[int, int], int] = {}
-    jelbows = blanks = 0
-    for i, row in enumerate(grid.rows, start=1):
-        for j, t in enumerate(row, start=1):
-            if t is Tile.CROSS:
-                a, b = vown[i][j], hown[i][j]
-                key = (a, b) if a < b else (b, a)
-                crossings[key] = crossings.get(key, 0) + 1
-            elif t is Tile.J_ELBOW:
-                jelbows += 1
-            elif t is Tile.BLANK:
-                blanks += 1
+    """Compute the permutation, crossing multiplicities, and tile counts.
+
+    Raises on a malformed grid; bump tiles are accepted, so resolved grids
+    trace to their type.
+    """
+    word, crossings, blanks, jelbows, _, _ = scan(grid.rows, grid.n)
     return PipeTrace(Permutation(word), crossings, jelbows, blanks)
 
 
@@ -287,10 +312,6 @@ def to_asm(grid: BpdGrid) -> Asm:
     return Asm(tuple(
         tuple(1 if t is Tile.R_ELBOW else -1 if t is Tile.J_ELBOW else 0 for t in row)
         for row in grid.rows))
-
-
-_BLANK, _HORIZONTAL, _VERTICAL, _CROSS, _R_ELBOW, _J_ELBOW = (
-    Tile.BLANK, Tile.HORIZONTAL, Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW)
 
 
 def tile_row(above: int, entries) -> tuple[Tile, ...]:
@@ -373,7 +394,7 @@ def render(grid: BpdGrid, format: str = "ascii") -> str:
     if format == "ascii":
         return grid.to_ascii()
     if format == "json":
-        perm = list(trace_resolved_perm(grid))
+        perm = list(trace(grid).perm)
         payload = {"n": grid.n,
                    "tiles": ["".join(t.char for t in row) for row in grid.rows],
                    "perm": perm}
@@ -396,19 +417,13 @@ def render(grid: BpdGrid, format: str = "ascii") -> str:
     raise ValueError(f"unknown render format {format!r}")
 
 
-def trace_resolved_perm(grid: BpdGrid) -> Permutation:
-    """Permutation of a grid that may contain bump tiles."""
-    n = grid.n
-    exits, _, _ = walk_strands(grid.rows, n)
-    word = [0] * n
-    for y in range(1, n + 1):
-        word[exits[y] - 1] = y
-    return Permutation(word)
-
-
 def from_json(text: str) -> BpdGrid:
+    """Inverse of ``render(grid, "json")``; raises ``ValueError`` on bad input."""
     payload = json.loads(text)
-    grid = BpdGrid.from_ascii("\n".join(payload["tiles"])) if payload["tiles"] else BpdGrid(())
-    if grid.n != payload["n"]:
+    tiles = payload.get("tiles") if isinstance(payload, dict) else None
+    if not (isinstance(tiles, list) and all(isinstance(row, str) for row in tiles)):
+        raise ValueError("expected an object whose 'tiles' is a list of tile rows")
+    grid = BpdGrid.from_ascii("\n".join(tiles)) if tiles else BpdGrid(())
+    if grid.n != payload.get("n"):
         raise ValueError("tile rows disagree with declared size")
     return grid

@@ -151,6 +151,14 @@ class TestCliCommands:
         assert not isolated_cache.exists()
         assert main(["cache", "clear"]) == 0  # idempotent
 
+    @pytest.mark.parametrize("argv", [["nu", "--perm", "132"],
+                                      ["coeff", "--perm", "132"],
+                                      ["cache", "clear"]])
+    def test_cache_path_is_a_directory(self, argv, tmp_path, capsys):
+        assert main(["--cache-path", str(tmp_path)] + argv) == 2
+        assert capsys.readouterr().err.startswith("error:")
+        assert tmp_path.is_dir()
+
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["verify", "no-such-check", "--n", "2"]) == 2

@@ -6,8 +6,7 @@ from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
                        coefficient, coefficient_table, grothendieck, nu,
                        nu_table, schubert, skew_identities, skew_sum)
 from pipedream.enumeration import bpd_stream, iter_asm_rows
-from pipedream.grid import Tile, tiles_from_asm_rows
-from pipedream.ktheory import resolve_stats
+from pipedream.grid import Tile, scan, tiles_from_asm_rows
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
 from pipedream.specialization import (clear_caches, coefficient_values,
@@ -96,11 +95,12 @@ def one_plus_bx(nvars, index):
 
 def per_matrix_tables(n, groth):
     """nu and (when ``groth``) Grothendieck tables of size n >= 1, summed one
-    matrix at a time through the stream, the tile rebuild and resolution."""
+    matrix at a time through the stream, the tile rebuild and a resolving
+    scan, which reads each grid's type."""
     counts = Counter()
     for rows in iter_asm_rows(n):
         tiles = tiles_from_asm_rows(rows, n)
-        _, typ, _, _, _ = resolve_stats(tiles, n)
+        typ = scan(tiles, n, resolve=True)[0]
         counts[typ, tuple(row.count(Tile.BLANK) for row in tiles),
                tuple(row.count(Tile.J_ELBOW) for row in tiles)] += 1
     nvars = n - 1
