@@ -1,9 +1,13 @@
 """Named machine checks for every statement the library implements.
 
 Each check sweeps all permutations (and where relevant, all grids) of one
-size and reports counterexamples instead of asserting, so a falsified
-statement surfaces as data.  The default size schedule lives in the test
-suite; heavier sizes are opt-in.
+size, from 0 up, and reports counterexamples instead of asserting, so a
+falsified statement surfaces as data.  A check body counts its instances
+and files its counterexamples on a ``_Tally``, which stops the body at the
+``MAX_COUNTEREXAMPLES``-th one.  The removal checks share one stratum
+comparison (``_compare_strata``) and the bound checks one pattern-weighted
+sum over the minimal grids (``_minimal_sum``).  The default size schedule
+lives in the test suite; heavier sizes are opt-in.
 """
 
 from __future__ import annotations
@@ -11,6 +15,8 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import defaultdict
+from contextlib import suppress
 from dataclasses import dataclass
 
 from .enumeration import bpd_stream, check_guard, removable_pipes
@@ -19,8 +25,8 @@ from .grid import BpdGrid, Tile, trace
 from .ktheory import (COL_MAJOR, ROW_MAJOR, beta_weight, nonreduced_witness,
                       resolve)
 from .perms import (PATTERN_132, PATTERN_1243, PATTERN_2143, Permutation,
-                    all_perms, all_subwords, pattern_census, pattern_count,
-                    skew_sum)
+                    all_perms, all_subwords, layered, pattern_census,
+                    pattern_count, skew_sum)
 from .polynomials import BetaPolynomial
 from .removal import insert, remove
 from .specialization import (EMPTY_SUMMARY, coefficient, coefficient_table,
@@ -60,278 +66,226 @@ class CheckReport:
         }, separators=(",", ":"))
 
 
+class _CapReached(Exception):
+    """Ends a check body at the last counterexample its report keeps."""
+
+
+class _Tally:
+    """The instances a check body covered and the counterexamples it found."""
+
+    def __init__(self):
+        self.instances = 0
+        self.failures: list[str] = []
+
+    def fail(self, message: str) -> None:
+        self.failures.append(message)
+        if len(self.failures) >= MAX_COUNTEREXAMPLES:
+            raise _CapReached
+
+
 def _grid_fixture(grid: BpdGrid) -> str:
     return "/".join("".join(t.char for t in row) for row in grid.rows)
 
 
-def _check_upper_bound(n):
+def _minimal_sum(w, summaries, field):
+    """Sum over the subwords of w of ``field`` of the minimal-grid summary
+    of their flattened patterns; ``summaries[m]`` is ``minimal_summary(m)``."""
+    total = getattr(EMPTY_SUMMARY, field)
+    for key, count in pattern_census(w).items():
+        total = total + count * getattr(summaries[len(key)].get(key, EMPTY_SUMMARY), field)
+    return total
+
+
+def _compare_strata(tally, words, strata, predict, describe):
+    """Match the stratum of every subword of every word in ``words``, empty
+    strata included, with ``predict`` of the subword's flattened pattern.
+
+    ``strata`` is a defaultdict keyed by (word, indices), read without
+    adding keys; ``describe(got, want)`` words a mismatch.
+    """
+    empty = strata.default_factory()
+    for w in words:
+        for sel in all_subwords(w):
+            got, want = strata.get((w, sel.indices), empty), predict(sel.pattern())
+            if got != want:
+                tally.fail(f"stratum w={w.text()} indices={sel.indices}: {describe(got, want)}")
+
+
+def _check_upper_bound(n, tally):
     """nu is at most the pattern-weighted count of minimal reduced grids."""
-    failures = []
     summaries = [minimal_summary(m) for m in range(n + 1)]
+    tally.instances = len(all_perms(n))
     for w in all_perms(n):
         lhs = nu(w).constant_term
-        rhs = 0
-        for key, count in pattern_census(w).items():
-            u = Permutation(key)
-            rhs += summaries[len(key)].get(u, EMPTY_SUMMARY).count_reduced * count
+        rhs = _minimal_sum(w, summaries, "count_reduced")
         if lhs > rhs:
-            failures.append(f"{w.text()}: nu={lhs} > bound={rhs}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return len(all_perms(n)), failures
+            tally.fail(f"{w.text()}: nu={lhs} > bound={rhs}")
 
 
-def _check_thm_1243(n):
+def _check_thm_1243(n, tally):
     """For 1243-avoiding w the upper bound is an equality and the
     coefficient counts the minimal reduced grids."""
-    failures = []
-    instances = 0
     summaries = [minimal_summary(m) for m in range(n + 1)]
     for w in all_perms(n):
         if w.contains(PATTERN_1243):
             continue
-        instances += 1
+        tally.instances += 1
         lhs = nu(w).constant_term
-        rhs = 0
-        for key, count in pattern_census(w).items():
-            u = Permutation(key)
-            rhs += summaries[len(key)].get(u, EMPTY_SUMMARY).count_reduced * count
+        rhs = _minimal_sum(w, summaries, "count_reduced")
         c_w = coefficient(w).constant_term
         mbpd_count = summaries[n].get(w, EMPTY_SUMMARY).count_reduced
         if lhs != rhs:
-            failures.append(f"{w.text()}: nu={lhs} != sum={rhs}")
+            tally.fail(f"{w.text()}: nu={lhs} != sum={rhs}")
         elif c_w != mbpd_count:
-            failures.append(f"{w.text()}: c={c_w} != |mbpd|={mbpd_count}")
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            break
-    return instances, failures
+            tally.fail(f"{w.text()}: c={c_w} != |mbpd|={mbpd_count}")
 
 
-def _check_vexillary_k(n):
+def _check_vexillary_k(n, tally):
     """Vexillary w: the type-w grids are exactly the reduced perm-w grids;
     add 1243-avoidance and all perm-w grids are reduced."""
-    failures = []
+    by_type = _grids_by_type(n)
     by_perm: dict[Permutation, set] = {}
     by_perm_reduced: dict[Permutation, set] = {}
-    by_type: dict[Permutation, set] = {}
     for grid in bpd_stream(n):
         tr = trace(grid)
         by_perm.setdefault(tr.perm, set()).add(grid)
         if tr.is_reduced:
             by_perm_reduced.setdefault(tr.perm, set()).add(grid)
-        _, typ = resolve(grid)
-        by_type.setdefault(typ, set()).add(grid)
-    instances = 0
     for w in all_perms(n):
         if w.contains(PATTERN_2143):
             continue
-        instances += 1
-        bpd_k = by_type.get(w, set())
+        tally.instances += 1
+        bpd_k = set(by_type.get(w, ()))
         reduced = by_perm_reduced.get(w, set())
         if bpd_k != reduced:
-            failures.append(f"{w.text()}: |BPD_K|={len(bpd_k)} differs from |bpd|={len(reduced)}")
+            tally.fail(f"{w.text()}: |BPD_K|={len(bpd_k)} differs from |bpd|={len(reduced)}")
         elif w.avoids(PATTERN_1243) and by_perm.get(w, set()) != reduced:
-            failures.append(f"{w.text()}: nonreduced grid despite avoiding 1243 and 2143")
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            break
-    return instances, failures
+            tally.fail(f"{w.text()}: nonreduced grid despite avoiding 1243 and 2143")
 
 
-def _check_nonreduced_pattern(n):
+def _check_nonreduced_pattern(n, tally):
     """Every nonreduced grid forces 1243 or 2143 in its permutation
     (by crossing parity) and 2143 in its type."""
-    failures = []
-    instances = 0
     for grid in bpd_stream(n):
         tr = trace(grid)
         if tr.is_reduced:
             continue
-        instances += 1
+        tally.instances += 1
         w = tr.perm
         _, typ = resolve(grid)
         for a, b, count in tr.multi_crossing_pairs():
             pattern = PATTERN_1243 if count % 2 == 0 else PATTERN_2143
             if not w.contains(pattern):
-                failures.append(
-                    f"{_grid_fixture(grid)}: pipes {a},{b} cross {count}x but "
-                    f"{w.text()} avoids {pattern.text()}")
+                tally.fail(f"{_grid_fixture(grid)}: pipes {a},{b} cross {count}x but "
+                           f"{w.text()} avoids {pattern.text()}")
         if not typ.contains(PATTERN_2143):
-            failures.append(f"{_grid_fixture(grid)}: type {typ.text()} avoids 2143")
+            tally.fail(f"{_grid_fixture(grid)}: type {typ.text()} avoids 2143")
         try:
             if nonreduced_witness(grid) is None:
-                failures.append(f"{_grid_fixture(grid)}: witness came back empty")
+                tally.fail(f"{_grid_fixture(grid)}: witness came back empty")
         except WitnessNotFound as exc:
-            failures.append(f"{_grid_fixture(grid)}: {exc}")
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            break
-    return instances, failures
+            tally.fail(f"{_grid_fixture(grid)}: {exc}")
 
 
-def _check_bijection_roundtrip(n):
+def _check_bijection_roundtrip(n, tally):
     """remove is a bijection onto the minimal grids of the flattened
     subword, with insert as its inverse, for every permutation and subword."""
-    failures = []
-    instances = 0
-    strata: dict[tuple, set] = {}
+    strata = defaultdict(set)
     for grid in bpd_stream(n):
-        instances += 1
+        tally.instances += 1
         image, v = remove(grid)
         u = v.pattern()
         if trace(image).perm != u:
-            failures.append(f"{_grid_fixture(grid)}: image permutation is not {u.text()}")
+            tally.fail(f"{_grid_fixture(grid)}: image permutation is not {u.text()}")
         if not removable_pipes(image).minimal:
-            failures.append(f"{_grid_fixture(grid)}: image not minimal")
-        back = insert(image, v.host, v)
-        if back != grid:
-            failures.append(f"{_grid_fixture(grid)}: insert(remove(B)) differs")
-        strata.setdefault((v.host, v.indices), set()).add(image)
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            return instances, failures
-    sets_by_size = {m: minimal_sets(m) for m in range(n + 1)}
-    # every stratum, including empty ones, must biject with the minimal set
-    for w in all_perms(n):
-        for sel in all_subwords(w):
-            target = sets_by_size[len(sel)].get(sel.pattern())
-            expected = set(target[0]) if target else set()
-            images = strata.get((w, sel.indices), set())
-            if images != expected:
-                failures.append(
-                    f"stratum w={w.text()} indices={sel.indices}: {len(images)} "
-                    f"images vs {len(expected)} minimal grids")
-                if len(failures) >= MAX_COUNTEREXAMPLES:
-                    return instances, failures
-    return instances, failures
+            tally.fail(f"{_grid_fixture(grid)}: image not minimal")
+        if insert(image, v.host, v) != grid:
+            tally.fail(f"{_grid_fixture(grid)}: insert(remove(B)) differs")
+        strata[v.host, v.indices].add(image)
+    sets = [minimal_sets(m) for m in range(n + 1)]
+    _compare_strata(tally, all_perms(n), strata,
+                    lambda u: set(sets[u.size].get(u, ((), ()))[0]),
+                    lambda got, want: f"{len(got)} images vs {len(want)} minimal grids")
 
 
-def _check_reduced_restriction(n):
+def _check_reduced_restriction(n, tally):
     """For 1243-avoiding w, remove restricts to a bijection between the
     reduced stratum of every subword and the minimal reduced grids."""
-    failures = []
-    instances = 0
-    strata: dict[tuple, set] = {}
+    strata = defaultdict(set)
     for grid in bpd_stream(n):
         tr = trace(grid)
         if not tr.is_reduced or tr.perm.contains(PATTERN_1243):
             continue
-        instances += 1
+        tally.instances += 1
         image, v = remove(grid)
         if not trace(image).is_reduced:
-            failures.append(f"{_grid_fixture(grid)}: image not reduced")
-        back = insert(image, v.host, v)
-        if back != grid:
-            failures.append(f"{_grid_fixture(grid)}: round trip differs")
-        strata.setdefault((v.host, v.indices), set()).add(image)
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            return instances, failures
-    sets_by_size = {m: minimal_sets(m) for m in range(n + 1)}
-    for w in all_perms(n):
-        if w.contains(PATTERN_1243):
-            continue
-        for sel in all_subwords(w):
-            target = sets_by_size[len(sel)].get(sel.pattern())
-            expected = set(target[1]) if target else set()
-            images = strata.get((w, sel.indices), set())
-            if images != expected:
-                failures.append(
-                    f"stratum w={w.text()} indices={sel.indices}: image set has "
-                    f"{len(images)} grids, minimal reduced set has {len(expected)}")
-                if len(failures) >= MAX_COUNTEREXAMPLES:
-                    return instances, failures
-    return instances, failures
+            tally.fail(f"{_grid_fixture(grid)}: image not reduced")
+        if insert(image, v.host, v) != grid:
+            tally.fail(f"{_grid_fixture(grid)}: round trip differs")
+        strata[v.host, v.indices].add(image)
+    sets = [minimal_sets(m) for m in range(n + 1)]
+    _compare_strata(tally, [w for w in all_perms(n) if w.avoids(PATTERN_1243)], strata,
+                    lambda u: set(sets[u.size].get(u, ((), ()))[1]),
+                    lambda got, want: f"image set has {len(got)} grids, minimal "
+                                      f"reduced set has {len(want)}")
 
 
-def _check_weight_preservation(n):
+def _check_weight_preservation(n, tally):
     """Removal preserves the weight of each reduced grid, and for
     1243-avoiding w each reduced stratum matches the minimal reduced
     weight of its pattern in aggregate."""
-    failures = []
-    instances = 0
-    stratum_weight: dict[tuple, BetaPolynomial] = {}
-    stratum_pattern: dict[tuple, Permutation] = {}
+    strata = defaultdict(BetaPolynomial.zero)
     for grid in bpd_stream(n):
         tr = trace(grid)
         if not tr.is_reduced:
             continue
-        instances += 1
+        tally.instances += 1
         image, v = remove(grid)
-        u = v.pattern()
         wt_before = beta_weight(grid, tr.perm.length())
-        wt_after = beta_weight(image, u.length())
+        wt_after = beta_weight(image, v.pattern().length())
         if wt_before != wt_after:
-            failures.append(
-                f"{_grid_fixture(grid)}: weight {wt_before} -> {wt_after}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                return instances, failures
+            tally.fail(f"{_grid_fixture(grid)}: weight {wt_before} -> {wt_after}")
         if not tr.perm.contains(PATTERN_1243):
-            key = (tr.perm, v.indices)
-            stratum_weight[key] = stratum_weight.get(key, BetaPolynomial.zero()) + wt_before
-            stratum_pattern[key] = u
-    summaries = {m: minimal_summary(m) for m in range(n + 1)}
-    zero = BetaPolynomial.zero()
-    for w in all_perms(n):
-        if w.contains(PATTERN_1243):
-            continue
-        for sel in all_subwords(w):
-            u = sel.pattern()
-            expected = summaries[u.size].get(u, EMPTY_SUMMARY).weight_reduced
-            total = stratum_weight.get((w, sel.indices), zero)
-            if total != expected:
-                failures.append(
-                    f"stratum w={w.text()} indices={sel.indices}: "
-                    f"weight {total} != {expected}")
-                if len(failures) >= MAX_COUNTEREXAMPLES:
-                    return instances, failures
-    return instances, failures
+            strata[tr.perm, v.indices] += wt_before
+    summaries = [minimal_summary(m) for m in range(n + 1)]
+    _compare_strata(tally, [w for w in all_perms(n) if w.avoids(PATTERN_1243)], strata,
+                    lambda u: summaries[u.size].get(u, EMPTY_SUMMARY).weight_reduced,
+                    lambda got, want: f"weight {got} != {want}")
 
 
-def _check_groth(n):
+def _check_groth(n, tally):
     """For vexillary 1243-avoiding w, nu equals the pattern-weighted sum of
     minimal reduced weights and the coefficient is the minimal weight."""
-    failures = []
-    instances = 0
     summaries = [minimal_summary(m) for m in range(n + 1)]
     for w in all_perms(n):
         if w.contains(PATTERN_1243) or w.contains(PATTERN_2143):
             continue
-        instances += 1
-        total = BetaPolynomial.zero()
-        for key, count in pattern_census(w).items():
-            u = Permutation(key)
-            total = total + count * summaries[len(key)].get(u, EMPTY_SUMMARY).weight_reduced
+        tally.instances += 1
+        total = _minimal_sum(w, summaries, "weight_reduced")
         if nu(w) != total:
-            failures.append(f"{w.text()}: nu={nu(w)} != weighted sum={total}")
+            tally.fail(f"{w.text()}: nu={nu(w)} != weighted sum={total}")
         summary = summaries[n].get(w, EMPTY_SUMMARY)
         c = coefficient(w)
         if c != summary.weight_reduced:
-            failures.append(f"{w.text()}: c={c} != mbpd weight={summary.weight_reduced}")
+            tally.fail(f"{w.text()}: c={c} != mbpd weight={summary.weight_reduced}")
         if summary.weight_all != summary.weight_reduced:
-            failures.append(
-                f"{w.text()}: minimal weight {summary.weight_all} has nonreduced part")
-        if len(failures) >= MAX_COUNTEREXAMPLES:
-            break
-    return instances, failures
+            tally.fail(f"{w.text()}: minimal weight {summary.weight_all} has nonreduced part")
 
 
-def _check_conj_gao(n):
-    failures = []
+def _check_conj_gao(n, tally):
     table = coefficient_table(n)
+    tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if table[w].constant_term < 0:
-            failures.append(f"{w.text()}: c = {table[w].constant_term}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return len(all_perms(n)), failures
+            tally.fail(f"{w.text()}: c = {table[w].constant_term}")
 
 
-def _check_conj_groth(n):
-    failures = []
+def _check_conj_groth(n, tally):
     table = coefficient_table(n)
+    tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if not table[w].is_nonnegative():
-            failures.append(f"{w.text()}: c = {table[w]}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return len(all_perms(n)), failures
+            tally.fail(f"{w.text()}: c = {table[w]}")
 
 
 def _block_decomposes(grid, mu, mv):
@@ -352,106 +306,79 @@ def _block_decomposes(grid, mu, mv):
 
 def _grids_by_type(n):
     table: dict[Permutation, list] = {}
-    if n == 0:
-        return {Permutation(): [BpdGrid(())]}
     for grid in bpd_stream(n):
         _, typ = resolve(grid)
         table.setdefault(typ, []).append(grid)
     return table
 
 
-def _check_skew(n):
+def _check_skew(n, tally):
     """Multiplicativity of nu and c over skew sums; exhaustively with the
     block decomposition for n <= 5, on seeded random pairs above that."""
-    failures = []
-    instances = 0
-    if n <= 5:
-        by_type = {m: _grids_by_type(m) for m in range(n + 1)}
-        for mu in range(n + 1):
-            mv = n - mu
-            for u in all_perms(mu):
-                ku = by_type[mu].get(u, [])
-                for v in all_perms(mv):
-                    instances += 1
-                    report = skew_identities(u, v)
-                    if not report.ok:
-                        failures.append(f"{u.text()} (-) {v.text()}: identities fail")
-                        if len(failures) >= MAX_COUNTEREXAMPLES:
-                            return instances, failures
-                    kv = by_type[mv].get(v, [])
-                    w = skew_sum(u, v)
-                    grids = by_type[n].get(w, [])
-                    pairs = set()
-                    for grid in grids:
-                        blocks = _block_decomposes(grid, mu, mv)
-                        if blocks is None:
-                            failures.append(f"{_grid_fixture(grid)}: no block form")
-                            break
-                        pairs.add(blocks)
-                    expected = {(a, b) for a in ku for b in kv}
-                    if pairs != expected:
-                        failures.append(
-                            f"{u.text()} (-) {v.text()}: block pairs {len(pairs)} "
-                            f"vs product {len(expected)}")
-                    if len(failures) >= MAX_COUNTEREXAMPLES:
-                        return instances, failures
-    else:
+    if n > 5:
         rng = random.Random(20_2308 + n)
         for _ in range(50):
             mu = rng.randint(0, n)
             mv = n - mu
             u = Permutation(rng.sample(range(1, mu + 1), mu))
             v = Permutation(rng.sample(range(1, mv + 1), mv))
-            instances += 1
-            report = skew_identities(u, v)
-            if not report.ok:
-                failures.append(f"{u.text()} (-) {v.text()}: identities fail")
-                if len(failures) >= MAX_COUNTEREXAMPLES:
-                    break
-    return instances, failures
+            tally.instances += 1
+            if not skew_identities(u, v).ok:
+                tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
+        return
+    by_type = [_grids_by_type(m) for m in range(n + 1)]
+    for mu in range(n + 1):
+        mv = n - mu
+        for u in all_perms(mu):
+            ku = by_type[mu].get(u, [])
+            for v in all_perms(mv):
+                tally.instances += 1
+                if not skew_identities(u, v).ok:
+                    tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
+                kv = by_type[mv].get(v, [])
+                pairs = set()
+                for grid in by_type[n].get(skew_sum(u, v), []):
+                    blocks = _block_decomposes(grid, mu, mv)
+                    if blocks is None:
+                        tally.fail(f"{_grid_fixture(grid)}: no block form")
+                        break
+                    pairs.add(blocks)
+                expected = {(a, b) for a in ku for b in kv}
+                if pairs != expected:
+                    tally.fail(f"{u.text()} (-) {v.text()}: block pairs {len(pairs)} "
+                               f"vs product {len(expected)}")
 
 
-def _check_pattern_sum(n):
+def _check_pattern_sum(n, tally):
     """nu counts subwords weighted by the coefficients of their patterns."""
-    failures = []
     table = coefficient_table(n)
+    tally.instances = len(all_perms(n))
     for w in all_perms(n):
         total = 0
         for key, count in pattern_census(w).items():
             total += count * table[Permutation(key)].constant_term
         if total != nu(w).constant_term:
-            failures.append(f"{w.text()}: sum {total} != nu {nu(w).constant_term}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return len(all_perms(n)), failures
+            tally.fail(f"{w.text()}: sum {total} != nu {nu(w).constant_term}")
 
 
-def _check_stanley(n):
+def _check_stanley(n, tally):
     """nu equals 2 exactly when the permutation has a unique 132 pattern."""
-    failures = []
+    tally.instances = len(all_perms(n))
     for w in all_perms(n):
         nu_w = nu(w).constant_term
         p132 = pattern_count(PATTERN_132, w)
         if (nu_w == 2) != (p132 == 1):
-            failures.append(f"{w.text()}: nu={nu_w}, p132={p132}")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return len(all_perms(n)), failures
+            tally.fail(f"{w.text()}: nu={nu_w}, p132={p132}")
 
 
-def _check_bk_order(n):
+def _check_bk_order(n, tally):
     """Resolution does not depend on the scan order of the crosses."""
-    failures = []
-    instances = 0
     for grid in bpd_stream(n):
-        instances += 1
+        tally.instances += 1
         res_a, typ_a = resolve(grid, COL_MAJOR)
         res_b, typ_b = resolve(grid, ROW_MAJOR)
         if res_a != res_b or typ_a != typ_b:
-            failures.append(f"{_grid_fixture(grid)}: scan orders disagree")
-            if len(failures) >= MAX_COUNTEREXAMPLES:
-                break
-    return instances, failures
+            tally.fail(f"{_grid_fixture(grid)}: scan orders disagree")
 
 
 _CHECKS = {
@@ -479,11 +406,12 @@ def run_check(check_id: str, n: int, guard=None) -> CheckReport:
     if check_id not in _CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
     check_guard(n, guard)
+    tally = _Tally()
     start = time.perf_counter()
-    instances, failures = _CHECKS[check_id](n)
+    with suppress(_CapReached):
+        _CHECKS[check_id](n, tally)
     elapsed = time.perf_counter() - start
-    return CheckReport(check_id, n, instances, tuple(failures[:MAX_COUNTEREXAMPLES]),
-                       elapsed)
+    return CheckReport(check_id, n, tally.instances, tuple(tally.failures), elapsed)
 
 
 @dataclass(frozen=True)
@@ -514,8 +442,6 @@ def maxima_table(n: int, beta_value: int, guard=None) -> MaximaRow:
     argmax_nu = tuple(sorted(w for w, val in nu_vals.items() if val == max_nu))
     argmax_c = tuple(sorted(w for w in perms if values[w] == max_c))
     if beta_value in (0, 1):
-        from .perms import layered
-
         layer = set(layered(n))
         for w in argmax_nu + argmax_c:
             if w not in layer:

@@ -2,11 +2,12 @@
 
 One transition table drives two walks over the rows of alternating sign
 matrices, with each column's running sum confined to {0, 1}.  The
-depth-first stream yields every matrix; grid families (all grids with a
-given permutation, the reduced ones, the minimal ones, and so on) are
-filters over it.  The row-transfer pass merges matrices that agree below
-a row and sums their weights by type, which is all the nu and
-Grothendieck tables need.
+depth-first stream yields every matrix, and at size 0 the one empty
+matrix, so the empty grid is an ordinary member of the stream.  Grid
+families (all grids with a given permutation, the reduced ones, the
+minimal ones, and so on) are filters over it.  The row-transfer pass
+merges matrices that agree below a row and sums their weights by type,
+which is all the nu and Grothendieck tables need.
 """
 
 from __future__ import annotations
@@ -87,23 +88,19 @@ def iter_asm_rows(n: int) -> Iterator[tuple]:
     """Yield each alternating sign matrix of size n as a tuple of row tuples.
 
     Deterministic order: depth-first, rows in lexicographic entry order.
+    Size 0 yields the one empty matrix.
     """
-    if n < 1:
-        raise ValueError("size must be at least 1")
     table = stored("transitions", n, _transitions)
     full = (1 << n) - 1
-    prefix = []
-    work = [(1, entries, state) for entries, state, _ in table[0][::-1]]
+    work = [((), 0)]
     while work:
-        depth, entries, state = work.pop()
-        del prefix[depth - 1:]
-        prefix.append(entries)
-        if depth == n:
+        prefix, state = work.pop()
+        if len(prefix) == n:
             if state == full:
-                yield tuple(prefix)
+                yield prefix
             continue
-        for nxt_entries, nxt_state, _ in table[state][::-1]:
-            work.append((depth + 1, nxt_entries, nxt_state))
+        for entries, nxt_state, _ in table[state][::-1]:
+            work.append((prefix + (entries,), nxt_state))
 
 
 def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
@@ -248,7 +245,7 @@ def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
     n = grid.n
     w = trace(grid).perm
     row_elbows = [row.count(Tile.R_ELBOW) for row in grid.rows]
-    col_elbows = [col.count(Tile.R_ELBOW) for col in zip(*grid.rows)] if n else []
+    col_elbows = [col.count(Tile.R_ELBOW) for col in zip(*grid.rows)]
     pipes = []
     for x in range(1, n + 1):
         y = w[x - 1]
@@ -284,12 +281,6 @@ def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:
     """Materialize a grid family, in the enumeration stream's order."""
     n = q.w.size
     check_guard(n, max_n_guard)
-    if n == 0:
-        # the empty grid is the unique diagram of the empty permutation
-        empty = BpdGrid(())
-        if q.kind in ("BPD_v", "bpd_v"):
-            return [empty] if q.v == SubwordSelection(Permutation(), ()) else []
-        return [empty]
     kind = q.kind
     out = []
     for grid in bpd_stream(n):

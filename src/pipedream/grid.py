@@ -89,10 +89,6 @@ class BpdGrid:
         return self.rows[i - 1][j - 1]
 
     @classmethod
-    def from_rows(cls, rows) -> "BpdGrid":
-        return cls(tuple(tuple(Tile(t) for t in row) for row in rows))
-
-    @classmethod
     def from_ascii(cls, text: str) -> "BpdGrid":
         lines = [line for line in text.strip().splitlines() if line.strip()]
         try:

@@ -36,7 +36,7 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
     sub = tuple(
         tuple(v for j, v in enumerate(row, start=1) if j not in removed_cols)
         for i, row in enumerate(asm.rows, start=1) if i not in removed_rows)
-    image = from_asm(Asm(sub)) if sub else BpdGrid(())
+    image = from_asm(Asm(sub))
     return image, report.subword
 
 
@@ -52,7 +52,7 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     m = image.n
     if m != len(v):
         raise SubwordMismatch(f"image size {m} != subword size {len(v)}")
-    if m and trace(image).perm != v.pattern():
+    if trace(image).perm != v.pattern():
         raise SubwordMismatch("image permutation differs from the flattened subword")
     if not removable_pipes(image).minimal:
         raise NotMinimal("image still has removable pipes")

@@ -9,7 +9,9 @@ subtracting pattern-weighted contributions of smaller permutations.
 The nu and Grothendieck tables of a size come from one row-transfer pass
 (``enumeration.row_transfer``) that aggregates weights row by row without
 listing the grids; the tables are kept in the package's table store.  The
-minimal-grid aggregates still filter the grid stream.
+minimal grids come from one filter over the grid stream (``minimal_sets``),
+and their counts and weight sums (``minimal_summary``) are read off those
+sets.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 
 from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
                           row_transfer, stored)
-from .grid import BpdGrid, trace
+from .grid import trace
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census
 from .polynomials import BetaPolynomial, MultivariatePolynomial
@@ -230,24 +232,16 @@ def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
 
 
 def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
-    if n == 0:
-        one = BetaPolynomial.one()
-        return {Permutation(): MinimalSummary(1, 1, one, one)}
-    acc: dict[Permutation, list] = {}
-    for grid in bpd_stream(n):
-        report = removable_pipes(grid)
-        if not report.minimal:
-            continue
-        tr = trace(grid)
-        _, typ, _, _, _ = resolve_stats(grid.rows, n)
-        wt = beta_weight(grid, Permutation(typ).length())
-        slot = acc.setdefault(tr.perm, [0, 0, BetaPolynomial.zero(), BetaPolynomial.zero()])
-        slot[0] += 1
-        slot[2] = slot[2] + wt
-        if tr.is_reduced:
-            slot[1] += 1
-            slot[3] = slot[3] + wt
-    return {w: MinimalSummary(*vals) for w, vals in acc.items()}
+    zero = BetaPolynomial.zero()
+    summary = {}
+    for w, (grids, reduced) in minimal_sets(n).items():
+        # a grid is weighted against the length of its type; a reduced
+        # grid's type is its permutation
+        weight_all = sum((beta_weight(g, Permutation(resolve_stats(g.rows, n)[1]).length())
+                          for g in grids), zero)
+        weight_reduced = sum((beta_weight(g, w.length()) for g in reduced), zero)
+        summary[w] = MinimalSummary(len(grids), len(reduced), weight_all, weight_reduced)
+    return summary
 
 
 def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
@@ -261,13 +255,9 @@ def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
 
 
 def _build_minimal_sets(n: int) -> dict[Permutation, tuple]:
-    if n == 0:
-        empty = BpdGrid(())
-        return {Permutation(): ((empty,), (empty,))}
     acc: dict[Permutation, tuple[list, list]] = {}
     for grid in bpd_stream(n):
-        report = removable_pipes(grid)
-        if not report.minimal:
+        if not removable_pipes(grid).minimal:
             continue
         tr = trace(grid)
         slot = acc.setdefault(tr.perm, ([], []))

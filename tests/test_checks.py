@@ -1,9 +1,17 @@
+import hashlib
 import json
 
 import pytest
 
-from pipedream import (CHECK_IDS, GuardExceeded, Permutation, UnknownCheck,
-                       layered, maxima_table, nu, pattern_count, run_check)
+from pipedream import (CHECK_IDS, Asm, BpdGrid, GuardExceeded, Permutation,
+                       PipedreamError, SetQuery, SubwordSelection, UnknownCheck,
+                       checks, count_asms_bruteforce, count_asms_literal,
+                       enumerate_asm, layered, maxima_table, nu, pattern_count,
+                       query, run_check)
+from pipedream.checks import MAX_COUNTEREXAMPLES
+from pipedream.cli import main
+from pipedream.enumeration import QUERY_KINDS
+from pipedream.grid import COL_MAJOR, Tile
 from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms
 
 
@@ -54,6 +62,100 @@ class TestRunCheck:
             bound += minimal_summary(len(key)).get(u, EMPTY_SUMMARY).count_reduced * count
         assert nu(w).constant_term == 3
         assert bound == 4
+
+    def test_size_zero_is_an_ordinary_size(self, capsys):
+        # the stream of size 0 holds the one empty matrix and grid, so
+        # every check runs there like at any other size
+        for check_id in CHECK_IDS:
+            assert main(["verify", check_id, "--n", "0"]) == 0
+            assert ": PASS (" in capsys.readouterr().out
+        assert list(enumerate_asm(0)) == [Asm(())]
+        assert count_asms_bruteforce(0) == count_asms_literal(0) == 1
+        empty = Permutation()
+        for kind in QUERY_KINDS:
+            v = SubwordSelection(empty, ()) if kind.endswith("_v") else None
+            assert query(SetQuery(kind, empty, v)) == [BpdGrid(())]
+
+
+def _odd(grid):
+    return grid.count(Tile.BLANK) % 2 == 1
+
+
+# Faulty stand-ins for layer functions the check bodies call, each built
+# from the real function: (name in pipedream.checks, builder).
+FAULTS = {
+    "insert-identity": ("insert", lambda real: lambda image, w, v: image),
+    "nu-plus-one": ("nu", lambda real: lambda w, guard=None: real(w) + 1),
+    "remove-unchanged": ("remove", lambda real: lambda grid: (
+        (grid, real(grid)[1]) if _odd(grid) else real(grid))),
+    "resolve-to-perm": ("resolve", lambda real: lambda grid, order=COL_MAJOR: (
+        real(grid, order)[0], checks.trace(grid).perm)),
+    "minimal-sets-short": ("minimal_sets", lambda real: lambda n, guard=None: {
+        w: (a, r[:-1] if len(r) > 1 else r) for w, (a, r) in real(n).items()}),
+    "minimal-summary-size3": ("minimal_summary", lambda real: lambda n, guard=None: (
+        {} if n == 3 else real(n))),
+    "c-odd-minus-one": ("coefficient_table", lambda real: lambda n, guard=None: {
+        w: c - 1 if w.length() % 2 else c for w, c in real(n).items()}),
+    "pattern-count-plus": ("pattern_count", lambda real: lambda u, w: (
+        real(u, w) + (w.length() == 2))),
+    "witness-empty": ("nonreduced_witness", lambda real: lambda grid: (
+        None if _odd(grid) else real(grid))),
+    "weight-odd-plus-one": ("beta_weight", lambda real: lambda grid, ref: (
+        real(grid, ref) + 1 if _odd(grid) else real(grid, ref))),
+    "skew-swapped": ("skew_sum", lambda real: lambda u, v: real(v, u)),
+}
+
+# The outcome of every check at n = 1..5 under each fault: the sha256 of
+# the outcomes, the number of failing reports and the number of reports
+# stopped at the cap.  A change to the check layer must leave them as
+# they are.
+FAULT_PINS = {
+    "c-odd-minus-one": ("adf1aaac3b3feca466e314761bbd89db2cb8fcbb9f0eef80216835b7f6c0ad5e", 12, 6),
+    "insert-identity": ("34878862d67f94528b169bf61c292f4555a0bafbbf714ba531d9a2d7a145132f", 10, 4),
+    "minimal-sets-short": ("7f289ffdb64771a11a217dc5803ae3c60472074e6539ab620bbd8762d9a0a723", 1, 0),
+    "minimal-summary-size3": ("047137483b107654e12e549c675756e966972436bd6725a34a704102ae0c5c6b", 12, 6),
+    "none": ("4e9acef112f94996595f1f006ba6d48d64e2baad7e2a1629f863d61aa1356a2a", 0, 0),
+    "nu-plus-one": ("14b8444f78c4cc2efec46828f27e50c87c5bef010ae28400f8abed61827b08e1", 25, 10),
+    "pattern-count-plus": ("3521478c935d5c21baacd85e2aa6dac1aadcb276e4f449ed29e969db4eba3e22", 3, 0),
+    "remove-unchanged": ("37bea5e97e7857a5f032d1bae4c9bb8dc89ffbc059e8331aa95f8977c74864de", 4, 2),
+    "resolve-to-perm": ("288fd620f5987efa2feb3a144871e16a8a14fcb4e89ff2012516a28b85d1ca9d", 4, 2),
+    "skew-swapped": ("3a00ed5f41d05dc9347cd65e530dd73616a751f5da8782d5fdee7aac43b00ec6", 3, 2),
+    "weight-odd-plus-one": ("3b661d0d3d791a30320e19e929e5aa96ca57d7bd32e1f9ffb33bd12ebdc22c76", 4, 2),
+    "witness-empty": ("898e48947594d815bdc268fbfafd94044977abe35b0a794ccbb4c323c9c1baa1", 2, 1),
+}
+
+
+def _outcome(check_id, n):
+    try:
+        report = run_check(check_id, n)
+    except PipedreamError as exc:  # a faulty layer may make a check raise
+        return ["raised", type(exc).__name__, str(exc)]
+    return [report.passed, report.instances_checked, list(report.failures)]
+
+
+def _inject(monkeypatch, fault):
+    attr, make = FAULTS[fault]
+    monkeypatch.setattr(checks, attr, make(getattr(checks, attr)))
+
+
+class TestFailurePaths:
+    @pytest.mark.parametrize("fault", sorted(FAULT_PINS))
+    def test_reports_under_injected_faults(self, fault, monkeypatch):
+        if fault in FAULTS:
+            _inject(monkeypatch, fault)
+        outcomes = {cid: [_outcome(cid, n) for n in range(1, 6)] for cid in CHECK_IDS}
+        reports = [o for runs in outcomes.values() for o in runs if o[0] is False]
+        capped = [o for o in reports if len(o[2]) == MAX_COUNTEREXAMPLES]
+        digest = hashlib.sha256(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert (digest, len(reports), len(capped)) == FAULT_PINS[fault]
+
+    def test_counterexamples_stop_at_the_cap(self, monkeypatch):
+        _inject(monkeypatch, "nu-plus-one")
+        report = run_check("stanley", 5)
+        assert len(report.failures) == MAX_COUNTEREXAMPLES
+        # the instance count of a whole-group sweep does not shrink at the cap
+        assert report.instances_checked == 120
+        assert report.text().count("counterexample:") == MAX_COUNTEREXAMPLES
 
 
 class TestIntroBounds:

@@ -5,13 +5,14 @@ import pytest
 from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
                        coefficient, coefficient_table, grothendieck, nu,
                        nu_table, schubert, skew_identities, skew_sum)
-from pipedream.enumeration import bpd_stream, iter_asm_rows
-from pipedream.grid import Tile, scan, tiles_from_asm_rows
+from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
+from pipedream.grid import Tile, scan, tiles_from_asm_rows, trace
+from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import (clear_caches, coefficient_values,
-                                      grothendieck_table, minimal_sets,
-                                      minimal_summary)
+from pipedream.specialization import (MinimalSummary, clear_caches,
+                                      coefficient_values, grothendieck_table,
+                                      minimal_sets, minimal_summary)
 
 
 def P(text):
@@ -174,6 +175,42 @@ class TestRowTransfer:
             assert len(oracle) == len(all_perms(n))
             assert grothendieck_table(n) == oracle, n
         assert str(divided_difference_table(3)[P("132")]) == "x1+x2+b*x1*x2"
+
+
+def streamed_minimal_summary(n):
+    """The minimal-grid summary as one pass over the grid stream builds it:
+    every minimal grid adds its weight, against the length of its type, to
+    the sums of its permutation.  Independent of ``minimal_sets``."""
+    if n == 0:
+        one = BetaPolynomial.one()
+        return {Permutation(): MinimalSummary(1, 1, one, one)}
+    acc = {}
+    for grid in bpd_stream(n):
+        if not removable_pipes(grid).minimal:
+            continue
+        tr = trace(grid)
+        _, typ, _, _, _ = resolve_stats(grid.rows, n)
+        wt = beta_weight(grid, Permutation(typ).length())
+        slot = acc.setdefault(tr.perm, [0, 0, BetaPolynomial.zero(), BetaPolynomial.zero()])
+        slot[0] += 1
+        slot[2] = slot[2] + wt
+        if tr.is_reduced:
+            slot[1] += 1
+            slot[3] = slot[3] + wt
+    return {w: MinimalSummary(*vals) for w, vals in acc.items()}
+
+
+class TestMinimalSummary:
+    def test_matches_stream_oracle(self):
+        for n in range(7):
+            assert minimal_summary(n) == streamed_minimal_summary(n), n
+
+    def test_counts_are_the_set_sizes(self):
+        for n in range(7):
+            sets = minimal_sets(n)
+            assert set(minimal_summary(n)) == set(sets)
+            for w, summary in minimal_summary(n).items():
+                assert (summary.count_all, summary.count_reduced) == tuple(map(len, sets[w]))
 
 
 class TestCoefficient:
