@@ -33,7 +33,8 @@ for text in ("", "1", "132", "1432", "1243"):
     w = P(text)
     print(f"c({text or 'empty'}) = {coefficient(w)}")
 
-# Both definitions of c agree: the recursion and the signed subword sum.
+# Both definitions of c agree: the transform over the patterns of w and the
+# signed subword sum.
 w = P("21543")
 assert coefficient(w, "recursive") == coefficient(w, "inclusion_exclusion")
 print("c(21543) =", coefficient(w))

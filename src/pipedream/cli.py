@@ -135,8 +135,7 @@ def _cmd_nu(args) -> int:
 def _cmd_coeff(args) -> int:
     loaded = _load_seed(args.cache_path)
     w = _perm(args.perm)
-    mode = "recursive" if args.mode == "recursive" else "ie"
-    value = coefficient(w, mode=mode, guard=args.guard)
+    value = coefficient(w, mode=args.mode, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
     _persist(args.cache_path, loaded)
     return 0

@@ -2,8 +2,8 @@
 
 Permutations are words on 1..n; the empty permutation (n = 0) is a valid
 value and seeds every recursion in this package.  Pattern counting is a
-brute-force scan over index subsets: sizes never exceed 9 here, and an
-auditable census beats a clever one.
+brute-force scan over index subsets; the census serves the oracles and
+lists the patterns of one word for the coefficient transform.
 """
 
 from __future__ import annotations

@@ -1,10 +1,12 @@
-"""Weight generating functions and the pattern-coefficient recursion.
+"""Weight generating functions and the pattern coefficients.
 
 The polynomial attached to a permutation w sums, over all grids of type w,
 the monomial built from blank tiles (a beta-weighted variable per row) and
 j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
-gives the principal specialization nu; the coefficients c are defined by
-subtracting pattern-weighted contributions of smaller permutations.
+gives the principal specialization nu, and c_w sums (-1)^(n-|S|) nu(w_S)
+over the flattened subwords w_S of w.  One transform (``_transform``)
+computes c over a pattern-closed set of words, all of S_<=n or the
+patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
 
 The nu and Grothendieck tables of a size come from one row-transfer pass
 (``enumeration.row_transfer``) that aggregates weights row by row without
@@ -22,7 +24,7 @@ from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
                           row_transfer, stored)
 from .grid import trace
 from .ktheory import beta_weight, resolve_stats
-from .perms import Permutation, all_perms, pattern_census
+from .perms import Permutation, all_perms, pattern_census, ranks, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial
 
 # nu of the words asked for, seeded from and snapshotted to the disk cache
@@ -113,49 +115,48 @@ INCLUSION_EXCLUSION = "inclusion_exclusion"
 def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolynomial:
     """The pattern coefficient of w, seeded by 1 on the empty permutation.
 
-    ``recursive`` subtracts the pattern-count-weighted coefficients of the
-    proper patterns of w from nu; ``inclusion_exclusion`` evaluates the
-    equivalent signed sum of nu over all subwords.  The two agree.
+    ``recursive`` runs the suffix-marked transform over the patterns of w;
+    ``inclusion_exclusion`` evaluates the signed sum of nu over all
+    subwords of w directly.  The two agree.
     """
     check_guard(w.size, guard)
+    if mode not in (RECURSIVE, INCLUSION_EXCLUSION, "ie"):
+        raise ValueError(f"unknown coefficient mode {mode!r}")
+    census = pattern_census(w)
     if mode == RECURSIVE:
-        return _coefficient(w, guard)
-    if mode in (INCLUSION_EXCLUSION, "ie"):
-        total = BetaPolynomial.zero()
-        n = w.size
-        for key, count in pattern_census(w).items():
-            sign = -1 if (n - len(key)) % 2 else 1
-            total = total + sign * count * nu(Permutation(key), guard=guard)
-        return total
-    raise ValueError(f"unknown coefficient mode {mode!r}")
+        layers = [[u for u in census if len(u) == m] for m in range(w.size + 1)]
+        return _transform(layers, guard)[w]
+    total = BetaPolynomial.zero()
+    for key, count in census.items():
+        sign = -1 if (w.size - len(key)) % 2 else 1
+        total = total + sign * count * nu(Permutation(key), guard=guard)
+    return total
 
 
-def _coefficient(w: tuple, guard) -> BetaPolynomial:
-    """The memoized recursion behind ``coefficient(w, RECURSIVE)``.
+def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
+    """The coefficient of every word in ``layers``, keyed like the words.
 
-    ``w`` may be a plain census key: a tuple hashes and compares like the
-    permutation it spells, so only a memo miss pays for validation.
+    ``layers[m]`` lists the size-m words of a pattern-closed set, as
+    permutations or plain tuples.  h(u, j), the signed nu-sum over the
+    subwords of u that keep its last j letters, obeys h(u, |u|) = nu(u) and
+    h(u, j) = h(u, j+1) - h(u', j), where u' drops letter |u| - j of u and
+    is flattened; c_u = h(u, 0).  Sizes ascend so each u' precedes u.
     """
-    n = len(w)
-    memo = stored("c", n, lambda m: {})
-    value = memo.get(w)
-    if value is None:
-        acc = [0]
-        for key, count in pattern_census(w).items():
-            if len(key) < n:
-                coeffs = _coefficient(key, guard).coeffs
-                acc.extend([0] * (len(coeffs) - len(acc)))
-                for k, c in enumerate(coeffs):
-                    acc[k] += count * c
-        w = Permutation(w)
-        value = memo[w] = nu(w, guard=guard) - BetaPolynomial.from_coeffs(acc)
-    return value
+    above: dict[tuple, BetaPolynomial] = {}
+    for j in range(len(layers) - 1, -1, -1):
+        layer = {u: nu(Permutation(u), guard=guard) for u in layers[j]}
+        for m in range(j + 1, len(layers)):
+            k = m - j - 1
+            for u in layers[m]:
+                layer[u] = above[u] - layer[ranks(u[:k] + u[k + 1:])]
+        above = layer
+    return above
 
 
 def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
-    """Coefficients of every permutation of size <= n."""
+    """Coefficients of every permutation of size <= n, from one transform."""
     check_guard(n, guard)
-    return {w: coefficient(w, guard=guard) for m in range(n + 1) for w in all_perms(m)}
+    return stored("c", n, lambda _: _transform([all_perms(m) for m in range(n + 1)], guard))
 
 
 def coefficient_values(n: int, beta_value: int, guard=None) -> dict[Permutation, int]:
@@ -192,8 +193,6 @@ class SkewReport:
 
 def skew_identities(u: Permutation, v: Permutation, guard=None) -> SkewReport:
     """Compare nu and c of a skew sum against the products of the parts."""
-    from .perms import skew_sum
-
     check_guard(u.size + v.size, guard)
     w = skew_sum(u, v)
     return SkewReport(

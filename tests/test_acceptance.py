@@ -5,6 +5,8 @@ size schedule; each test prints one PASS line on success so a full run
 reads as a checklist.  Size 9 is opt-in via the ``slow`` marker.
 """
 
+import hashlib
+
 import pytest
 
 from pipedream import (BetaPolynomial, Permutation, SetQuery, coefficient,
@@ -23,6 +25,20 @@ def P(text):
 
 def _report(name):
     print(f"ACCEPTANCE {name}: PASS")
+
+
+def _table_digest(table):
+    """sha256 of a {Permutation: value} map, one sorted line per entry."""
+    text = "\n".join(f"{w.text()} {table[w]}" for w in sorted(table))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+# sha256 of the exact coefficient tables, cross-checked against the
+# signed subword sum when they were pinned
+C_TABLE_DIGESTS = {
+    7: "ab4a445b01a94ca3a37ace740d71e87e2e9dbb6742f19008f4e9c5bba063bdce",
+    8: "28be53380373f3d19d5f08a5aa1cc0e4af7157c903710efb9acbbfcd28b9e501",
+}
 
 
 def test_criterion_1_figure_fixtures():
@@ -144,6 +160,7 @@ def test_criterion_5_conjecture_sweeps():
     non_monotone = [w for w, c in table.items() if not c.is_nonnegative()]
     assert negatives == []
     assert non_monotone == []
+    assert _table_digest(table) == C_TABLE_DIGESTS[7]
     _report("5 conjecture-sweeps n<=7")
 
 
@@ -196,6 +213,7 @@ def test_conjecture_sweep_n8():
     table = coefficient_table(8)
     for w in all_perms(8):
         assert table[w].is_nonnegative(), w
+    assert _table_digest(table) == C_TABLE_DIGESTS[8]
     _report("conjecture-sweep n=8")
 
 

@@ -5,6 +5,7 @@ import pytest
 from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
                        coefficient, coefficient_table, grothendieck, nu,
                        nu_table, schubert, skew_identities, skew_sum)
+from pipedream import specialization
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import Tile, scan, tiles_from_asm_rows, trace
 from pipedream.ktheory import beta_weight, resolve_stats
@@ -244,9 +245,30 @@ class TestCoefficient:
             coefficient(P("12"), "newton")
 
     def test_table_matches_pointwise(self):
-        table = coefficient_table(4)
-        for w in all_perms(4):
-            assert table[w] == coefficient(w)
+        # the table and single-word callers run the transform over
+        # different pattern-closed sets
+        for n in range(7):
+            table = coefficient_table(n)
+            assert list(table) == [w for m in range(n + 1) for w in all_perms(m)]
+            for w in table:
+                assert table[w] == coefficient(w)
+
+    def test_guard(self):
+        for mode in ("recursive", "ie"):
+            with pytest.raises(GuardExceeded):
+                coefficient(P("12345"), mode, guard=4)
+        with pytest.raises(GuardExceeded):
+            coefficient_table(5, guard=4)
+
+    def test_nu_leaves_get_the_callers_guard(self, cold_caches, monkeypatch):
+        seen = []
+        real = specialization.nu
+        monkeypatch.setattr(specialization, "nu",
+                            lambda w, guard=None: seen.append(guard) or real(w, guard))
+        coefficient(P("1243"), guard=7)
+        coefficient_table(3, guard=7)
+        # one nu leaf per word: the 7 patterns of 1243, then all of S_<=3
+        assert len(seen) == 7 + 10 and set(seen) == {7}
 
     def test_values_match_polynomial_evaluation(self):
         for beta_value in (0, 1, 2):
