@@ -20,6 +20,7 @@ import operator
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
+from itertools import chain
 
 from .errors import BoundaryLeak, BrokenStrand, InconsistentAsm, NotBijective
 from .perms import Permutation
@@ -42,6 +43,7 @@ class Tile(IntEnum):
 
 
 _CHAR_TO_TILE = {t.char: t for t in Tile}
+_TILES_ONLY = frozenset({Tile})
 
 # Edge openness per tile kind.
 _EAST = frozenset({Tile.HORIZONTAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP})
@@ -73,8 +75,9 @@ class BpdGrid:
     rows: tuple[tuple[Tile, ...], ...]
 
     def __post_init__(self):
-        rows = tuple(tuple(t if type(t) is Tile else Tile(t) for t in row)
-                     for row in self.rows)
+        rows = tuple(map(tuple, self.rows))
+        if not _TILES_ONLY.issuperset(map(type, chain.from_iterable(rows))):
+            rows = tuple(tuple(Tile(t) for t in row) for row in rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if any(len(row) != n for row in rows):
@@ -186,6 +189,9 @@ _BLANK, _HORIZONTAL, _VERTICAL, _CROSS, _R_ELBOW, _J_ELBOW = (
 COL_MAJOR = "col-major"  # columns left to right, rows bottom to top (the default)
 ROW_MAJOR = "row-major"  # rows bottom to top, columns left to right
 
+# The visiting order of ``scan``'s cells, built once per (order, size).
+_CELLS: dict[tuple[str, int], tuple] = {}
+
 # Whether each tile kind (indexed by its value) opens its south / west edge.
 _SOUTH_OPEN = tuple(t in _SOUTH for t in Tile)
 _WEST_OPEN = tuple(t in _WEST for t in Tile)
@@ -215,12 +221,16 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
     with a < b, the blank, j-elbow and bump tile counts, and the tile rows,
     which are ``rows`` itself unless resolution turned a cross into a bump.
     """
-    if order == COL_MAJOR:
-        cells = [(i, j) for j in range(n) for i in range(n - 1, -1, -1)]
-    elif order == ROW_MAJOR:
-        cells = [(i, j) for i in range(n - 1, -1, -1) for j in range(n)]
-    else:
+    if order not in (COL_MAJOR, ROW_MAJOR):
         raise ValueError(f"unknown scan order {order!r}")
+    cells = _CELLS.get((order, n))
+    if cells is None:
+        bottom_up = range(n - 1, -1, -1)
+        if order == COL_MAJOR:
+            cells = tuple((i, j) for j in range(n) for i in bottom_up)
+        else:
+            cells = tuple((i, j) for i in bottom_up for j in range(n))
+        _CELLS[order, n] = cells
     up = list(range(1, n + 1))  # label on the north edge of the last tile per column
     east = [0] * n              # label on the east edge of the last tile per row
     opens_south, opens_west = _SOUTH_OPEN, _WEST_OPEN
@@ -303,11 +313,14 @@ def trace(grid: BpdGrid) -> PipeTrace:
     return PipeTrace(Permutation(word), crossings, jelbows, blanks)
 
 
+def asm_row(tiles) -> tuple[int, ...]:
+    """The matrix entries of one tile row: +1 at r-elbows, -1 at j-elbows."""
+    return tuple(1 if t is _R_ELBOW else -1 if t is _J_ELBOW else 0 for t in tiles)
+
+
 def to_asm(grid: BpdGrid) -> Asm:
     """The alternating sign matrix with +1 at r-elbows and -1 at j-elbows."""
-    return Asm(tuple(
-        tuple(1 if t is Tile.R_ELBOW else -1 if t is Tile.J_ELBOW else 0 for t in row)
-        for row in grid.rows))
+    return Asm(tuple(map(asm_row, grid.rows)))
 
 
 def tile_row(above: int, entries) -> tuple[Tile, ...]:

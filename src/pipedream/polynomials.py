@@ -91,7 +91,8 @@ class BetaPolynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return BetaPolynomial(_trim(
+            a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
 
     def __rsub__(self, other):
         other = _coerce(other)

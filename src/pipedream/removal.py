@@ -2,20 +2,20 @@
 
 ``remove`` erases every removable pipe and contracts the freed rows and
 columns; on grids with permutation w it lands in the minimal grids of the
-flattened subword, and ``insert`` is its two-sided inverse.  Removal is
-implemented as a submatrix of the alternating sign matrix: deleting the
-removed rows and columns from the matrix of elbows and rebuilding the
-tiles is equivalent to the stepwise contraction, and keeps the code small.
+flattened subword, and ``insert`` is its two-sided inverse.  Both work on
+the alternating sign matrix of elbows.  A removable pipe y->x is a lone +1
+at (x, y), alone in its row and its column, so removal deletes those rows
+and columns from the matrix, and insertion puts them back as unit rows and
+columns; the tiles are rebuilt from the matrix.  This equals the stepwise
+contraction of the hooks and keeps the code small.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
-
 from .enumeration import removable_pipes
 from .errors import NotMinimal, SubwordMismatch
-from .grid import (Asm, BpdGrid, Tile, east_open, from_asm, north_open,
-                   south_open, to_asm, trace, validate)
+from .grid import (Asm, BpdGrid, Tile, asm_row, from_asm, tiles_from_asm_rows,
+                   validate)
 from .perms import Permutation, SubwordSelection
 
 
@@ -24,18 +24,18 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
 
     The result is a minimal grid whose permutation is the flattening of
     the returned subword.  Grids that are already minimal come back
-    unchanged with the full-word selection.
+    unchanged with the full-word selection.  Bump tiles are faults.
     """
-    validate(grid)
+    if grid.count(Tile.BUMP):
+        validate(grid)
     report = removable_pipes(grid)
     if not report.pipes:
         return grid, report.subword
     removed_rows = {x for _, x in report.pipes}
     removed_cols = {y for y, _ in report.pipes}
-    asm = to_asm(grid)
     sub = tuple(
-        tuple(v for j, v in enumerate(row, start=1) if j not in removed_cols)
-        for i, row in enumerate(asm.rows, start=1) if i not in removed_rows)
+        tuple(e for j, e in enumerate(asm_row(row), start=1) if j not in removed_cols)
+        for i, row in enumerate(grid.rows, start=1) if i not in removed_rows)
     image = from_asm(Asm(sub))
     return image, report.subword
 
@@ -43,83 +43,39 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
 def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     """Expand ``image`` into the grid of w whose removable pipes realize v.
 
-    Column and row expansion move the image to the subword's entry and
-    index positions, filling the gaps so every strand stays linked; the
-    removed pipes are then re-added as undrooped hooks.
+    The image's matrix is spread over the subword's index rows and value
+    columns, and each removed pipe y->x comes back as a unit row x and
+    unit column y of the matrix, a +1 at (x, y): row x of the result is
+    the unit row with its 1 in column w(x) when x is not one of the
+    subword's indices, and otherwise the next row of the image's matrix.
+    Bump tiles in the image are faults.
     """
     if v.host != w:
         raise SubwordMismatch("selection does not live in the target permutation")
     m = image.n
     if m != len(v):
         raise SubwordMismatch(f"image size {m} != subword size {len(v)}")
-    if trace(image).perm != v.pattern():
+    report = removable_pipes(image)
+    if report.subword.host != v.pattern():
         raise SubwordMismatch("image permutation differs from the flattened subword")
-    if not removable_pipes(image).minimal:
+    if not report.minimal:
         raise NotMinimal("image still has removable pipes")
+    if image.count(Tile.BUMP):
+        validate(image)
 
     n = w.size
-    s = v.indices                      # rows the image occupies
-    t = tuple(sorted(v.values()))      # columns the image occupies
-    t_set = frozenset(t)
-    s_set = frozenset(s)
-    winv = w.inverse()
-    hooks = [(y, winv[y - 1]) for y in range(1, n + 1) if y not in t_set]
-
-    # step 1: spread the image columns out to positions t, bridging gaps
-    # with dashes wherever a strand runs between adjacent image columns
-    mid = []
-    for i in range(m):
-        irow = image.rows[i]
-        row = []
-        for c in range(1, n + 1):
-            if c in t_set:
-                row.append(irow[bisect_left(t, c)])
-            else:
-                left = bisect_left(t, c)  # image columns strictly left of c
-                if left and east_open(irow[left - 1]):
-                    row.append(Tile.HORIZONTAL)
-                else:
-                    row.append(Tile.BLANK)
-        mid.append(row)
-
-    # step 2: spread the rows out to positions s, bridging with bars
-    full = []
-    for r in range(1, n + 1):
-        if r in s_set:
-            full.append(list(mid[bisect_left(s, r)]))
-        elif m == 0:
-            full.append([Tile.BLANK] * n)
+    kept = frozenset(v.indices)
+    cols = sorted(v.values())          # the columns the image occupies
+    image_rows = iter(image.rows)
+    rows = []
+    for x in range(1, n + 1):
+        row = [0] * n
+        if x in kept:
+            for c, e in zip(cols, asm_row(next(image_rows))):
+                row[c - 1] = e
         else:
-            above = bisect_left(s, r)  # image rows strictly above r
-            if above < m:
-                full.append([Tile.VERTICAL if north_open(t_) else Tile.BLANK
-                             for t_ in mid[above]])
-            else:
-                full.append([Tile.VERTICAL if south_open(t_) else Tile.BLANK
-                             for t_ in mid[m - 1]])
-
-    # step 3: add the undrooped hook pipes, crossing whatever they meet
-    for y, x in hooks:
-        for i in range(x + 1, n + 1):
-            cur = full[i - 1][y - 1]
-            if cur is Tile.BLANK:
-                full[i - 1][y - 1] = Tile.VERTICAL
-            elif cur is Tile.HORIZONTAL:
-                full[i - 1][y - 1] = Tile.CROSS
-            else:
-                raise SubwordMismatch(f"hook column {y} blocked at row {i}")
-        if full[x - 1][y - 1] is not Tile.BLANK:
-            raise SubwordMismatch(f"hook corner ({x}, {y}) is occupied")
-        full[x - 1][y - 1] = Tile.R_ELBOW
-        for c in range(y + 1, n + 1):
-            cur = full[x - 1][c - 1]
-            if cur is Tile.BLANK:
-                full[x - 1][c - 1] = Tile.HORIZONTAL
-            elif cur is Tile.VERTICAL:
-                full[x - 1][c - 1] = Tile.CROSS
-            else:
-                raise SubwordMismatch(f"hook row {x} blocked at column {c}")
-
-    out = BpdGrid(tuple(tuple(row) for row in full))
+            row[w[x - 1] - 1] = 1
+        rows.append(row)
+    out = BpdGrid(tiles_from_asm_rows(rows, n))
     validate(out)
     return out

@@ -50,6 +50,24 @@ class TestValidate:
             assert trace(g).perm == Permutation.identity(n)
 
 
+class TestConstructor:
+    def test_ints_and_bools_become_tiles(self):
+        g = BpdGrid(((4,),))
+        assert g.rows == ((Tile.R_ELBOW,),)
+        assert type(g.rows[0][0]) is Tile
+        g = BpdGrid([[True, False], [2, Tile.R_ELBOW]])
+        assert g.rows == ((Tile.HORIZONTAL, Tile.BLANK), (Tile.VERTICAL, Tile.R_ELBOW))
+        assert all(type(t) is Tile for row in g.rows for t in row)
+
+    def test_bad_values_raise(self):
+        with pytest.raises(ValueError):
+            BpdGrid(((9,),))
+        with pytest.raises(ValueError):
+            BpdGrid(((Tile.R_ELBOW, -1), (Tile.VERTICAL, Tile.R_ELBOW)))
+        with pytest.raises(ValueError, match="unknown tile character 'x'"):
+            BpdGrid.from_ascii("rx\n|r")
+
+
 class TestTrace:
     def test_first_figure(self, fig_bpd_1):
         tr = trace(fig_bpd_1)

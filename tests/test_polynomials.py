@@ -1,3 +1,5 @@
+from itertools import product
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -52,6 +54,17 @@ class TestBetaPolynomial:
     def test_evaluation_is_a_homomorphism(self, a, b, x):
         assert (a + b)(x) == a(x) + b(x)
         assert (a * b)(x) == a(x) * b(x)
+
+    def test_subtraction_is_adding_the_negative(self):
+        small = [BetaPolynomial.from_coeffs(c)
+                 for k in range(4) for c in product(range(-2, 3), repeat=k)]
+        for p in small:
+            for q in small:
+                diff = p - q
+                assert diff == p + (-q)
+                assert diff.coeffs[-1:] != (0,)
+                assert (diff.coeffs == ()) == (p == q)
+        assert 3 - BetaPolynomial.beta() == BetaPolynomial.from_coeffs([3, -1])
 
 
 class TestMultivariate:

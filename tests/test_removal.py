@@ -1,10 +1,67 @@
+from bisect import bisect_left
+
 import pytest
 
-from pipedream import (BpdGrid, NotMinimal, Permutation, SetQuery,
-                       SubwordMismatch, SubwordSelection, Tile, insert, query,
-                       remove, removable_pipes, trace)
+from pipedream import (BpdGrid, BrokenStrand, NotMinimal, Permutation,
+                       SetQuery, SubwordMismatch, SubwordSelection, Tile,
+                       insert, query, remove, removable_pipes, trace, validate)
 from pipedream.enumeration import bpd_stream
+from pipedream.grid import east_open, north_open, south_open
+from pipedream.perms import all_perms, all_subwords
+from pipedream.specialization import minimal_sets
 from conftest import contract_oracle, load_grid
+
+
+def tile_insert(image, w, v):
+    """Insertion on the tiles, the route ``insert`` took before it worked
+    on the matrix: spread the image's columns and then its rows over the
+    subword's positions, bridging every strand across the gaps, and then
+    draw each removed pipe y->x as an undrooped hook crossing what it
+    meets.  Kept only as an oracle; assumes ``insert``'s preconditions."""
+    n, m = w.size, image.n
+    s = v.indices
+    t = tuple(sorted(v.values()))
+    mid = []
+    for irow in image.rows:
+        row = []
+        for c in range(1, n + 1):
+            left = bisect_left(t, c)
+            if c in t:
+                row.append(irow[left])
+            elif left and east_open(irow[left - 1]):
+                row.append(Tile.HORIZONTAL)
+            else:
+                row.append(Tile.BLANK)
+        mid.append(row)
+    full = []
+    for r in range(1, n + 1):
+        above = bisect_left(s, r)
+        if r in s:
+            full.append(list(mid[above]))
+        elif m == 0:
+            full.append([Tile.BLANK] * n)
+        elif above < m:
+            full.append([Tile.VERTICAL if north_open(x) else Tile.BLANK for x in mid[above]])
+        else:
+            full.append([Tile.VERTICAL if south_open(x) else Tile.BLANK for x in mid[m - 1]])
+    winv = w.inverse()
+    for y in range(1, n + 1):
+        if y in t:
+            continue
+        x = winv[y - 1]
+        for i in range(x + 1, n + 1):
+            cur = full[i - 1][y - 1]
+            assert cur in (Tile.BLANK, Tile.HORIZONTAL), f"hook column {y} blocked"
+            full[i - 1][y - 1] = Tile.VERTICAL if cur is Tile.BLANK else Tile.CROSS
+        assert full[x - 1][y - 1] is Tile.BLANK, f"hook corner ({x}, {y}) occupied"
+        full[x - 1][y - 1] = Tile.R_ELBOW
+        for c in range(y + 1, n + 1):
+            cur = full[x - 1][c - 1]
+            assert cur in (Tile.BLANK, Tile.VERTICAL), f"hook row {x} blocked"
+            full[x - 1][c - 1] = Tile.HORIZONTAL if cur is Tile.BLANK else Tile.CROSS
+    out = BpdGrid(tuple(tuple(row) for row in full))
+    validate(out)
+    return out
 
 
 def P(text):
@@ -40,6 +97,17 @@ class TestRemove:
             for grid in bpd_stream(n):
                 image, _ = remove(grid)
                 assert image == contract_oracle(grid)
+
+    def test_bump_tile_fails_as_in_validate(self):
+        # the resolved form of a nonreduced grid of 1243: a valid bumped
+        # grid, and still no raw grid
+        grid = BpdGrid.from_ascii("..r-\n.rb-\nr+jr\n||r+")
+        with pytest.raises(BrokenStrand) as expected:
+            validate(grid)
+        with pytest.raises(BrokenStrand) as got:
+            remove(grid)
+        assert str(got.value) == str(expected.value)
+        assert "bump" in str(got.value)
 
 
 class TestInsert:
@@ -78,11 +146,33 @@ class TestInsert:
         with pytest.raises(SubwordMismatch):
             insert(image, w, SubwordSelection.full(w))
 
+    def test_bump_tile_in_image_fails(self):
+        image = BpdGrid.from_ascii("..r-\n.rb-\nr+jr\n||r+")
+        w = trace(image).perm
+        with pytest.raises(BrokenStrand, match="bump tile in a raw grid"):
+            insert(image, w, SubwordSelection.full(w))
+        host = Permutation((1,) + tuple(x + 1 for x in w))
+        with pytest.raises(BrokenStrand, match="bump tile in a raw grid"):
+            insert(image, host, SubwordSelection(host, (2, 3, 4, 5)))
+
     def test_round_trip_exhaustive(self):
         for n in range(1, 6):
             for grid in bpd_stream(n):
                 image, v = remove(grid)
                 assert insert(image, v.host, v) == grid
+
+    def test_matches_tile_insertion(self):
+        # every (w, v, minimal image of v's pattern) with n <= 6: the whole
+        # domain on which insert's preconditions hold
+        triples = 0
+        for n in range(7):
+            for w in all_perms(n):
+                for v in all_subwords(w):
+                    images = minimal_sets(len(v)).get(v.pattern(), ((), ()))[0]
+                    for image in images:
+                        triples += 1
+                        assert insert(image, w, v) == tile_insert(image, w, v)
+        assert triples == 7918
 
 
 class TestReducedBehaviour:
