@@ -16,8 +16,7 @@ from .errors import (BoundaryLeak, BrokenStrand, CheckFailed, GridError,
 from .grid import (Asm, BpdGrid, PipeTrace, Tile, from_asm, from_json,
                    is_valid, render, to_asm, trace, validate)
 from .checks import CHECK_IDS, CheckReport, MaximaRow, maxima_table, run_check
-from .ktheory import (NonreducedWitness, ResolvedGrid, beta_weight,
-                      nonreduced_witness, resolve)
+from .ktheory import NonreducedWitness, beta_weight, nonreduced_witness, resolve
 from .perms import (Permutation, SubwordSelection, all_perms, flatten,
                     is_vexillary, layered, pattern_count, skew_sum, subwords)
 from .polynomials import BetaPolynomial, MultivariatePolynomial
@@ -34,7 +33,7 @@ __all__ = [
     "GuardExceeded", "InconsistentAsm", "MaximaRow", "MultivariatePolynomial",
     "NegativeExponent", "NonreducedWitness", "NotAPermutation", "NotBijective",
     "NotMinimal", "Permutation", "PipeTrace", "PipedreamError",
-    "RemovablePipeReport", "ResolvedGrid", "SetQuery", "SkewReport",
+    "RemovablePipeReport", "SetQuery", "SkewReport",
     "SubwordMismatch", "SubwordSelection", "Tile", "UnknownCheck",
     "WitnessNotFound", "all_perms", "beta_weight", "coefficient",
     "coefficient_table", "count_asms_bruteforce", "count_asms_literal",

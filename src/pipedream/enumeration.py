@@ -1,9 +1,12 @@
 """Exhaustive generation of alternating sign matrices and grid families.
 
 One transition table drives two walks over the rows of alternating sign
-matrices, with each column's running sum confined to {0, 1}.  The
-depth-first stream yields every matrix, and at size 0 the one empty
-matrix, so the empty grid is an ordinary member of the stream.  Grid
+matrices, with each column's running sum confined to {0, 1}; each move
+of the table carries a row's entries and its tile row.  The depth-first
+walk yields every matrix as its path of moves, and at size 0 the one
+empty path, so the empty grid is an ordinary member of the stream.  The
+matrix stream reads the entries off a path and the grid stream its tile
+rows, so every grid is built once, out of the table's own rows.  Grid
 families (all grids with a given permutation, the reduced ones, the
 minimal ones, and so on) are filters over it.  The row-transfer pass
 merges matrices that agree below a row and sums their weights by type,
@@ -18,7 +21,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .errors import GuardExceeded
-from .grid import Asm, BpdGrid, Tile, tile_row, tiles_from_asm_rows, trace
+from .grid import Asm, BpdGrid, PipeTrace, Tile, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 
@@ -84,23 +87,31 @@ def _transitions(n: int):
     return table
 
 
-def iter_asm_rows(n: int) -> Iterator[tuple]:
-    """Yield each alternating sign matrix of size n as a tuple of row tuples.
+def _paths(n: int) -> Iterator[tuple]:
+    """Yield each alternating sign matrix of size n as its path of moves
+    (entries, state below, tile row) through the transition table.
 
     Deterministic order: depth-first, rows in lexicographic entry order.
-    Size 0 yields the one empty matrix.
+    Size 0 yields the one empty path.  Every path of n moves is a matrix:
+    each row sums to 1 and each column sum stays in {0, 1}, so the n
+    columns hold n ones between them and all of them end full.
     """
     table = stored("transitions", n, _transitions)
-    full = (1 << n) - 1
     work = [((), 0)]
     while work:
-        prefix, state = work.pop()
-        if len(prefix) == n:
-            if state == full:
-                yield prefix
+        path, state = work.pop()
+        if len(path) == n:
+            yield path
             continue
-        for entries, nxt_state, _ in table[state][::-1]:
-            work.append((prefix + (entries,), nxt_state))
+        for move in table[state][::-1]:
+            work.append((path + (move,), move[1]))
+
+
+def iter_asm_rows(n: int) -> Iterator[tuple]:
+    """Yield each alternating sign matrix of size n as a tuple of row tuples,
+    in the order of ``_paths``."""
+    for path in _paths(n):
+        yield tuple(entries for entries, _, _ in path)
 
 
 def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
@@ -214,17 +225,13 @@ def count_asms_bruteforce(n: int) -> int:
 
 
 def bpd_stream(n: int) -> Iterator[BpdGrid]:
-    """Every grid of size n, via the ASM stream (same deterministic order)."""
-    if n <= _MEMO_MAX_N:
-        yield from stored("bpd", n, _bpd_list)
-        return
-    for rows in iter_asm_rows(n):
-        yield BpdGrid(tiles_from_asm_rows(rows, n))
+    """Every grid of size n, in the ASM stream's order.
 
-
-def _bpd_list(n: int) -> tuple[BpdGrid, ...]:
-    return tuple(BpdGrid(tiles_from_asm_rows(rows, n))
-                 for rows in iter_asm_rows(n))
+    Each grid is built from the tile rows of its path, so all grids share
+    the transition table's row tuples.
+    """
+    grids = (BpdGrid(tuple(tiles for _, _, tiles in path)) for path in _paths(n))
+    yield from stored("bpd", n, lambda _: tuple(grids)) if n <= _MEMO_MAX_N else grids
 
 
 @dataclass(frozen=True)
@@ -238,12 +245,17 @@ class RemovablePipeReport:
 
     pipes: tuple[tuple[int, int], ...]  # (y, x), sorted by y
     subword: SubwordSelection
-    minimal: bool
+    trace: PipeTrace  # the trace the permutation was read from
+
+    @property
+    def minimal(self) -> bool:
+        return not self.pipes
 
 
 def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
     n = grid.n
-    w = trace(grid).perm
+    tr = trace(grid)
+    w = tr.perm
     row_elbows = [row.count(Tile.R_ELBOW) for row in grid.rows]
     col_elbows = [col.count(Tile.R_ELBOW) for col in zip(*grid.rows)]
     pipes = []
@@ -255,7 +267,7 @@ def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
     pipes.sort()
     removed_rows = {x for _, x in pipes}
     indices = tuple(i for i in range(1, n + 1) if i not in removed_rows)
-    return RemovablePipeReport(tuple(pipes), SubwordSelection(w, indices), not pipes)
+    return RemovablePipeReport(tuple(pipes), SubwordSelection(w, indices), tr)
 
 
 QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd", "BPD_v", "bpd_v")
@@ -278,35 +290,24 @@ class SetQuery:
 
 
 def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:
-    """Materialize a grid family, in the enumeration stream's order."""
+    """Materialize a grid family, in the enumeration stream's order.
+
+    BPD_K selects grids by type and every other kind by permutation; the
+    lowercase kinds keep only reduced grids, and the minimal (m*) and
+    subword (*_v) kinds keep the grids whose removable pipes leave the
+    full word or the subword v.
+    """
     n = q.w.size
     check_guard(n, max_n_guard)
-    kind = q.kind
+    if q.kind == "BPD_K":
+        return [grid for grid in bpd_stream(n) if resolve(grid)[1] == q.w]
+    reduced_only = "bpd" in q.kind
+    leaves = SubwordSelection.full(q.w) if q.kind[0] == "m" else q.v
     out = []
     for grid in bpd_stream(n):
-        if kind == "BPD_K":
-            _, type_perm = resolve(grid)
-            if type_perm == q.w:
-                out.append(grid)
-            continue
         tr = trace(grid)
-        if tr.perm != q.w:
+        if tr.perm != q.w or (reduced_only and not tr.is_reduced):
             continue
-        if kind == "BPD":
+        if leaves is None or removable_pipes(grid).subword == leaves:
             out.append(grid)
-        elif kind == "bpd":
-            if tr.is_reduced:
-                out.append(grid)
-        elif kind == "mBPD":
-            if removable_pipes(grid).minimal:
-                out.append(grid)
-        elif kind == "mbpd":
-            if tr.is_reduced and removable_pipes(grid).minimal:
-                out.append(grid)
-        elif kind == "BPD_v":
-            if removable_pipes(grid).subword == q.v:
-                out.append(grid)
-        elif kind == "bpd_v":
-            if tr.is_reduced and removable_pipes(grid).subword == q.v:
-                out.append(grid)
     return out

@@ -10,7 +10,8 @@ alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
 the entry column of the pipe on it, and so checks the grid, reads its
 permutation and crossing counts, and (with ``resolve``) turns repeated
 crossings into bumps.  ``validate``, ``trace`` and ``ktheory.resolve``
-are thin calls to it.
+are thin calls to it.  Tile counts are read off the rows with
+``BpdGrid.count``.
 """
 
 from __future__ import annotations
@@ -114,12 +115,6 @@ class BpdGrid:
     def count(self, kind: Tile) -> int:
         return sum(row.count(kind) for row in self.rows)
 
-    def positions(self, kind: Tile) -> list[tuple[int, int]]:
-        """1-based positions of all tiles of the given kind, row-major."""
-        return [(i, j)
-                for i, row in enumerate(self.rows, start=1)
-                for j, t in enumerate(row, start=1) if t == kind]
-
     def __str__(self):
         return self.to_ascii()
 
@@ -166,12 +161,10 @@ class Asm:
 
 @dataclass(frozen=True)
 class PipeTrace:
-    """Everything a single strand walk learns about a grid."""
+    """The permutation of a grid and how often each pair of pipes crosses."""
 
     perm: Permutation
     crossings: dict  # (a, b) with a < b -> number of shared crossing tiles
-    jelbow_count: int
-    blank_count: int
 
     @cached_property
     def is_reduced(self) -> bool:
@@ -216,10 +209,10 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
     and raised after the pass; a leaking west edge carries the label -1,
     an unknown pipe, so the tiles east of it are still checked.
 
-    Returns (word, crossings, blanks, jelbows, bumps, tiles): the one-line
-    word read off the east labels, the crossing count of each pair (a, b)
-    with a < b, the blank, j-elbow and bump tile counts, and the tile rows,
-    which are ``rows`` itself unless resolution turned a cross into a bump.
+    Returns (word, crossings, tiles): the one-line word read off the east
+    labels, the crossing count of each pair (a, b) with a < b, and the
+    tile rows, which are ``rows`` itself unless resolution turned a cross
+    into a bump.
     """
     if order not in (COL_MAJOR, ROW_MAJOR):
         raise ValueError(f"unknown scan order {order!r}")
@@ -237,7 +230,6 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
     crossings: dict[tuple[int, int], int] = {}
     no_entry, west_leaks = [], []
     work = rows
-    bumps = 0
     for i, j in cells:
         t = rows[i][j]
         s, w = up[j], east[i]
@@ -270,7 +262,6 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         elif not allow_bump:
             raise BrokenStrand((i + 1, j + 1), "bump tile in a raw grid")
         up[j], east[i] = w, s
-        bumps += 1
     north_leaks = [j + 1 for j in range(n) if up[j]]
     if north_leaks:
         raise BoundaryLeak(("N", north_leaks[0]))
@@ -281,9 +272,7 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         raise NotBijective(f"columns without entry {no_entry}, rows without exit {no_exit}")
     if work is not rows:
         work = tuple(map(tuple, work))
-    blanks = sum(row.count(_BLANK) for row in rows)
-    jelbows = sum(row.count(_J_ELBOW) for row in rows)
-    return tuple(east), crossings, blanks, jelbows, bumps, work
+    return tuple(east), crossings, work
 
 
 def validate(grid: BpdGrid, allow_bump: bool = False) -> None:
@@ -304,13 +293,13 @@ def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
 
 
 def trace(grid: BpdGrid) -> PipeTrace:
-    """Compute the permutation, crossing multiplicities, and tile counts.
+    """Compute the permutation and crossing multiplicities.
 
     Raises on a malformed grid; bump tiles are accepted, so resolved grids
     trace to their type.
     """
-    word, crossings, blanks, jelbows, _, _ = scan(grid.rows, grid.n)
-    return PipeTrace(Permutation(word), crossings, jelbows, blanks)
+    word, crossings, _ = scan(grid.rows, grid.n)
+    return PipeTrace(Permutation(word), crossings)
 
 
 def asm_row(tiles) -> tuple[int, ...]:

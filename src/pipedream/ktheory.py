@@ -6,7 +6,8 @@ set: tiles are visited columns left to right and rows bottom to top (or
 rows first), and a cross whose two pipes have already crossed at an
 earlier retained cross becomes a bump, after which the two pipes carry
 on along each other's tails.  The permutation of the resolved network is
-the grid's type.
+the grid's type.  The resolved diagram is a plain ``BpdGrid``, equal to
+its source exactly when no cross became a bump.
 """
 
 from __future__ import annotations
@@ -21,36 +22,14 @@ from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, ra
 from .polynomials import BetaPolynomial
 
 
-class ResolvedGrid(BpdGrid):
-    """A grid whose repeated crossings have been turned into bumps.
-
-    Compares equal to any grid with the same tiles, so a reduced grid and
-    its (unchanged) resolution are the same value.
-    """
-
-    def underlying(self) -> BpdGrid:
-        """Forget the cross/bump distinction, recovering the source grid."""
-        return BpdGrid(tuple(
-            tuple(Tile.CROSS if t is Tile.BUMP else t for t in row)
-            for row in self.rows))
-
-    def __eq__(self, other):
-        if isinstance(other, BpdGrid):
-            return self.rows == other.rows
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.rows,))
-
-
-def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[ResolvedGrid, Permutation]:
+def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation]:
     """Resolve repeated crossings into bumps; returns the diagram and its type.
 
-    A reduced grid resolves to itself and its type equals its permutation.
-    Bump tiles in the input are faults.
+    A reduced grid resolves to a grid with the same tiles, and its type
+    equals its permutation.  Bump tiles in the input are faults.
     """
-    word, _, _, _, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
-    return ResolvedGrid(tiles), Permutation(word)
+    word, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
+    return BpdGrid(tiles), Permutation(word)
 
 
 def resolve_stats(rows, n):
@@ -59,10 +38,14 @@ def resolve_stats(rows, n):
     Operates on plain tile rows, skipping grid-object construction.  When
     no cross turns into a bump the resolving scan is the plain one, so the
     permutation is read off it; otherwise a second, plain scan reads it.
+    Blanks and j-elbows are counted on the rows, bumps on the resolved
+    tiles.
     """
-    type_word, _, blanks, jelbows, bumps, tiles = scan(rows, n, resolve=True)
+    type_word, _, tiles = scan(rows, n, resolve=True)
     perm = type_word if tiles is rows else scan(rows, n)[0]
-    return perm, type_word, blanks, jelbows, bumps
+    return (perm, type_word, sum(row.count(Tile.BLANK) for row in rows),
+            sum(row.count(Tile.J_ELBOW) for row in rows),
+            sum(row.count(Tile.BUMP) for row in tiles))
 
 
 def beta_weight(grid: BpdGrid, reference_length: int) -> BetaPolynomial:

@@ -137,10 +137,6 @@ class BetaPolynomial:
     # -- queries ----------------------------------------------------------
 
     @property
-    def degree(self) -> int:
-        return len(self.coeffs) - 1
-
-    @property
     def constant_term(self) -> int:
         return self.coeffs[0] if self.coeffs else 0
 

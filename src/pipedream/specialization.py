@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
                           row_transfer, stored)
-from .grid import trace
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, ranks, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial
@@ -235,10 +234,11 @@ def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
     summary = {}
     for w, (grids, reduced) in minimal_sets(n).items():
         # a grid is weighted against the length of its type; a reduced
-        # grid's type is its permutation
-        weight_all = sum((beta_weight(g, Permutation(resolve_stats(g.rows, n)[1]).length())
-                          for g in grids), zero)
+        # grid's type is its permutation, so only the others are resolved
         weight_reduced = sum((beta_weight(g, w.length()) for g in reduced), zero)
+        reduced_set = set(reduced)
+        weight_all = sum((beta_weight(g, Permutation(resolve_stats(g.rows, n)[1]).length())
+                          for g in grids if g not in reduced_set), weight_reduced)
         summary[w] = MinimalSummary(len(grids), len(reduced), weight_all, weight_reduced)
     return summary
 
@@ -256,9 +256,10 @@ def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
 def _build_minimal_sets(n: int) -> dict[Permutation, tuple]:
     acc: dict[Permutation, tuple[list, list]] = {}
     for grid in bpd_stream(n):
-        if not removable_pipes(grid).minimal:
+        report = removable_pipes(grid)
+        if not report.minimal:
             continue
-        tr = trace(grid)
+        tr = report.trace
         slot = acc.setdefault(tr.perm, ([], []))
         slot[0].append(grid)
         if tr.is_reduced:

@@ -2,7 +2,8 @@
 
 Every criterion is pinned to its exact expected values and its exhaustive
 size schedule; each test prints one PASS line on success so a full run
-reads as a checklist.  Size 9 is opt-in via the ``slow`` marker.
+reads as a checklist.  Size 9, and the grid checks at size 7, are opt-in
+via the ``slow`` marker.
 """
 
 import hashlib
@@ -237,3 +238,17 @@ def test_maxima_n9_beta_zero():
     assert P("132987654") in row.argmax_c
     assert P("132987654") in row.argmax_nu
     _report("slow maxima n=9 beta=0")
+
+
+# grid checks at size 7 with their instance counts: every 7x7 ASM, the
+# vexillary words of S_7, and the nonreduced grids of size 7
+GRID_CHECKS_N7 = {"bk-order": 218348, "vexillary-K": 2761, "nonreduced-pattern": 67977}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("check_id", sorted(GRID_CHECKS_N7))
+def test_grid_checks_n7(check_id):
+    report = run_check(check_id, 7)
+    assert report.passed, report.failures
+    assert report.instances_checked == GRID_CHECKS_N7[check_id]
+    _report(f"slow {check_id} n=7")

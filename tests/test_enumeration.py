@@ -4,7 +4,9 @@ from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
                        SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
                        removable_pipes, trace)
-from pipedream.enumeration import iter_asm_rows
+from pipedream import enumeration
+from pipedream.enumeration import bpd_stream, iter_asm_rows, stored
+from pipedream.grid import tiles_from_asm_rows
 from pipedream.perms import all_perms
 from conftest import load_grid
 
@@ -34,6 +36,29 @@ class TestAsmStream:
         for n in range(1, 5):
             perms = {trace(from_asm(a)).perm for a in enumerate_asm(n)}
             assert perms == set(all_perms(n))
+
+
+def _rebuilt(n):
+    return [BpdGrid(tiles_from_asm_rows(rows, n)) for rows in iter_asm_rows(n)]
+
+
+class TestGridStream:
+    def test_stored_branch_matches_rebuilt_tiles(self):
+        for n in range(7):
+            assert list(bpd_stream(n)) == _rebuilt(n)
+
+    def test_streamed_branch_matches_rebuilt_tiles(self, cold_caches, monkeypatch):
+        monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
+        for n in range(3, 7):
+            assert list(bpd_stream(n)) == _rebuilt(n)
+            assert ("bpd", n) not in enumeration._TABLES
+
+    def test_streamed_grids_share_the_table_rows(self, cold_caches, monkeypatch):
+        monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
+        table = stored("transitions", 5, enumeration._transitions)
+        own = {id(tiles) for moves in table.values() for _, _, tiles in moves}
+        for grid in bpd_stream(5):
+            assert all(id(row) in own for row in grid.rows)
 
 
 class TestRemovablePipes:
