@@ -103,15 +103,25 @@ def _compare_strata(tally, words, strata, predict, describe):
     given as a tuple of ranks.
 
     ``strata`` is a defaultdict keyed by (word, indices), read without
-    adding keys; ``describe(got, want)`` words a mismatch.
+    adding keys; ``describe(got, want)`` words a mismatch.  ``predict``
+    runs once per pattern, and each value tuple is flattened once.
     """
     empty = strata.default_factory()
+    by_pattern = {}
+    by_values = {}
     for w in words:
         positions = range(1, len(w) + 1)
         for m in range(len(w) + 1):
             for indices in combinations(positions, m):
                 got = strata.get((w, indices), empty)
-                want = predict(ranks(tuple(w[i - 1] for i in indices)))
+                values = tuple(w[i - 1] for i in indices)
+                if values in by_values:
+                    want = by_values[values]
+                else:
+                    u = ranks(values)
+                    if u not in by_pattern:
+                        by_pattern[u] = predict(u)
+                    want = by_values[values] = by_pattern[u]
                 if got != want:
                     tally.fail(f"stratum w={w.text()} indices={indices}: {describe(got, want)}")
 

@@ -6,11 +6,15 @@ of the table carries a row's entries and its tile row.  The depth-first
 walk yields every matrix as its path of moves, and at size 0 the one
 empty path, so the empty grid is an ordinary member of the stream.  The
 matrix stream reads the entries off a path and the grid stream its tile
-rows, so every grid is built once, out of the table's own rows.  Grid
-families (all grids with a given permutation, the reduced ones, the
-minimal ones, and so on) are filters over it.  The row-transfer pass
-merges matrices that agree below a row and sums their weights by type,
-which is all the nu and Grothendieck tables need.
+rows, so every grid is built once, out of the table's own rows.  The same
+table, indexed by (state, entries), turns any matrix into its tile rows
+(``table_tiles``); removal builds its grids that way, so they share the
+table's rows too.  Grid families (all grids with a given permutation,
+the reduced ones, the minimal ones, and so on) are filters over the grid
+stream, and ``removable_pipes`` counts r-elbows only in the row and
+column of each pipe's exit cell.  The row-transfer pass merges matrices
+that agree below a row and sums their weights by type, which is all the
+nu and Grothendieck tables need.
 """
 
 from __future__ import annotations
@@ -85,6 +89,31 @@ def _transitions(n: int):
             moves.append((entries, (state | plus) & ~minus, tile_row(state, entries)))
         table[state] = tuple(moves)
     return table
+
+
+def _transition_index(n: int):
+    """The transition table keyed by (state, entries), with values
+    (successor state, tile row)."""
+    return {(state, entries): (below, tiles)
+            for state, moves in stored("transitions", n, _transitions).items()
+            for entries, below, tiles in moves}
+
+
+def table_tiles(rows, n: int) -> tuple:
+    """The tile rows of an alternating sign matrix of size n, read off the
+    transition table, so they are the table's own row tuples.
+
+    ``rows`` is a sequence of entry tuples that already satisfies the
+    alternating-sign invariants; it gives the same tiles as
+    ``grid.tiles_from_asm_rows``.
+    """
+    index = stored("transition-index", n, _transition_index)
+    state = 0
+    out = []
+    for entries in rows:
+        state, tiles = index[state, entries]
+        out.append(tiles)
+    return tuple(out)
 
 
 def _paths(n: int) -> Iterator[tuple]:
@@ -256,14 +285,16 @@ def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
     n = grid.n
     tr = trace(grid)
     w = tr.perm
-    row_elbows = [row.count(Tile.R_ELBOW) for row in grid.rows]
-    col_elbows = [col.count(Tile.R_ELBOW) for col in zip(*grid.rows)]
+    rows = grid.rows
+    r_elbow = Tile.R_ELBOW
     pipes = []
-    for x in range(1, n + 1):
-        y = w[x - 1]
-        if (grid.tile(x, y) is Tile.R_ELBOW
-                and row_elbows[x - 1] == 1 and col_elbows[y - 1] == 1):
-            pipes.append((y, x))
+    # pipe w(x)->x can only be removable at its exit cell (x, w(x)), so
+    # only that row and column are counted
+    for x, row in enumerate(rows, start=1):
+        j = w[x - 1] - 1
+        if (row[j] is r_elbow and row.count(r_elbow) == 1
+                and sum(r[j] is r_elbow for r in rows) == 1):
+            pipes.append((j + 1, x))
     pipes.sort()
     removed_rows = {x for _, x in pipes}
     indices = tuple(i for i in range(1, n + 1) if i not in removed_rows)

@@ -9,18 +9,22 @@ alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
 ``scan`` is the one pass over a grid's tiles: it labels every edge with
 the entry column of the pipe on it, and so checks the grid, reads its
 permutation and crossing counts, and (with ``resolve``) turns repeated
-crossings into bumps.  ``validate``, ``trace`` and ``ktheory.resolve``
-are thin calls to it.  Tile counts are read off the rows with
-``BpdGrid.count``.
+crossings into bumps.  ``validate`` and ``ktheory.resolve`` are thin
+calls to it.  ``trace`` scans a grid once and keeps the result on the
+grid (``BpdGrid._trace``), so a grid held in a table is scanned once per
+process however often it is traced.  A reduced grid's crossings are
+exactly the inversions of its permutation, so all reduced grids of one
+permutation share one ``PipeTrace`` (``_REDUCED_TRACES``); only a
+nonreduced grid keeps its own crossing counts.  Tile counts are read off
+the rows with ``BpdGrid.count``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
-from functools import cached_property
 from itertools import chain
 
 from .errors import BoundaryLeak, BrokenStrand, InconsistentAsm, NotBijective
@@ -70,10 +74,14 @@ class BpdGrid:
     """An immutable n x n tile grid.
 
     ``rows[i][j]`` holds the tile at matrix position (i+1, j+1).  Grids are
-    plain value types: cheap to hash, compare, and stick in sets.
+    plain value types: cheap to hash, compare, and stick in sets.  Equality
+    and hashing see only ``rows``; the trace is cached beside them.
     """
 
     rows: tuple[tuple[Tile, ...], ...]
+    # set by ``trace`` on first use; a class attribute, so not a field and
+    # unseen by equality and hashing
+    _trace = None
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
@@ -165,10 +173,12 @@ class PipeTrace:
 
     perm: Permutation
     crossings: dict  # (a, b) with a < b -> number of shared crossing tiles
+    # set on construction: stored inline, unlike a cached property, which
+    # would give each trace an instance dict
+    is_reduced: bool = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def is_reduced(self) -> bool:
-        return all(c <= 1 for c in self.crossings.values())
+    def __post_init__(self):
+        object.__setattr__(self, "is_reduced", all(c <= 1 for c in self.crossings.values()))
 
     def multi_crossing_pairs(self) -> list[tuple[int, int, int]]:
         """Pairs crossing at least twice, as (a, b, count), sorted."""
@@ -184,6 +194,11 @@ ROW_MAJOR = "row-major"  # rows bottom to top, columns left to right
 
 # The visiting order of ``scan``'s cells, built once per (order, size).
 _CELLS: dict[tuple[str, int], tuple] = {}
+
+# The crossing key (a, b), a < b, of labels s and w at ``[s][w]``, built
+# once per size so that every crossing dict shares its key tuples.  The
+# label -1 of a leaking west edge sits at index -1.
+_PAIRS: dict[int, tuple] = {}
 
 # Whether each tile kind (indexed by its value) opens its south / west edge.
 _SOUTH_OPEN = tuple(t in _SOUTH for t in Tile)
@@ -224,6 +239,11 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         else:
             cells = tuple((i, j) for i in bottom_up for j in range(n))
         _CELLS[order, n] = cells
+    pairs = _PAIRS.get(n)
+    if pairs is None:
+        labels = (*range(n + 1), -1)
+        pairs = _PAIRS[n] = tuple(tuple((a, b) if a < b else (b, a) for b in labels)
+                                  for a in labels)
     up = list(range(1, n + 1))  # label on the north edge of the last tile per column
     east = [0] * n              # label on the east edge of the last tile per row
     opens_south, opens_west = _SOUTH_OPEN, _WEST_OPEN
@@ -246,7 +266,7 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         if t < _CROSS:  # blank, horizontal, vertical: labels pass through
             continue
         if t == _CROSS:
-            key = (s, w) if s < w else (w, s)
+            key = pairs[s][w]
             if not (resolve and key in crossings):
                 crossings[key] = crossings.get(key, 0) + 1
                 continue
@@ -292,14 +312,28 @@ def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
     return True
 
 
+# the one trace of every reduced grid of a permutation, keyed by its word
+_REDUCED_TRACES: dict[tuple[int, ...], PipeTrace] = {}
+
+
 def trace(grid: BpdGrid) -> PipeTrace:
-    """Compute the permutation and crossing multiplicities.
+    """The permutation and crossing multiplicities, scanned once per grid.
 
     Raises on a malformed grid; bump tiles are accepted, so resolved grids
-    trace to their type.
+    trace to their type.  Reduced grids of one permutation share one
+    trace, so treat it as read-only.
     """
-    word, crossings, _ = scan(grid.rows, grid.n)
-    return PipeTrace(Permutation(word), crossings)
+    tr = grid._trace
+    if tr is None:
+        # a scan that raises caches nothing, so a malformed grid raises on
+        # every call
+        word, crossings, _ = scan(grid.rows, grid.n)
+        tr = PipeTrace(Permutation(word), crossings)
+        if tr.is_reduced:
+            tr = _REDUCED_TRACES.setdefault(word, tr)
+        # the instance attribute skips the frozen dataclass's __setattr__
+        object.__setattr__(grid, "_trace", tr)
+    return tr
 
 
 def asm_row(tiles) -> tuple[int, ...]:

@@ -6,8 +6,9 @@ set: tiles are visited columns left to right and rows bottom to top (or
 rows first), and a cross whose two pipes have already crossed at an
 earlier retained cross becomes a bump, after which the two pipes carry
 on along each other's tails.  The permutation of the resolved network is
-the grid's type.  The resolved diagram is a plain ``BpdGrid``, equal to
-its source exactly when no cross became a bump.
+the grid's type.  The resolved diagram is a plain ``BpdGrid``; when no
+cross became a bump, which is exactly when the grid is reduced, it is the
+source grid itself.
 """
 
 from __future__ import annotations
@@ -25,11 +26,11 @@ from .polynomials import BetaPolynomial
 def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation]:
     """Resolve repeated crossings into bumps; returns the diagram and its type.
 
-    A reduced grid resolves to a grid with the same tiles, and its type
+    A reduced grid resolves to itself, the same object, and its type
     equals its permutation.  Bump tiles in the input are faults.
     """
     word, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
-    return BpdGrid(tiles), Permutation(word)
+    return grid if tiles is grid.rows else BpdGrid(tiles), Permutation(word)
 
 
 def resolve_stats(rows, n):

@@ -6,16 +6,19 @@ flattened subword, and ``insert`` is its two-sided inverse.  Both work on
 the alternating sign matrix of elbows.  A removable pipe y->x is a lone +1
 at (x, y), alone in its row and its column, so removal deletes those rows
 and columns from the matrix, and insertion puts them back as unit rows and
-columns; the tiles are rebuilt from the matrix.  This equals the stepwise
-contraction of the hooks and keeps the code small.
+columns.  This equals the stepwise contraction of the hooks and keeps the
+code small.  The tiles of the new matrix are read off the transition
+table (``enumeration.table_tiles``), so images and their expansions share
+the table's row tuples, as the grids of the stream do.  Both functions
+trace their input through ``removable_pipes``, and the trace stays on the
+grid for later callers.
 """
 
 from __future__ import annotations
 
-from .enumeration import removable_pipes
+from .enumeration import removable_pipes, table_tiles
 from .errors import NotMinimal, SubwordMismatch
-from .grid import (Asm, BpdGrid, Tile, asm_row, from_asm, tiles_from_asm_rows,
-                   validate)
+from .grid import Asm, BpdGrid, Tile, asm_row, validate
 from .perms import Permutation, SubwordSelection
 
 
@@ -33,11 +36,10 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
         return grid, report.subword
     removed_rows = {x for _, x in report.pipes}
     removed_cols = {y for y, _ in report.pipes}
-    sub = tuple(
+    sub = Asm(tuple(
         tuple(e for j, e in enumerate(asm_row(row), start=1) if j not in removed_cols)
-        for i, row in enumerate(grid.rows, start=1) if i not in removed_rows)
-    image = from_asm(Asm(sub))
-    return image, report.subword
+        for i, row in enumerate(grid.rows, start=1) if i not in removed_rows))
+    return BpdGrid(table_tiles(sub.rows, sub.n)), report.subword
 
 
 def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
@@ -75,7 +77,7 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
                 row[c - 1] = e
         else:
             row[w[x - 1] - 1] = 1
-        rows.append(row)
-    out = BpdGrid(tiles_from_asm_rows(rows, n))
+        rows.append(tuple(row))
+    out = BpdGrid(table_tiles(rows, n))
     validate(out)
     return out

@@ -3,10 +3,10 @@ import pytest
 from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
                        SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
-                       removable_pipes, trace)
+                       removable_pipes, remove, trace)
 from pipedream import enumeration
 from pipedream.enumeration import bpd_stream, iter_asm_rows, stored
-from pipedream.grid import tiles_from_asm_rows
+from pipedream.grid import Tile, tiles_from_asm_rows
 from pipedream.perms import all_perms
 from conftest import load_grid
 
@@ -61,7 +61,36 @@ class TestGridStream:
             assert all(id(row) in own for row in grid.rows)
 
 
+def removable_pipes_by_full_count(grid):
+    """(pipes, subword) as ``removable_pipes`` found them before it counted
+    only the candidate rows and columns: r-elbows counted in every row
+    and, through a transpose, in every column."""
+    n = grid.n
+    w = trace(grid).perm
+    row_elbows = [row.count(Tile.R_ELBOW) for row in grid.rows]
+    col_elbows = [col.count(Tile.R_ELBOW) for col in zip(*grid.rows)]
+    pipes = []
+    for x in range(1, n + 1):
+        y = w[x - 1]
+        if (grid.tile(x, y) is Tile.R_ELBOW
+                and row_elbows[x - 1] == 1 and col_elbows[y - 1] == 1):
+            pipes.append((y, x))
+    pipes.sort()
+    removed_rows = {x for _, x in pipes}
+    indices = tuple(i for i in range(1, n + 1) if i not in removed_rows)
+    return tuple(pipes), SubwordSelection(w, indices)
+
+
 class TestRemovablePipes:
+    def test_matches_full_count_oracle(self):
+        # every grid with n <= 6 and every image remove makes of one
+        for n in range(7):
+            for grid in bpd_stream(n):
+                for g in (grid, remove(grid)[0]):
+                    report = removable_pipes(g)
+                    assert (report.pipes, report.subword) == removable_pipes_by_full_count(g)
+                    assert report.trace == trace(g)
+
     def test_left_min_bpd_figure(self, fig_bpd_1):
         report = removable_pipes(fig_bpd_1)
         assert report.pipes == ((4, 4), (6, 3))
@@ -89,8 +118,6 @@ class TestRemovablePipes:
 
     def test_removable_pipes_are_undrooped(self):
         # the removable hook never turns through a j-elbow
-        from pipedream.grid import Tile
-
         for asm in enumerate_asm(4):
             grid = from_asm(asm)
             for y, x in removable_pipes(grid).pipes:

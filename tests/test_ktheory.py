@@ -30,15 +30,17 @@ class TestResolve:
         assert typ == trace(fig_bpd_2).perm == P("2346175")
 
     def test_resolution_changes_diagram_iff_nonreduced(self):
-        # the diagram acquires bumps exactly when some pair crosses twice;
-        # the type can still coincide with the permutation for nonreduced
-        # grids when every repeated pair crosses an odd number of times
+        # the diagram acquires bumps exactly when some pair crosses twice,
+        # and otherwise is the input grid itself; the type can still
+        # coincide with the permutation for nonreduced grids when every
+        # repeated pair crosses an odd number of times
         for n in range(1, 6):
             for asm in enumerate_asm(n):
                 grid = from_asm(asm)
                 tr = trace(grid)
                 resolved, typ = resolve(grid)
                 assert (resolved.rows == grid.rows) == tr.is_reduced
+                assert (resolved is grid) == tr.is_reduced
                 if tr.is_reduced:
                     assert typ == tr.perm
 
