@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from collections import defaultdict
+from collections import Counter, defaultdict
 from contextlib import suppress
 from dataclasses import dataclass
 from itertools import combinations
@@ -104,24 +104,19 @@ def _compare_strata(tally, words, strata, predict, describe):
 
     ``strata`` is a defaultdict keyed by (word, indices), read without
     adding keys; ``describe(got, want)`` words a mismatch.  ``predict``
-    runs once per pattern, and each value tuple is flattened once.
+    runs once per value tuple, however many words share it.
     """
     empty = strata.default_factory()
-    by_pattern = {}
-    by_values = {}
+    predicted = {}  # value tuple -> prediction of its pattern
     for w in words:
         positions = range(1, len(w) + 1)
         for m in range(len(w) + 1):
             for indices in combinations(positions, m):
                 got = strata.get((w, indices), empty)
                 values = tuple(w[i - 1] for i in indices)
-                if values in by_values:
-                    want = by_values[values]
-                else:
-                    u = ranks(values)
-                    if u not in by_pattern:
-                        by_pattern[u] = predict(u)
-                    want = by_values[values] = by_pattern[u]
+                if values not in predicted:
+                    predicted[values] = predict(ranks(values))
+                want = predicted[values]
                 if got != want:
                     tally.fail(f"stratum w={w.text()} indices={indices}: {describe(got, want)}")
 
@@ -157,24 +152,34 @@ def _check_thm_1243(n, tally):
 
 def _check_vexillary_k(n, tally):
     """Vexillary w: the type-w grids are exactly the reduced perm-w grids;
-    add 1243-avoidance and all perm-w grids are reduced."""
-    by_type = _grids_by_type(n)
-    by_perm: dict[Permutation, set] = {}
-    by_perm_reduced: dict[Permutation, set] = {}
+    add 1243-avoidance and all perm-w grids are reduced.
+
+    One pass over the stream counts both families of every w and notes
+    each w that some grid lies in for one family and not the other, so
+    no grid is held.
+    """
+    of_type = Counter()   # w -> number of grids of type w
+    reduced = Counter()   # w -> number of reduced grids of permutation w
+    differ = set()        # the w whose two families differ
+    nonreduced = set()    # the permutations of nonreduced grids
     for grid in bpd_stream(n):
         tr = trace(grid)
-        by_perm.setdefault(tr.perm, set()).add(grid)
-        if tr.is_reduced:
-            by_perm_reduced.setdefault(tr.perm, set()).add(grid)
+        _, typ = resolve(grid)
+        of_type[typ] += 1
+        if not tr.is_reduced:
+            nonreduced.add(tr.perm)
+            differ.add(typ)
+            continue
+        reduced[tr.perm] += 1
+        if typ != tr.perm:
+            differ.update((typ, tr.perm))
     for w in all_perms(n):
         if w.contains(PATTERN_2143):
             continue
         tally.instances += 1
-        bpd_k = set(by_type.get(w, ()))
-        reduced = by_perm_reduced.get(w, set())
-        if bpd_k != reduced:
-            tally.fail(f"{w.text()}: |BPD_K|={len(bpd_k)} differs from |bpd|={len(reduced)}")
-        elif w.avoids(PATTERN_1243) and by_perm.get(w, set()) != reduced:
+        if w in differ:
+            tally.fail(f"{w.text()}: |BPD_K|={of_type[w]} differs from |bpd|={reduced[w]}")
+        elif w.avoids(PATTERN_1243) and w in nonreduced:
             tally.fail(f"{w.text()}: nonreduced grid despite avoiding 1243 and 2143")
 
 

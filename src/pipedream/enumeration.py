@@ -1,20 +1,21 @@
 """Exhaustive generation of alternating sign matrices and grid families.
 
-One transition table drives two walks over the rows of alternating sign
+One table of moves drives two walks over the rows of alternating sign
 matrices, with each column's running sum confined to {0, 1}; each move
-of the table carries a row's entries and its tile row.  The depth-first
-walk yields every matrix as its path of moves, and at size 0 the one
-empty path, so the empty grid is an ordinary member of the stream.  The
-matrix stream reads the entries off a path and the grid stream its tile
-rows, so every grid is built once, out of the table's own rows.  The same
-table, indexed by (state, entries), turns any matrix into its tile rows
-(``table_tiles``); removal builds its grids that way, so they share the
-table's rows too.  Grid families (all grids with a given permutation,
-the reduced ones, the minimal ones, and so on) are filters over the grid
-stream, and ``removable_pipes`` counts r-elbows only in the row and
-column of each pipe's exit cell.  The row-transfer pass merges matrices
-that agree below a row and sums their weights by type, which is all the
-nu and Grothendieck tables need.
+carries a row's entries, the column sums below it and its tile row.  The
+depth-first walk yields every matrix as its path of moves, and at size 0
+the one empty path, so the empty grid is an ordinary member of the
+stream.  The matrix stream reads the entries off a path and the grid
+stream its tile rows, so every grid is built once, out of the table's own
+rows.  The table is filled lazily: ``table_tiles`` turns any matrix into
+its tile rows by building only the moves it takes, so removal, which
+builds its grids that way, costs time in the rows it touches at any size
+and shares the table's rows with the stream.  Grid families (all grids
+with a given permutation, the reduced ones, the minimal ones, and so on)
+are filters over the grid stream, and ``removable_pipes`` counts
+r-elbows only in the row and column of each pipe's exit cell.  The
+row-transfer pass merges matrices that agree below a row and sums their
+weights by type, which is all the nu and Grothendieck tables need.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from itertools import product
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .errors import GuardExceeded
+from .errors import GuardExceeded, InconsistentAsm
 from .grid import Asm, BpdGrid, PipeTrace, Tile, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
@@ -60,11 +61,16 @@ def _valid_rows(n: int):
     rows = []
     for entries in product((-1, 0, 1), repeat=n):
         if _alternating_line(entries):
-            plus = sum(1 << k for k, v in enumerate(entries) if v == 1)
-            minus = sum(1 << k for k, v in enumerate(entries) if v == -1)
-            rows.append((entries, plus, minus))
+            rows.append((entries, *_masks(entries)))
     rows.sort()
     return tuple(rows)
+
+
+def _masks(entries) -> tuple[int, int]:
+    """The bitmasks of a row's +1 and -1 entries (bit j for column j+1)."""
+    plus = sum(1 << k for k, v in enumerate(entries) if v == 1)
+    minus = sum(1 << k for k, v in enumerate(entries) if v == -1)
+    return plus, minus
 
 
 def _alternating_line(entries) -> bool:
@@ -76,42 +82,64 @@ def _alternating_line(entries) -> bool:
     return running == 1
 
 
-def _transitions(n: int):
-    """For each column-sum state, the legal rows as (entries, successor
-    state, tile row)."""
-    table = {}
+def _moves(n: int) -> dict:
+    """The size-n table of moves, {state: {entries: move}}, where a move is
+    (entries, successor state, tile row).  ``_move`` fills it one row at
+    a time and ``_transitions`` completes it."""
+    return stored("moves", n, lambda _: {})
+
+
+def _move(moves: dict, state: int, entries: tuple) -> tuple:
+    """The move of row ``entries`` from column-sum ``state``, built on
+    first use; raises ``InconsistentAsm`` if the row may not follow."""
+    by_entries = moves.get(state)
+    if by_entries is None:
+        by_entries = moves[state] = {}
+    move = by_entries.get(entries)
+    if move is None:
+        plus, minus = _masks(entries)
+        if state & plus or minus & ~state or not _alternating_line(entries):
+            raise InconsistentAsm(f"row {entries} cannot follow column sums {state:b}")
+        move = by_entries[entries] = _new_move(state, entries, plus, minus)
+    return move
+
+
+def _new_move(state: int, entries: tuple, plus: int, minus: int) -> tuple:
+    return entries, (state | plus) & ~minus, tile_row(state, entries)
+
+
+def _transitions(n: int) -> dict:
+    """For each column-sum state, every legal row in lexicographic entry
+    order, as {entries: move}.
+
+    This is the table of moves of ``_moves``, completed: rows already
+    built for ``table_tiles`` are kept, so both walk the same move tuples.
+    """
+    moves = _moves(n)
     rows = _valid_rows(n)
     for state in range(1 << n):
-        moves = []
-        for entries, plus, minus in rows:
-            if state & plus or minus & ~state:
-                continue
-            moves.append((entries, (state | plus) & ~minus, tile_row(state, entries)))
-        table[state] = tuple(moves)
-    return table
-
-
-def _transition_index(n: int):
-    """The transition table keyed by (state, entries), with values
-    (successor state, tile row)."""
-    return {(state, entries): (below, tiles)
-            for state, moves in stored("transitions", n, _transitions).items()
-            for entries, below, tiles in moves}
+        # rebuilt in entry order, keeping the moves already made
+        known = moves.get(state, {})
+        moves[state] = {entries: known.get(entries) or _new_move(state, entries, plus, minus)
+                        for entries, plus, minus in rows
+                        if not (state & plus or minus & ~state)}
+    return moves
 
 
 def table_tiles(rows, n: int) -> tuple:
     """The tile rows of an alternating sign matrix of size n, read off the
-    transition table, so they are the table's own row tuples.
+    table of moves, so they are the table's own row tuples.
 
-    ``rows`` is a sequence of entry tuples that already satisfies the
-    alternating-sign invariants; it gives the same tiles as
+    Only the moves the matrix takes are built, so the cost grows with the
+    rows, not with the table; a row that cannot follow the rows above it
+    raises ``InconsistentAsm``.  Gives the same tiles as
     ``grid.tiles_from_asm_rows``.
     """
-    index = stored("transition-index", n, _transition_index)
+    moves = _moves(n)
     state = 0
     out = []
     for entries in rows:
-        state, tiles = index[state, entries]
+        _, state, tiles = _move(moves, state, entries)
         out.append(tiles)
     return tuple(out)
 
@@ -132,7 +160,7 @@ def _paths(n: int) -> Iterator[tuple]:
         if len(path) == n:
             yield path
             continue
-        for move in table[state][::-1]:
+        for move in reversed(table[state].values()):
             work.append((path + (move,), move[1]))
 
 
@@ -172,7 +200,7 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
     steps = {}  # column-sum state -> [(successor, label program, row factor)]
     for state, moves in table.items():
         steps[state] = []
-        for _, below, tiles in moves:
+        for _, below, tiles in moves.values():
             program = tuple((j, tiles[j]) for j in range(n - 1, -1, -1)
                             if tiles[j] in (Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW))
             blanks, jelbows = tiles.count(Tile.BLANK), tiles.count(Tile.J_ELBOW)

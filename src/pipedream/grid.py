@@ -14,18 +14,24 @@ calls to it.  ``trace`` scans a grid once and keeps the result on the
 grid (``BpdGrid._trace``), so a grid held in a table is scanned once per
 process however often it is traced.  A reduced grid's crossings are
 exactly the inversions of its permutation, so all reduced grids of one
-permutation share one ``PipeTrace`` (``_REDUCED_TRACES``); only a
-nonreduced grid keeps its own crossing counts.  Tile counts are read off
-the rows with ``BpdGrid.count``.
+permutation share one ``PipeTrace``, whose crossings are a read-only
+mapping; only a nonreduced grid keeps its own crossing counts.  The
+shared traces are held weakly (``_REDUCED_TRACES``), so a trace lives as
+long as some grid holds it, and streamed grids leave nothing behind.
+Tile counts are read off the rows with ``BpdGrid.count``.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
 from enum import IntEnum
+from functools import cached_property
 from itertools import chain
+from types import MappingProxyType
+from weakref import WeakValueDictionary
 
 from .errors import BoundaryLeak, BrokenStrand, InconsistentAsm, NotBijective
 from .perms import Permutation
@@ -172,13 +178,11 @@ class PipeTrace:
     """The permutation of a grid and how often each pair of pipes crosses."""
 
     perm: Permutation
-    crossings: dict  # (a, b) with a < b -> number of shared crossing tiles
-    # set on construction: stored inline, unlike a cached property, which
-    # would give each trace an instance dict
-    is_reduced: bool = field(init=False, repr=False, compare=False)
+    crossings: Mapping  # (a, b) with a < b -> number of shared crossing tiles
 
-    def __post_init__(self):
-        object.__setattr__(self, "is_reduced", all(c <= 1 for c in self.crossings.values()))
+    @cached_property
+    def is_reduced(self) -> bool:
+        return all(c <= 1 for c in self.crossings.values())
 
     def multi_crossing_pairs(self) -> list[tuple[int, int, int]]:
         """Pairs crossing at least twice, as (a, b, count), sorted."""
@@ -194,11 +198,6 @@ ROW_MAJOR = "row-major"  # rows bottom to top, columns left to right
 
 # The visiting order of ``scan``'s cells, built once per (order, size).
 _CELLS: dict[tuple[str, int], tuple] = {}
-
-# The crossing key (a, b), a < b, of labels s and w at ``[s][w]``, built
-# once per size so that every crossing dict shares its key tuples.  The
-# label -1 of a leaking west edge sits at index -1.
-_PAIRS: dict[int, tuple] = {}
 
 # Whether each tile kind (indexed by its value) opens its south / west edge.
 _SOUTH_OPEN = tuple(t in _SOUTH for t in Tile)
@@ -239,11 +238,6 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         else:
             cells = tuple((i, j) for i in bottom_up for j in range(n))
         _CELLS[order, n] = cells
-    pairs = _PAIRS.get(n)
-    if pairs is None:
-        labels = (*range(n + 1), -1)
-        pairs = _PAIRS[n] = tuple(tuple((a, b) if a < b else (b, a) for b in labels)
-                                  for a in labels)
     up = list(range(1, n + 1))  # label on the north edge of the last tile per column
     east = [0] * n              # label on the east edge of the last tile per row
     opens_south, opens_west = _SOUTH_OPEN, _WEST_OPEN
@@ -266,7 +260,7 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
         if t < _CROSS:  # blank, horizontal, vertical: labels pass through
             continue
         if t == _CROSS:
-            key = pairs[s][w]
+            key = (s, w) if s < w else (w, s)
             if not (resolve and key in crossings):
                 crossings[key] = crossings.get(key, 0) + 1
                 continue
@@ -312,16 +306,18 @@ def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
     return True
 
 
-# the one trace of every reduced grid of a permutation, keyed by its word
-_REDUCED_TRACES: dict[tuple[int, ...], PipeTrace] = {}
+# the one trace of the reduced grids of a permutation, keyed by its word
+# and kept while some grid holds it
+_REDUCED_TRACES: WeakValueDictionary[tuple[int, ...], PipeTrace] = WeakValueDictionary()
 
 
 def trace(grid: BpdGrid) -> PipeTrace:
     """The permutation and crossing multiplicities, scanned once per grid.
 
     Raises on a malformed grid; bump tiles are accepted, so resolved grids
-    trace to their type.  Reduced grids of one permutation share one
-    trace, so treat it as read-only.
+    trace to their type.  The trace is kept on the grid and returned again
+    on later calls.  Reduced grids of one permutation share one trace,
+    whose crossings are a read-only mapping.
     """
     tr = grid._trace
     if tr is None:
@@ -330,7 +326,10 @@ def trace(grid: BpdGrid) -> PipeTrace:
         word, crossings, _ = scan(grid.rows, grid.n)
         tr = PipeTrace(Permutation(word), crossings)
         if tr.is_reduced:
-            tr = _REDUCED_TRACES.setdefault(word, tr)
+            shared = _REDUCED_TRACES.get(word)
+            if shared is None:
+                shared = _REDUCED_TRACES[word] = PipeTrace(tr.perm, MappingProxyType(crossings))
+            tr = shared
         # the instance attribute skips the frozen dataclass's __setattr__
         object.__setattr__(grid, "_trace", tr)
     return tr

@@ -7,9 +7,11 @@ the alternating sign matrix of elbows.  A removable pipe y->x is a lone +1
 at (x, y), alone in its row and its column, so removal deletes those rows
 and columns from the matrix, and insertion puts them back as unit rows and
 columns.  This equals the stepwise contraction of the hooks and keeps the
-code small.  The tiles of the new matrix are read off the transition
-table (``enumeration.table_tiles``), so images and their expansions share
-the table's row tuples, as the grids of the stream do.  Both functions
+code small.  The tiles of the new matrix are read off the table of moves
+(``enumeration.table_tiles``), which builds only the moves the matrix
+takes, so the cost stays in the rows touched at any size, and images and
+their expansions share the table's row tuples, as the grids of the stream
+do.  Both functions
 trace their input through ``removable_pipes``, and the trace stays on the
 grid for later callers.
 """

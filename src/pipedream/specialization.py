@@ -22,7 +22,6 @@ from dataclasses import dataclass
 
 from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
                           row_transfer, stored)
-from .grid import _REDUCED_TRACES
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, ranks, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial
@@ -74,7 +73,6 @@ def clear_caches() -> None:
     """Drop every in-process table and memo (mainly for tests)."""
     _TABLES.clear()
     _NU_MEMO.clear()
-    _REDUCED_TRACES.clear()
 
 
 # -- grothendieck polynomials -------------------------------------------------

@@ -4,7 +4,6 @@ import pytest
 
 from pipedream import Asm, BpdGrid, Tile, removable_pipes
 from pipedream.enumeration import _TABLES
-from pipedream.grid import _REDUCED_TRACES
 from pipedream.specialization import _NU_MEMO, clear_caches
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -73,10 +72,9 @@ def red_bpds():
 def cold_caches():
     """Run a test from empty in-process caches, then put the old ones back
     so later tests do not rebuild the large tables."""
-    saved = dict(_TABLES), dict(_NU_MEMO), dict(_REDUCED_TRACES)
+    saved = dict(_TABLES), dict(_NU_MEMO)
     clear_caches()
     yield
     clear_caches()
     _TABLES.update(saved[0])
     _NU_MEMO.update(saved[1])
-    _REDUCED_TRACES.update(saved[2])

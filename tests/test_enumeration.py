@@ -56,7 +56,7 @@ class TestGridStream:
     def test_streamed_grids_share_the_table_rows(self, cold_caches, monkeypatch):
         monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
         table = stored("transitions", 5, enumeration._transitions)
-        own = {id(tiles) for moves in table.values() for _, _, tiles in moves}
+        own = {id(tiles) for moves in table.values() for _, _, tiles in moves.values()}
         for grid in bpd_stream(5):
             assert all(id(row) in own for row in grid.rows)
 

@@ -1,10 +1,13 @@
+import time
 from bisect import bisect_left
 
 import pytest
 
-from pipedream import (BpdGrid, BrokenStrand, NotMinimal, Permutation,
+from pipedream import (Asm, BpdGrid, BrokenStrand, NotMinimal, Permutation,
                        SetQuery, SubwordMismatch, SubwordSelection, Tile,
-                       insert, query, remove, removable_pipes, trace, validate)
+                       from_asm, insert, query, remove, removable_pipes, trace,
+                       validate)
+from pipedream import enumeration
 from pipedream.enumeration import bpd_stream
 from pipedream.grid import east_open, north_open, south_open
 from pipedream.perms import all_perms, all_subwords
@@ -97,6 +100,28 @@ class TestRemove:
             for grid in bpd_stream(n):
                 image, _ = remove(grid)
                 assert image == contract_oracle(grid)
+
+    def test_large_grid_builds_only_the_rows_it_takes(self):
+        # size 16, far above the enumeration guard: a lone pipe 1->1, then
+        # five copies of the 3x3 matrix with a -1; the table of moves is
+        # filled only along the two matrices, never completed
+        block = ((0, 1, 0), (1, -1, 1), (0, 1, 0))
+        n = 16
+        rows = [[0] * n for _ in range(n)]
+        rows[0][0] = 1
+        for k in range(5):
+            for i, entries in enumerate(block):
+                rows[1 + 3 * k + i][1 + 3 * k:4 + 3 * k] = entries
+        grid = from_asm(Asm.from_rows(rows))
+        start = time.perf_counter()
+        image, v = remove(grid)
+        back = insert(image, v.host, v)
+        elapsed = time.perf_counter() - start
+        assert v.indices == tuple(range(2, 17)) and image.n == 15
+        assert back == grid
+        assert ("transitions", 15) not in enumeration._TABLES
+        assert ("transitions", 16) not in enumeration._TABLES
+        assert elapsed < 5
 
     def test_bump_tile_fails_as_in_validate(self):
         # the resolved form of a nonreduced grid of 1243: a valid bumped

@@ -1,10 +1,12 @@
 """Oracles for the trace kept on each grid and for the grids that removal
 reads off the transition table."""
 
+import gc
+
 import pytest
 
-from pipedream import (BpdGrid, BrokenStrand, Permutation, PipeTrace, insert,
-                       remove, trace)
+from pipedream import (BpdGrid, BrokenStrand, InconsistentAsm, Permutation,
+                       PipeTrace, insert, remove, trace)
 from pipedream import enumeration
 from pipedream import grid as grid_module
 from pipedream.enumeration import bpd_stream, iter_asm_rows, stored, table_tiles
@@ -21,7 +23,7 @@ def scanned(grid):
 def table_rows(n):
     """The ids of the tile rows the transition table of size n holds."""
     table = stored("transitions", n, enumeration._transitions)
-    return {id(tiles) for moves in table.values() for _, _, tiles in moves}
+    return {id(tiles) for moves in table.values() for _, _, tiles in moves.values()}
 
 
 @pytest.mark.parametrize("memo_max_n", [enumeration._MEMO_MAX_N, 2])
@@ -58,6 +60,15 @@ def test_stored_grids_are_scanned_once(cold_caches, monkeypatch):
     assert calls == []
 
 
+def test_shared_traces_are_read_only():
+    grid = BpdGrid.from_ascii(".r\nr+")  # w = 21, reduced, one crossing
+    tr = trace(grid)
+    assert tr.is_reduced and tr.crossings == {(1, 2): 1}
+    with pytest.raises(TypeError):
+        tr.crossings[1, 2] = 2
+    assert trace(BpdGrid(grid.rows)) is tr
+
+
 def test_malformed_grid_raises_on_every_call():
     bad = BpdGrid.from_ascii(".r\nrr")
     for _ in range(2):
@@ -65,11 +76,14 @@ def test_malformed_grid_raises_on_every_call():
             trace(bad)
 
 
-def test_clear_caches_drops_the_shared_traces(cold_caches):
-    trace(BpdGrid.identity(3))
-    assert grid_module._REDUCED_TRACES
-    clear_caches()
-    assert not grid_module._REDUCED_TRACES
+def test_shared_traces_live_as_long_as_a_grid_holds_them():
+    # size 10 lies above every stored stream, so no other grid holds it
+    grid = BpdGrid.identity(10)
+    word = tuple(trace(grid).perm)
+    assert word in grid_module._REDUCED_TRACES
+    del grid
+    gc.collect()
+    assert word not in grid_module._REDUCED_TRACES
 
 
 def test_table_tiles_match_the_matrix_rebuild():
@@ -90,3 +104,25 @@ def test_removal_grids_share_the_table_rows():
             back = insert(image, v.host, v)
             assert back == grid
             assert all(id(row) in own[n] for row in back.rows)
+
+
+def test_moves_built_first_are_kept_by_the_full_table(cold_caches):
+    n = 5
+    matrices = list(iter_asm_rows(n))
+    clear_caches()
+    early = [table_tiles(rows, n) for rows in matrices[::7]]
+    assert ("transitions", n) not in enumeration._TABLES
+    # completing the table keeps the moves made so far and the entry order
+    assert list(iter_asm_rows(n)) == matrices
+    own = table_rows(n)
+    assert all(id(row) in own for tiles in early for row in tiles)
+
+
+def test_illegal_row_raises_and_is_not_kept(cold_caches):
+    counts = {n: len(list(iter_asm_rows(n))) for n in (2, 3)}
+    with pytest.raises(InconsistentAsm):
+        table_tiles(((1, 0), (1, 0)), 2)   # column 1 would sum to 2
+    with pytest.raises(InconsistentAsm):
+        table_tiles(((0, 1, 0), (0, 0, 0), (1, 0, 0)), 3)  # a row summing to 0
+    # the completed tables still walk exactly the matrices
+    assert {n: len(list(iter_asm_rows(n))) for n in (2, 3)} == counts == {2: 2, 3: 7}
