@@ -15,7 +15,8 @@ with a given permutation, the reduced ones, the minimal ones, and so on)
 are filters over the grid stream, and ``removable_pipes`` counts
 r-elbows only in the row and column of each pipe's exit cell.  The
 row-transfer pass merges matrices that agree below a row and sums their
-weights by type, which is all the nu and Grothendieck tables need.
+weights by type, which is all the nu and Grothendieck tables need; for nu
+it carries each weight sum as one integer, the polynomial at b = 2^S.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .errors import GuardExceeded, InconsistentAsm
 from .grid import Asm, BpdGrid, PipeTrace, Tile, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
+from .polynomials import kronecker_bits
 
 DEFAULT_GUARD = 9
 
@@ -171,15 +173,18 @@ def iter_asm_rows(n: int) -> Iterator[tuple]:
         yield tuple(entries for entries, _, _ in path)
 
 
-def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
+def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
     """Weight sums of all grids of size n, by type, without listing them.
 
-    Returns {type word: {key: count}}.  Row i of a grid contributes
-    (b*x_i)^blanks * (1 + b*x_i)^jelbows, so every b comes with an x and
-    the b-degree of a term is its total x-degree.  With ``per_row`` a key
-    is the tuple of x exponents of rows 1..n; otherwise it is that total
-    degree alone (all x set to 1).  Weights are not shifted by the length
-    of the type.
+    Row i of a grid contributes (b*x_i)^blanks * (1 + b*x_i)^jelbows, so
+    every b comes with an x and the b-degree of a term is its total
+    x-degree.  With ``per_row`` the result is {type word: {key: count}},
+    a key being the tuple of x exponents of rows 1..n.  Otherwise every x
+    is set to 1 and b to 2^S, S = ``kronecker_bits(n)``: each state and
+    each result is one integer, a row's factor is (1 + 2^S)^jelbows
+    shifted up by S*blanks, and merging a move into a state is one
+    multiply-add; ``BetaPolynomial.from_kronecker`` reads a result back.
+    Weights are not shifted by the length of the type.
 
     Rows are read top-down and each row right to left.  A strand is
     labelled by the row it exits through, so the label entering a row
@@ -196,6 +201,8 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
     j-elbows, hence weights, are untouched by resolution.
     """
     table = stored("transitions", n, _transitions)
+    bits = kronecker_bits(n)
+    point = 1 << bits
     cross, r_elbow = int(Tile.CROSS), int(Tile.R_ELBOW)
     steps = {}  # column-sum state -> [(successor, label program, row factor)]
     for state, moves in table.items():
@@ -204,12 +211,14 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
             program = tuple((j, tiles[j]) for j in range(n - 1, -1, -1)
                             if tiles[j] in (Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW))
             blanks, jelbows = tiles.count(Tile.BLANK), tiles.count(Tile.J_ELBOW)
-            factor = [((blanks + k,) if per_row else blanks + k, comb(jelbows, k))
-                      for k in range(jelbows + 1)]
+            if per_row:
+                factor = [((blanks + k,), comb(jelbows, k)) for k in range(jelbows + 1)]
+            else:
+                factor = (1 + point) ** jelbows << bits * blanks
             steps[state].append((below, program, factor))
-    level = {(0, (0,) * n): {() if per_row else 0: 1}}
+    level = {(0, (0,) * n): {(): 1} if per_row else 1}
     for row in range(1, n + 1):
-        nxt: dict[tuple, dict] = {}
+        nxt: dict[tuple, dict | int] = {}
         for (state, labels), weights in level.items():
             for below, program, factor in steps[state]:
                 out = list(labels)
@@ -226,6 +235,9 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict]:
                         h = labels[j]
                         out[j] = 0
                 key = (below, tuple(out))
+                if not per_row:
+                    nxt[key] = nxt.get(key, 0) + weights * factor
+                    continue
                 slot = nxt.get(key)
                 if slot is None:
                     slot = nxt[key] = {}

@@ -27,8 +27,15 @@ def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation
     """Resolve repeated crossings into bumps; returns the diagram and its type.
 
     A reduced grid resolves to itself, the same object, and its type
-    equals its permutation.  Bump tiles in the input are faults.
+    equals its permutation.  Bump tiles in the input are faults.  A grid
+    that already holds a reduced trace and no bump tile is returned
+    without a scan: no pair crosses twice, so no cross can become a bump
+    in either order.
     """
+    tr = grid._trace
+    if (tr is not None and tr.is_reduced and order in (COL_MAJOR, ROW_MAJOR)
+            and not any(Tile.BUMP in row for row in grid.rows)):
+        return grid, tr.perm
     word, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
     return grid if tiles is grid.rows else BpdGrid(tiles), Permutation(word)
 

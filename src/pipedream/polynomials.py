@@ -8,13 +8,29 @@ Two small value types cover everything this package needs:
   coefficients are ``BetaPolynomial`` values.
 
 All arithmetic is over Python integers, so it is exact at every size;
-there is no overflow to guard against.
+there is no overflow to guard against.  The table kernels also carry a
+polynomial as one integer, its value at b = 2^S (Kronecker substitution),
+and read it back with ``BetaPolynomial.from_kronecker``; ``kronecker_bits``
+gives the slot width S that keeps that exact for the tables of a size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import zip_longest
+
+
+def kronecker_bits(n: int) -> int:
+    """The slot width S(n) = n(n-1)/2 + n + 2 of the size-<=n table kernels.
+
+    Every nu of size m <= n has nonnegative coefficients summing to at
+    most 2^(m(m-1)/2): summed over S_m, nu at b = 1 counts the grids by
+    their j-elbows, 2^(m(m-1)/2) in all (the 2-enumeration of alternating
+    sign matrices).  A pattern-coefficient state is a signed sum of at
+    most 2^n of them, so its coefficients lie within 2^(S-2) in absolute
+    value; S leaves one sign bit and one spare bit.
+    """
+    return n * (n - 1) // 2 + n + 2
 
 
 def _trim(coeffs):
@@ -42,6 +58,30 @@ class BetaPolynomial:
     @classmethod
     def from_coeffs(cls, coeffs) -> "BetaPolynomial":
         return cls(_trim(coeffs))
+
+    @classmethod
+    def from_kronecker(cls, value: int, bits: int) -> "BetaPolynomial":
+        """The polynomial p with p(2^bits) == value, reading one signed
+        base-2^bits digit per coefficient.
+
+        Exact when every coefficient lies strictly within 2^(bits-1) in
+        absolute value; ``kronecker_bits`` gives a width that does for
+        the tables of a size.
+
+        >>> p = BetaPolynomial.from_coeffs([-3, 0, 5])
+        >>> BetaPolynomial.from_kronecker(p(1 << 8), 8) == p
+        True
+        """
+        coeffs = []
+        mask, half, carry = (1 << bits) - 1, 1 << (bits - 1), 1 << bits
+        while value:
+            digit = value & mask
+            value >>= bits
+            if digit >= half:
+                digit -= carry
+                value += 1
+            coeffs.append(digit)
+        return cls(tuple(coeffs))
 
     @classmethod
     def zero(cls) -> "BetaPolynomial":

@@ -11,6 +11,9 @@ patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
 The nu and Grothendieck tables of a size come from one row-transfer pass
 (``enumeration.row_transfer``) that aggregates weights row by row without
 listing the grids; the tables are kept in the package's table store.  The
+nu pass and the transform run on integers, each polynomial taken at
+b = 2^S for a slot width S (``polynomials.kronecker_bits``) that bounds
+every coefficient, and read each word's polynomial back once.  The
 minimal grids come from one filter over the grid stream (``minimal_sets``),
 and their counts and weight sums (``minimal_summary``) are read off those
 sets.
@@ -23,8 +26,8 @@ from dataclasses import dataclass
 from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
                           row_transfer, stored)
 from .ktheory import beta_weight, resolve_stats
-from .perms import Permutation, all_perms, pattern_census, ranks, skew_sum
-from .polynomials import BetaPolynomial, MultivariatePolynomial
+from .perms import Permutation, all_perms, pattern_census, skew_sum
+from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
 
 # nu of the words asked for, seeded from and snapshotted to the disk cache
 _NU_MEMO: dict[Permutation, BetaPolynomial] = {}
@@ -37,14 +40,12 @@ def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
 
 
 def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
+    bits = kronecker_bits(n)
     table = {}
-    for typ, weights in row_transfer(n, per_row=False).items():
+    for typ, value in row_transfer(n, per_row=False).items():
         w = Permutation(typ)
-        coeffs = [0] * (max(weights) + 1)
-        for degree, count in weights.items():
-            coeffs[degree] = count
         # blanks never dip below the length of the type, so this is exact
-        table[w] = BetaPolynomial.from_coeffs(coeffs).shift_down(w.length())
+        table[w] = BetaPolynomial.from_kronecker(value, bits).shift_down(w.length())
     return table
 
 
@@ -138,18 +139,29 @@ def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
     ``layers[m]`` lists the size-m words of a pattern-closed set, as
     permutations or plain tuples.  h(u, j), the signed nu-sum over the
     subwords of u that keep its last j letters, obeys h(u, |u|) = nu(u) and
-    h(u, j) = h(u, j+1) - h(u', j), where u' drops letter |u| - j of u and
-    is flattened; c_u = h(u, 0).  Sizes ascend so each u' precedes u.
+    h(u, j) = h(u, j+1) - h(u', j), where u' drops letter k = |u| - j - 1
+    (from 0) of u and lowers the letters above it by one; c_u = h(u, 0).
+    Sizes ascend so each u' precedes u.  Every state is one integer, its
+    polynomial at b = 2^S with S = ``kronecker_bits`` of the largest size,
+    and each word's last state is read back as a polynomial once.  States
+    are keyed by the words' bytes, so u' is a slice and a translate.
     """
-    above: dict[tuple, BetaPolynomial] = {}
+    bits = kronecker_bits(len(layers) - 1)
+    point = 1 << bits
+    # lower[t] maps each byte above t one down and the others to themselves
+    lower = [bytes(range(t + 1)) + bytes(range(t, 255)) for t in range(len(layers))]
+    keys = [[bytes(u) for u in layer] for layer in layers]
+    above: dict[bytes, int] = {}
     for j in range(len(layers) - 1, -1, -1):
-        layer = {u: nu(Permutation(u), guard=guard) for u in layers[j]}
+        layer = {key: nu(Permutation(u), guard=guard)(point)
+                 for u, key in zip(layers[j], keys[j])}
         for m in range(j + 1, len(layers)):
             k = m - j - 1
-            for u in layers[m]:
-                layer[u] = above[u] - layer[ranks(u[:k] + u[k + 1:])]
+            for u in keys[m]:
+                layer[u] = above[u] - layer[(u[:k] + u[k + 1:]).translate(lower[u[k]])]
         above = layer
-    return above
+    return {u: BetaPolynomial.from_kronecker(above[key], bits)
+            for layer, layer_keys in zip(layers, keys) for u, key in zip(layer, layer_keys)}
 
 
 def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:

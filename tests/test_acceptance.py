@@ -34,11 +34,14 @@ def _table_digest(table):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-# sha256 of the exact coefficient tables, cross-checked against the
-# signed subword sum when they were pinned
+# sha256 of the exact coefficient tables: sizes 7 and 8 were cross-checked
+# against the signed subword sum when they were pinned, and size 9, where
+# the integer kernels' slot width is widest, was taken from the transform
+# run on polynomials
 C_TABLE_DIGESTS = {
     7: "ab4a445b01a94ca3a37ace740d71e87e2e9dbb6742f19008f4e9c5bba063bdce",
     8: "28be53380373f3d19d5f08a5aa1cc0e4af7157c903710efb9acbbfcd28b9e501",
+    9: "85f4f7375c4773a3268c2f1937a30e1742a1ef6a2f4d2dca9e9ab3e34d0f65e1",
 }
 
 
@@ -238,6 +241,15 @@ def test_maxima_n9_beta_zero():
     assert P("132987654") in row.argmax_c
     assert P("132987654") in row.argmax_nu
     _report("slow maxima n=9 beta=0")
+
+
+@pytest.mark.slow
+def test_conjecture_sweep_n9():
+    table = coefficient_table(9)
+    for w in all_perms(9):
+        assert table[w].is_nonnegative(), w
+    assert _table_digest(table) == C_TABLE_DIGESTS[9]
+    _report("slow conjecture-sweep n=9")
 
 
 # grid checks at size 7 with their instance counts: every 7x7 ASM, the

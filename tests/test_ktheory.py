@@ -3,6 +3,9 @@ import pytest
 from pipedream import (BetaPolynomial, BpdGrid, NegativeExponent,
                        Permutation, Tile, beta_weight, enumerate_asm,
                        from_asm, nonreduced_witness, resolve, trace)
+from pipedream.enumeration import bpd_stream
+from pipedream.errors import BrokenStrand
+from pipedream.grid import scan
 from pipedream.ktheory import COL_MAJOR, ROW_MAJOR
 from conftest import load_grid
 
@@ -86,6 +89,35 @@ class TestResolve:
                 res_b, typ_b = resolve(grid, ROW_MAJOR)
                 assert res_a == res_b
                 assert typ_a == typ_b
+
+    def test_kept_trace_agrees_with_the_resolving_scan(self):
+        # a grid holding a reduced trace skips the scan; with or without a
+        # kept trace, resolve must give what the resolving scan gives
+        for n in range(7):
+            for grid in bpd_stream(n):
+                trace(grid)
+                fresh = BpdGrid(grid.rows)
+                for order in (COL_MAJOR, ROW_MAJOR):
+                    word, _, tiles = scan(grid.rows, n, order, resolve=True, allow_bump=False)
+                    for source in (grid, fresh):
+                        resolved, typ = resolve(source, order)
+                        assert typ == Permutation(word)
+                        assert resolved.rows == tiles
+                        assert (resolved is source) == (tiles is grid.rows)
+                assert fresh._trace is None
+
+    def test_kept_trace_with_a_bump_still_raises(self):
+        checked = 0
+        for grid in bpd_stream(5):
+            if trace(grid).is_reduced:
+                continue
+            resolved, _ = resolve(grid)
+            assert trace(resolved).is_reduced
+            for order in (COL_MAJOR, ROW_MAJOR):
+                with pytest.raises(BrokenStrand):
+                    resolve(resolved, order)
+            checked += 1
+        assert checked
 
     def test_nonreduced_red_bpd(self, red_bpds):
         _, typ = resolve(red_bpds[3])

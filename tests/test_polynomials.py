@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from pipedream import BetaPolynomial, MultivariatePolynomial
+from pipedream.polynomials import kronecker_bits
 
 polys = st.builds(BetaPolynomial.from_coeffs,
                   st.lists(st.integers(-50, 50), max_size=6))
@@ -65,6 +66,24 @@ class TestBetaPolynomial:
                 assert diff.coeffs[-1:] != (0,)
                 assert (diff.coeffs == ()) == (p == q)
         assert 3 - BetaPolynomial.beta() == BetaPolynomial.from_coeffs([3, -1])
+
+
+class TestKronecker:
+    def test_slot_width(self):
+        assert [kronecker_bits(n) for n in (0, 1, 7, 8, 9)] == [2, 3, 30, 38, 47]
+
+    def test_round_trip(self):
+        # zero, zeros at either end, and the widest coefficients the
+        # signed digits hold, +-(2^(S-1) - 1), in every sign pattern
+        for n in range(10):
+            bits = kronecker_bits(n)
+            edge = (1 << (bits - 1)) - 1
+            cases = [(), (0, 0, 1), (0, 0, -edge), (1, -2, 0, 0), (edge, 0, 0)]
+            cases += product((edge, -edge), repeat=5)
+            cases += product((edge, 0, -edge), repeat=4)
+            for coeffs in cases:
+                p = BetaPolynomial.from_coeffs(coeffs)
+                assert BetaPolynomial.from_kronecker(p(1 << bits), bits) == p, coeffs
 
 
 class TestMultivariate:
