@@ -72,9 +72,11 @@ class _CapReached(Exception):
 
 
 class _Tally:
-    """The instances a check body covered and the counterexamples it found."""
+    """The instances a check body covered and the counterexamples it found,
+    and the size guard its table lookups pass on."""
 
-    def __init__(self):
+    def __init__(self, guard=None):
+        self.guard = guard
         self.instances = 0
         self.failures: list[str] = []
 
@@ -123,10 +125,10 @@ def _compare_strata(tally, words, strata, predict, describe):
 
 def _check_upper_bound(n, tally):
     """nu is at most the pattern-weighted count of minimal reduced grids."""
-    summaries = [minimal_summary(m) for m in range(n + 1)]
+    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
-        lhs = nu(w).constant_term
+        lhs = nu(w, guard=tally.guard).constant_term
         rhs = _minimal_sum(w, summaries, "count_reduced")
         if lhs > rhs:
             tally.fail(f"{w.text()}: nu={lhs} > bound={rhs}")
@@ -135,14 +137,14 @@ def _check_upper_bound(n, tally):
 def _check_thm_1243(n, tally):
     """For 1243-avoiding w the upper bound is an equality and the
     coefficient counts the minimal reduced grids."""
-    summaries = [minimal_summary(m) for m in range(n + 1)]
+    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
     for w in all_perms(n):
         if w.contains(PATTERN_1243):
             continue
         tally.instances += 1
-        lhs = nu(w).constant_term
+        lhs = nu(w, guard=tally.guard).constant_term
         rhs = _minimal_sum(w, summaries, "count_reduced")
-        c_w = coefficient(w).constant_term
+        c_w = coefficient(w, guard=tally.guard).constant_term
         mbpd_count = summaries[n].get(w, EMPTY_SUMMARY).count_reduced
         if lhs != rhs:
             tally.fail(f"{w.text()}: nu={lhs} != sum={rhs}")
@@ -223,7 +225,7 @@ def _check_bijection_roundtrip(n, tally):
         if insert(image, v.host, v) != grid:
             tally.fail(f"{_grid_fixture(grid)}: insert(remove(B)) differs")
         strata[v.host, v.indices].add(image)
-    sets = [minimal_sets(m) for m in range(n + 1)]
+    sets = [minimal_sets(m, guard=tally.guard) for m in range(n + 1)]
     _compare_strata(tally, all_perms(n), strata,
                     lambda u: set(sets[len(u)].get(u, ((), ()))[0]),
                     lambda got, want: f"{len(got)} images vs {len(want)} minimal grids")
@@ -246,7 +248,7 @@ def _check_reduced_restriction(n, tally):
         if insert(image, v.host, v) != grid:
             tally.fail(f"{_grid_fixture(grid)}: round trip differs")
         strata[v.host, v.indices].add(image)
-    sets = [minimal_sets(m) for m in range(n + 1)]
+    sets = [minimal_sets(m, guard=tally.guard) for m in range(n + 1)]
     _compare_strata(tally, avoiders, strata,
                     lambda u: set(sets[len(u)].get(u, ((), ()))[1]),
                     lambda got, want: f"image set has {len(got)} grids, minimal "
@@ -272,7 +274,7 @@ def _check_weight_preservation(n, tally):
             tally.fail(f"{_grid_fixture(grid)}: weight {wt_before} -> {wt_after}")
         if tr.perm in avoiding:
             strata[tr.perm, v.indices] += wt_before
-    summaries = [minimal_summary(m) for m in range(n + 1)]
+    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
     _compare_strata(tally, avoiders, strata,
                     lambda u: summaries[len(u)].get(u, EMPTY_SUMMARY).weight_reduced,
                     lambda got, want: f"weight {got} != {want}")
@@ -281,16 +283,17 @@ def _check_weight_preservation(n, tally):
 def _check_groth(n, tally):
     """For vexillary 1243-avoiding w, nu equals the pattern-weighted sum of
     minimal reduced weights and the coefficient is the minimal weight."""
-    summaries = [minimal_summary(m) for m in range(n + 1)]
+    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
     for w in all_perms(n):
         if w.contains(PATTERN_1243) or w.contains(PATTERN_2143):
             continue
         tally.instances += 1
         total = _minimal_sum(w, summaries, "weight_reduced")
-        if nu(w) != total:
-            tally.fail(f"{w.text()}: nu={nu(w)} != weighted sum={total}")
+        nu_w = nu(w, guard=tally.guard)
+        if nu_w != total:
+            tally.fail(f"{w.text()}: nu={nu_w} != weighted sum={total}")
         summary = summaries[n].get(w, EMPTY_SUMMARY)
-        c = coefficient(w)
+        c = coefficient(w, guard=tally.guard)
         if c != summary.weight_reduced:
             tally.fail(f"{w.text()}: c={c} != mbpd weight={summary.weight_reduced}")
         if summary.weight_all != summary.weight_reduced:
@@ -298,7 +301,7 @@ def _check_groth(n, tally):
 
 
 def _check_conj_gao(n, tally):
-    table = coefficient_table(n)
+    table = coefficient_table(n, guard=tally.guard)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if table[w].constant_term < 0:
@@ -306,7 +309,7 @@ def _check_conj_gao(n, tally):
 
 
 def _check_conj_groth(n, tally):
-    table = coefficient_table(n)
+    table = coefficient_table(n, guard=tally.guard)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if not table[w].is_nonnegative():
@@ -348,7 +351,7 @@ def _check_skew(n, tally):
             u = Permutation(rng.sample(range(1, mu + 1), mu))
             v = Permutation(rng.sample(range(1, mv + 1), mv))
             tally.instances += 1
-            if not skew_identities(u, v).ok:
+            if not skew_identities(u, v, guard=tally.guard).ok:
                 tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
         return
     by_type = [_grids_by_type(m) for m in range(n + 1)]
@@ -358,7 +361,7 @@ def _check_skew(n, tally):
             ku = by_type[mu].get(u, [])
             for v in all_perms(mv):
                 tally.instances += 1
-                if not skew_identities(u, v).ok:
+                if not skew_identities(u, v, guard=tally.guard).ok:
                     tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
                 kv = by_type[mv].get(v, [])
                 pairs = set()
@@ -376,21 +379,22 @@ def _check_skew(n, tally):
 
 def _check_pattern_sum(n, tally):
     """nu counts subwords weighted by the coefficients of their patterns."""
-    table = coefficient_table(n)
+    table = coefficient_table(n, guard=tally.guard)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         total = 0
         for key, count in pattern_census(w).items():
             total += count * table[Permutation(key)].constant_term
-        if total != nu(w).constant_term:
-            tally.fail(f"{w.text()}: sum {total} != nu {nu(w).constant_term}")
+        nu_w = nu(w, guard=tally.guard).constant_term
+        if total != nu_w:
+            tally.fail(f"{w.text()}: sum {total} != nu {nu_w}")
 
 
 def _check_stanley(n, tally):
     """nu equals 2 exactly when the permutation has a unique 132 pattern."""
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
-        nu_w = nu(w).constant_term
+        nu_w = nu(w, guard=tally.guard).constant_term
         p132 = pattern_count(PATTERN_132, w)
         if (nu_w == 2) != (p132 == 1):
             tally.fail(f"{w.text()}: nu={nu_w}, p132={p132}")
@@ -431,7 +435,7 @@ def run_check(check_id: str, n: int, guard=None) -> CheckReport:
     if check_id not in _CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
     check_guard(n, guard)
-    tally = _Tally()
+    tally = _Tally(guard)
     start = time.perf_counter()
     with suppress(_CapReached):
         _CHECKS[check_id](n, tally)

@@ -2,7 +2,9 @@
 
 Subcommands: enumerate, nu, coeff, poly, render, verify, maxima, cache.
 Output is deterministic for fixed inputs; the verify command's text form
-deliberately omits timing so runs are byte-identical.
+deliberately omits timing so runs are byte-identical.  The on-disk cache
+belongs to this module: ``nu`` answers from it when it holds the word, and
+``coeff`` never reads it, only adds the nu of the patterns of its word.
 """
 
 from __future__ import annotations
@@ -13,34 +15,30 @@ import sys
 
 from .cache import default_cache_path, load_cache, store_cache
 from .checks import CHECK_IDS, maxima_table, run_check
-from .enumeration import SetQuery, query
+from .enumeration import SetQuery, check_guard, query
 from .errors import CacheError, PipedreamError
 from .grid import render
-from .perms import Permutation, SubwordSelection
-from .specialization import (coefficient, grothendieck, nu, nu_memo_snapshot,
-                             seed_nu_memo)
+from .perms import Permutation, SubwordSelection, pattern_census
+from .specialization import coefficient, grothendieck, nu
 
 
 def _perm(text: str) -> Permutation:
     return Permutation.from_text(text)
 
 
-def _load_seed(path):
+def _load(path):
     try:
         values, skipped = load_cache(path)
     except OSError as exc:
         raise CacheError(f"cannot read the cache: {exc}") from None
     if skipped:
         print(f"warning: skipped {skipped} unreadable cache line(s)", file=sys.stderr)
-    seed_nu_memo(values)
     return values
 
 
-def _persist(path, loaded):
-    merged = dict(loaded)
-    merged.update(nu_memo_snapshot())
+def _store(path, values):
     try:
-        store_cache(merged, path)
+        store_cache(values, path)
     except OSError as exc:
         raise CacheError(f"cannot write the cache: {exc}") from None
 
@@ -125,19 +123,24 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    loaded = _load_seed(args.cache_path)
-    value = nu(_perm(args.perm), guard=args.guard)
+    values = _load(args.cache_path)
+    w = _perm(args.perm)
+    check_guard(w.size, args.guard)
+    value = values[w] if w in values else nu(w, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
-    _persist(args.cache_path, loaded)
+    _store(args.cache_path, {**values, w: value})
     return 0
 
 
 def _cmd_coeff(args) -> int:
-    loaded = _load_seed(args.cache_path)
+    values = _load(args.cache_path)
     w = _perm(args.perm)
     value = coefficient(w, mode=args.mode, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
-    _persist(args.cache_path, loaded)
+    for key in pattern_census(w):
+        u = Permutation(key)
+        values[u] = nu(u, guard=args.guard)
+    _store(args.cache_path, values)
     return 0
 
 

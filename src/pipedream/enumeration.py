@@ -50,6 +50,11 @@ def stored(kind: str, n: int, build: Callable[[int], object]):
     return table
 
 
+def clear_caches() -> None:
+    """Drop every stored table (mainly for tests)."""
+    _TABLES.clear()
+
+
 def check_guard(n: int, guard: Optional[int] = None) -> None:
     """Reject a size below 0 or above the guard (default ``DEFAULT_GUARD``)."""
     limit = DEFAULT_GUARD if guard is None else guard

@@ -10,27 +10,25 @@ patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
 
 The nu and Grothendieck tables of a size come from one row-transfer pass
 (``enumeration.row_transfer``) that aggregates weights row by row without
-listing the grids; the tables are kept in the package's table store.  The
-nu pass and the transform run on integers, each polynomial taken at
-b = 2^S for a slot width S (``polynomials.kronecker_bits``) that bounds
-every coefficient, and read each word's polynomial back once.  The
-minimal grids come from one filter over the grid stream (``minimal_sets``),
-and their counts and weight sums (``minimal_summary``) are read off those
-sets.
+listing the grids; the tables are kept in the package's table store, the
+one place a computed nu is kept, and ``nu`` of a word and the transform's
+leaves are read off the table of their size.  The nu pass and the
+transform run on integers, each polynomial taken at b = 2^S for a slot
+width S (``polynomials.kronecker_bits``) that bounds every coefficient,
+and read each word's polynomial back once.  The minimal grids come from
+one filter over the grid stream (``minimal_sets``), and their counts and
+weight sums (``minimal_summary``) are read off those sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import (_TABLES, bpd_stream, check_guard, removable_pipes,
-                          row_transfer, stored)
+from .enumeration import (bpd_stream, check_guard, removable_pipes, row_transfer,
+                          stored)
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
-
-# nu of the words asked for, seeded from and snapshotted to the disk cache
-_NU_MEMO: dict[Permutation, BetaPolynomial] = {}
 
 
 def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
@@ -54,26 +52,7 @@ def nu(w: Permutation, guard=None) -> BetaPolynomial:
 
     Its constant term counts the reduced grids with permutation w.
     """
-    check_guard(w.size, guard)
-    if w in _NU_MEMO:
-        return _NU_MEMO[w]
-    value = nu_table(w.size, guard=guard)[w]
-    _NU_MEMO[w] = value
-    return value
-
-
-def seed_nu_memo(values: dict[Permutation, BetaPolynomial]) -> None:
-    _NU_MEMO.update(values)
-
-
-def nu_memo_snapshot() -> dict[Permutation, BetaPolynomial]:
-    return dict(_NU_MEMO)
-
-
-def clear_caches() -> None:
-    """Drop every in-process table and memo (mainly for tests)."""
-    _TABLES.clear()
-    _NU_MEMO.clear()
+    return nu_table(w.size, guard=guard)[w]
 
 
 # -- grothendieck polynomials -------------------------------------------------
@@ -141,10 +120,12 @@ def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
     subwords of u that keep its last j letters, obeys h(u, |u|) = nu(u) and
     h(u, j) = h(u, j+1) - h(u', j), where u' drops letter k = |u| - j - 1
     (from 0) of u and lowers the letters above it by one; c_u = h(u, 0).
-    Sizes ascend so each u' precedes u.  Every state is one integer, its
-    polynomial at b = 2^S with S = ``kronecker_bits`` of the largest size,
-    and each word's last state is read back as a polynomial once.  States
-    are keyed by the words' bytes, so u' is a slice and a translate.
+    Sizes ascend so each u' precedes u.  The leaves of size j are read off
+    one ``nu_table(j)``, which plain tuples index as well as permutations.
+    Every state is one integer, its polynomial at b = 2^S with S =
+    ``kronecker_bits`` of the largest size, and each word's last state is
+    read back as a polynomial once.  States are keyed by the words' bytes,
+    so u' is a slice and a translate.
     """
     bits = kronecker_bits(len(layers) - 1)
     point = 1 << bits
@@ -153,8 +134,8 @@ def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
     keys = [[bytes(u) for u in layer] for layer in layers]
     above: dict[bytes, int] = {}
     for j in range(len(layers) - 1, -1, -1):
-        layer = {key: nu(Permutation(u), guard=guard)(point)
-                 for u, key in zip(layers[j], keys[j])}
+        nus = nu_table(j, guard=guard)
+        layer = {key: nus[u](point) for u, key in zip(layers[j], keys[j])}
         for m in range(j + 1, len(layers)):
             k = m - j - 1
             for u in keys[m]:
@@ -238,13 +219,13 @@ def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
     ``EMPTY_SUMMARY`` as the default when looking up.
     """
     check_guard(n, guard)
-    return stored("minimal-summary", n, _build_minimal_summary)
+    return stored("minimal-summary", n, lambda _: _build_minimal_summary(n, guard))
 
 
-def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
+def _build_minimal_summary(n: int, guard) -> dict[Permutation, MinimalSummary]:
     zero = BetaPolynomial.zero()
     summary = {}
-    for w, (grids, reduced) in minimal_sets(n).items():
+    for w, (grids, reduced) in minimal_sets(n, guard=guard).items():
         # a grid is weighted against the length of its type; a reduced
         # grid's type is its permutation, so only the others are resolved
         weight_reduced = sum((beta_weight(g, w.length()) for g in reduced), zero)

@@ -3,8 +3,7 @@ from pathlib import Path
 import pytest
 
 from pipedream import Asm, BpdGrid, Tile, removable_pipes
-from pipedream.enumeration import _TABLES
-from pipedream.specialization import _NU_MEMO, clear_caches
+from pipedream.enumeration import _TABLES, clear_caches
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -72,9 +71,8 @@ def red_bpds():
 def cold_caches():
     """Run a test from empty in-process caches, then put the old ones back
     so later tests do not rebuild the large tables."""
-    saved = dict(_TABLES), dict(_NU_MEMO)
+    saved = dict(_TABLES)
     clear_caches()
     yield
     clear_caches()
-    _TABLES.update(saved[0])
-    _NU_MEMO.update(saved[1])
+    _TABLES.update(saved)

@@ -8,6 +8,7 @@ import pytest
 from pipedream import BetaPolynomial, Permutation, nu
 from pipedream.cache import SCHEMA_VERSION, default_cache_path, load_cache, store_cache
 from pipedream.cli import main
+from pipedream.enumeration import _TABLES
 
 
 def P(text):
@@ -183,9 +184,31 @@ class TestCliCommands:
                      "--subword", "1,2"]) == 2
 
     def test_nu_persists_to_cache(self, isolated_cache):
-        main(["nu", "--perm", "1243"])
+        # nu writes its own word, coeff the nu of every pattern of its word
+        for argv, words in ((["nu", "--perm", "1243"], {"1243"}),
+                            (["coeff", "--perm", "1243"],
+                             {"", "1", "12", "21", "123", "132", "1243"})):
+            isolated_cache.unlink(missing_ok=True)
+            main(argv)
+            loaded, _ = load_cache()
+            assert {w.text() for w in loaded} == words
+            assert loaded[P("1243")] == BetaPolynomial.from_coeffs([3, 3, 1])
+            assert loaded == {w: nu(w) for w in loaded}
+
+    def test_coeff_ignores_a_wrong_cached_nu(self, isolated_cache, capsys):
+        isolated_cache.write_text(json.dumps(
+            {"word": "1243", "nu_coeffs": [1], "schema_version": SCHEMA_VERSION}) + "\n")
+        for word, expected in (("1243", "b^2+b"), ("12543", "b^4+7b^3+16b^2+15b+5")):
+            assert main(["coeff", "--perm", word]) == 0
+            assert capsys.readouterr().out == expected + "\n"
         loaded, _ = load_cache()
         assert loaded[P("1243")] == BetaPolynomial.from_coeffs([3, 3, 1])
+
+    def test_nu_answers_from_the_cache(self, isolated_cache, cold_caches, capsys):
+        store_cache({P("12543"): BetaPolynomial.from_coeffs([14, 28, 21, 7, 1])})
+        assert main(["nu", "--perm", "12543"]) == 0
+        assert capsys.readouterr().out == "b^4+7b^3+21b^2+28b+14\n"
+        assert ("nu", 5) not in _TABLES
 
     def test_poly_and_maxima_leave_cache_alone(self, isolated_cache, capsys):
         assert main(["poly", "--perm", "132"]) == 0

@@ -8,9 +8,10 @@ from pipedream import (CHECK_IDS, Asm, BpdGrid, GuardExceeded, Permutation,
                        checks, count_asms_bruteforce, count_asms_literal,
                        enumerate_asm, layered, maxima_table, nu, pattern_count,
                        query, run_check)
+from pipedream import enumeration
 from pipedream.checks import MAX_COUNTEREXAMPLES
 from pipedream.cli import main
-from pipedream.enumeration import QUERY_KINDS
+from pipedream.enumeration import QUERY_KINDS, clear_caches
 from pipedream.grid import COL_MAJOR, Tile
 from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms
 
@@ -33,6 +34,18 @@ class TestRunCheck:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             run_check("thm-1243", 5, guard=4)
+
+    def test_guard_reaches_every_table(self, cold_caches, monkeypatch):
+        # below the default guard the size-4 tables a check reads can only
+        # be built with the guard given to run_check
+        def outcome(check_id, **kwargs):
+            report = run_check(check_id, 4, **kwargs)
+            return report.passed, report.instances_checked, report.failures
+
+        expected = {cid: outcome(cid) for cid in CHECK_IDS}
+        clear_caches()
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        assert {cid: outcome(cid, guard=4) for cid in CHECK_IDS} == expected
 
     def test_report_text_and_json(self):
         report = run_check("stanley", 3)

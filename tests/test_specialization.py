@@ -5,15 +5,16 @@ import pytest
 from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
                        coefficient, coefficient_table, grothendieck, nu,
                        nu_table, schubert, skew_identities, skew_sum)
-from pipedream import specialization
-from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
+from pipedream import enumeration
+from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows,
+                                   removable_pipes)
 from pipedream.grid import Tile, scan, tiles_from_asm_rows, trace
 from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import (MinimalSummary, clear_caches,
-                                      coefficient_values, grothendieck_table,
-                                      minimal_sets, minimal_summary)
+from pipedream.specialization import (MinimalSummary, coefficient_values,
+                                      grothendieck_table, minimal_sets,
+                                      minimal_summary)
 
 
 def P(text):
@@ -262,14 +263,15 @@ class TestCoefficient:
             coefficient_table(5, guard=4)
 
     def test_nu_leaves_get_the_callers_guard(self, cold_caches, monkeypatch):
-        seen = []
-        real = specialization.nu
-        monkeypatch.setattr(specialization, "nu",
-                            lambda w, guard=None: seen.append(guard) or real(w, guard))
-        coefficient(P("1243"), guard=7)
-        coefficient_table(3, guard=7)
-        # one nu leaf per word: the 7 patterns of 1243, then all of S_<=3
-        assert len(seen) == 7 + 10 and set(seen) == {7}
+        # below the default guard a leaf table of size 4 can only be built
+        # with the caller's guard
+        w, modes = P("1243"), ("recursive", "ie")
+        expected = [coefficient_table(4)] + [coefficient(w, mode) for mode in modes]
+        clear_caches()
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        got = [coefficient_table(4, guard=4)] + [coefficient(w, mode, guard=4)
+                                                 for mode in modes]
+        assert got == expected
 
     def test_values_match_polynomial_evaluation(self):
         for beta_value in (0, 1, 2):

@@ -9,9 +9,9 @@ from pipedream import (BpdGrid, BrokenStrand, InconsistentAsm, Permutation,
                        PipeTrace, insert, remove, trace)
 from pipedream import enumeration
 from pipedream import grid as grid_module
-from pipedream.enumeration import bpd_stream, iter_asm_rows, stored, table_tiles
+from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows, stored,
+                                   table_tiles)
 from pipedream.grid import scan, tiles_from_asm_rows
-from pipedream.specialization import clear_caches
 
 
 def scanned(grid):
