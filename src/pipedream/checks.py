@@ -113,9 +113,8 @@ def _compare_strata(tally, words, strata, predict, describe):
     for w in words:
         positions = range(1, len(w) + 1)
         for m in range(len(w) + 1):
-            for indices in combinations(positions, m):
+            for indices, values in zip(combinations(positions, m), combinations(w, m)):
                 got = strata.get((w, indices), empty)
-                values = tuple(w[i - 1] for i in indices)
                 if values not in predicted:
                     predicted[values] = predict(ranks(values))
                 want = predicted[values]

@@ -12,11 +12,13 @@ its tile rows by building only the moves it takes, so removal, which
 builds its grids that way, costs time in the rows it touches at any size
 and shares the table's rows with the stream.  Grid families (all grids
 with a given permutation, the reduced ones, the minimal ones, and so on)
-are filters over the grid stream, and ``removable_pipes`` counts
-r-elbows only in the row and column of each pipe's exit cell.  The
-row-transfer pass merges matrices that agree below a row and sums their
-weights by type, which is all the nu and Grothendieck tables need; for nu
-it carries each weight sum as one integer, the polynomial at b = 2^S.
+are filters over the grid stream, and ``removable_pipes`` finds the
+unit rows whose +1 is alone in its column with two passes over the +1
+masks of the rows' records (``grid.row_record``).  The row-transfer pass
+merges matrices that agree below a row and sums their weights by type,
+which is all the nu and Grothendieck tables need; it runs each move's
+label program off the same records, and for nu it carries each weight
+sum as one integer, the polynomial at b = 2^S.
 """
 
 from __future__ import annotations
@@ -27,7 +29,8 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm
-from .grid import Asm, BpdGrid, PipeTrace, Tile, tile_row, trace
+from .grid import (Asm, BpdGrid, PipeTrace, Tile, row_record, row_records, tile_row,
+                   trace)
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .polynomials import kronecker_bits
@@ -208,19 +211,17 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
     table = stored("transitions", n, _transitions)
     bits = kronecker_bits(n)
     point = 1 << bits
-    cross, r_elbow = int(Tile.CROSS), int(Tile.R_ELBOW)
+    cross, r_elbow = Tile.CROSS, Tile.R_ELBOW
     steps = {}  # column-sum state -> [(successor, label program, row factor)]
     for state, moves in table.items():
         steps[state] = []
         for _, below, tiles in moves.values():
-            program = tuple((j, tiles[j]) for j in range(n - 1, -1, -1)
-                            if tiles[j] in (Tile.CROSS, Tile.R_ELBOW, Tile.J_ELBOW))
             blanks, jelbows = tiles.count(Tile.BLANK), tiles.count(Tile.J_ELBOW)
             if per_row:
                 factor = [((blanks + k,), comb(jelbows, k)) for k in range(jelbows + 1)]
             else:
                 factor = (1 + point) ** jelbows << bits * blanks
-            steps[state].append((below, program, factor))
+            steps[state].append((below, row_record(tiles).program, factor))
     level = {(0, (0,) * n): {(): 1} if per_row else 1}
     for row in range(1, n + 1):
         nxt: dict[tuple, dict | int] = {}
@@ -229,12 +230,12 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
                 out = list(labels)
                 h = row
                 for j, tile in program:
-                    if tile == cross:
+                    if tile is cross:
                         a = labels[j]
                         if a > h:
                             out[j] = h
                             h = a
-                    elif tile == r_elbow:
+                    elif tile is r_elbow:
                         out[j] = h
                     else:
                         h = labels[j]
@@ -327,23 +328,24 @@ class RemovablePipeReport:
 
 
 def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
-    n = grid.n
     tr = trace(grid)
-    w = tr.perm
-    rows = grid.rows
-    r_elbow = Tile.R_ELBOW
-    pipes = []
-    # pipe w(x)->x can only be removable at its exit cell (x, w(x)), so
-    # only that row and column are counted
-    for x, row in enumerate(rows, start=1):
-        j = w[x - 1] - 1
-        if (row[j] is r_elbow and row.count(r_elbow) == 1
-                and sum(r[j] is r_elbow for r in rows) == 1):
-            pipes.append((j + 1, x))
+    plus = [record.plus for record in row_records(grid.rows)]
+    seen = twice = 0  # the columns holding a +1, and those holding two
+    for p in plus:
+        twice |= seen & p
+        seen |= p
+    lone = seen & ~twice
+    # pipe y -> x is removable when row x is the unit row with its +1 in
+    # column y = w(x), alone in its column; without bumps a unit row with
+    # a lone +1 is always such a row
+    pipes, indices = [], []
+    for x, (p, y) in enumerate(zip(plus, tr.perm), start=1):
+        if p & lone and p == 1 << y - 1:
+            pipes.append((y, x))
+        else:
+            indices.append(x)
     pipes.sort()
-    removed_rows = {x for _, x in pipes}
-    indices = tuple(i for i in range(1, n + 1) if i not in removed_rows)
-    return RemovablePipeReport(tuple(pipes), SubwordSelection(w, indices), tr)
+    return RemovablePipeReport(tuple(pipes), SubwordSelection(tr.perm, tuple(indices)), tr)
 
 
 QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd", "BPD_v", "bpd_v")

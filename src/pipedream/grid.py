@@ -6,19 +6,27 @@ and leaves through the east edge of row x, travelling weakly northeast.
 The elbow tiles are in bijection with the nonzero entries of an
 alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
 
+Checking a grid and reading its permutation are row-local, so both read
+one record per tile row (``row_record``), kept by the row tuple: its
+entries, its +1 mask, the columns it opens north and south, whether its
+neighbouring tiles agree, and its label program (crosses, elbows and
+bumps, east to west).  Grids of the stream and of removal share the
+transition table's row tuples, so there are at most as many records as
+moves.  ``trace`` reads the permutation by running the rows' turns
+top-down (``_exit_labels``) and keeps the result on the grid
+(``BpdGrid._trace``).  A grid is reduced exactly when its crosses number
+the inversions of its permutation, and all reduced grids of one
+permutation share one ``PipeTrace``, whose crossings are those
+inversions, as a read-only mapping; only a nonreduced grid walks its
+crosses for its own counts.  The shared traces are held weakly
+(``_REDUCED_TRACES``), so streamed grids leave nothing behind.
+
 ``scan`` is the one pass over a grid's tiles: it labels every edge with
 the entry column of the pipe on it, and so checks the grid, reads its
 permutation and crossing counts, and (with ``resolve``) turns repeated
-crossings into bumps.  ``validate`` and ``ktheory.resolve`` are thin
-calls to it.  ``trace`` scans a grid once and keeps the result on the
-grid (``BpdGrid._trace``), so a grid held in a table is scanned once per
-process however often it is traced.  A reduced grid's crossings are
-exactly the inversions of its permutation, so all reduced grids of one
-permutation share one ``PipeTrace``, whose crossings are a read-only
-mapping; only a nonreduced grid keeps its own crossing counts.  The
-shared traces are held weakly (``_REDUCED_TRACES``), so a trace lives as
-long as some grid holds it, and streamed grids leave nothing behind.
-Tile counts are read off the rows with ``BpdGrid.count``.
+crossings into bumps.  ``ktheory.resolve`` calls it, and ``validate`` and
+``trace`` call it on a malformed grid to raise the fault a full check
+reports first.  Tile counts are read off the rows with ``BpdGrid.count``.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from enum import IntEnum
 from functools import cached_property
-from itertools import chain
+from itertools import chain, combinations
 from types import MappingProxyType
 from weakref import WeakValueDictionary
 
@@ -289,13 +297,131 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
     return tuple(east), crossings, work
 
 
+class RowRecord:
+    """What the row-at-a-time readers need of one tile row.
+
+    Masks hold column j+1 at bit j.  ``program`` lists the row's crosses,
+    elbows and bumps from east to west as (column index, tile) steps, and
+    ``turns`` is the same without the crosses.  Records are shared by every
+    grid holding the row and are never changed; a plain slotted class is
+    cheaper to define and to build than a frozen dataclass.
+    """
+
+    __slots__ = ("entries", "plus", "north", "south", "across", "program", "turns",
+                 "crosses", "bump")
+
+    def __init__(self, entries, plus, north, south, across, program, turns, crosses, bump):
+        self.entries = entries    # +1 at r-elbows, -1 at j-elbows
+        self.plus = plus          # the columns of the +1 entries
+        self.north = north        # the columns whose tile opens north
+        self.south = south        # the columns whose tile opens south
+        self.across = across      # each tile opens east exactly when the next opens west
+        self.program = program
+        self.turns = turns
+        self.crosses = crosses
+        self.bump = bump
+
+
+# the record of every tile row read so far, keyed by the row
+_ROWS: dict[tuple, RowRecord] = {}
+# one tuple per (column index, tile) step, shared by the programs
+_STEPS: dict[tuple[int, Tile], tuple[int, Tile]] = {}
+
+
+def row_record(row) -> RowRecord:
+    """The record of one tile row, built on its first use."""
+    record = _ROWS.get(row)
+    if record is None:
+        record = _ROWS[row] = _new_record(row)
+    return record
+
+
+def _new_record(row) -> RowRecord:
+    """One pass over a row of Tile members, as grids and ``tile_row`` hold."""
+    plus = north = south = 0
+    across, opens_east = True, False
+    program = []
+    for j, t in enumerate(row):
+        bit = 1 << j
+        if t in _NORTH:
+            north |= bit
+        if t in _SOUTH:
+            south |= bit
+        if t is _R_ELBOW:
+            plus |= bit
+        if j and opens_east is not (t in _WEST):
+            across = False
+        opens_east = t in _EAST
+        if t >= _CROSS:
+            program.append(_STEPS.setdefault((j, t), (j, t)))
+    program = tuple(reversed(program))
+    return RowRecord(asm_row(row), plus, north, south, across, program,
+                     tuple(step for step in program if step[1] is not _CROSS),
+                     row.count(_CROSS), Tile.BUMP in row)
+
+
+def row_records(rows) -> list[RowRecord]:
+    """The record of each of the tile rows."""
+    get = _ROWS.get
+    return [get(row) or row_record(row) for row in rows]
+
+
+def _well_formed(records, n: int) -> bool:
+    """Whether ``scan`` accepts the rows of these records, bumps allowed:
+    each row's neighbouring tiles agree, each row opens north the columns
+    the row above opens south, the top row opens none north and the bottom
+    row all south.  The west and east edges need no check of their own:
+    every tile lets out as many strands as it takes in, so the n strands
+    entering at the bottom leave through the n rows' east edges, one each,
+    and none enters from the west."""
+    above = 0
+    for record in records:
+        if not record.across or record.north != above:
+            return False
+        above = record.south
+    return above == (1 << n) - 1
+
+
+def _exit_labels(records, n: int, pairs=None) -> list[int]:
+    """Run the rows of a well-formed grid top-down, labelling each strand
+    by the row it exits through; returns the labels on the south edge of
+    the last row, column by column.
+
+    A row is read east to west, so the label coming in from the east is
+    the row itself.  An r-elbow passes the horizontal label down its
+    column, a j-elbow takes the label coming down its column west, a bump
+    swaps the two, and a cross passes both.  With ``pairs``, a dict, the
+    crosses are walked too and each pair of exit rows (a, b), a < b, is
+    counted at every cross they share.
+    """
+    labels = [0] * n
+    for x, record in enumerate(records, start=1):
+        h = x
+        for j, t in record.turns if pairs is None else record.program:
+            if t is _R_ELBOW:
+                labels[j] = h
+            elif t is _J_ELBOW:
+                h = labels[j]
+                labels[j] = 0
+            elif t is _CROSS:
+                a = labels[j]
+                key = (a, h) if a < h else (h, a)
+                pairs[key] = pairs.get(key, 0) + 1
+            else:
+                labels[j], h = h, labels[j]
+    return labels
+
+
 def validate(grid: BpdGrid, allow_bump: bool = False) -> None:
     """Raise unless the grid is a well-formed pipe network.
 
-    Bump tiles are faults unless ``allow_bump``; see ``scan`` for the
-    order in which faults are reported.
+    The check reads the row records; a malformed grid is scanned to raise
+    its fault.  Bump tiles are faults unless ``allow_bump``; see ``scan``
+    for the order in which faults are reported.
     """
-    scan(grid.rows, grid.n, allow_bump=allow_bump)
+    records = row_records(grid.rows)
+    if not _well_formed(records, grid.n) or not allow_bump and any(r.bump for r in records):
+        scan(grid.rows, grid.n, allow_bump=allow_bump)
 
 
 def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
@@ -312,24 +438,45 @@ _REDUCED_TRACES: WeakValueDictionary[tuple[int, ...], PipeTrace] = WeakValueDict
 
 
 def trace(grid: BpdGrid) -> PipeTrace:
-    """The permutation and crossing multiplicities, scanned once per grid.
+    """The permutation and crossing multiplicities, read once per grid.
 
     Raises on a malformed grid; bump tiles are accepted, so resolved grids
     trace to their type.  The trace is kept on the grid and returned again
-    on later calls.  Reduced grids of one permutation share one trace,
-    whose crossings are a read-only mapping.
+    on later calls.  A grid whose crosses number the inversions of its
+    permutation is reduced and gets the one trace of that permutation,
+    whose crossings are a read-only mapping; any other grid walks its
+    crosses for its own counts.
     """
     tr = grid._trace
     if tr is None:
-        # a scan that raises caches nothing, so a malformed grid raises on
-        # every call
-        word, crossings, _ = scan(grid.rows, grid.n)
-        tr = PipeTrace(Permutation(word), crossings)
-        if tr.is_reduced:
-            shared = _REDUCED_TRACES.get(word)
-            if shared is None:
-                shared = _REDUCED_TRACES[word] = PipeTrace(tr.perm, MappingProxyType(crossings))
-            tr = shared
+        rows, n = grid.rows, grid.n
+        records = row_records(rows)
+        if not _well_formed(records, n):
+            # a fault caches nothing, so a malformed grid raises on every call
+            scan(rows, n)
+        word = [0] * n
+        for y, x in enumerate(_exit_labels(records, n), start=1):
+            word[x - 1] = y
+        word = tuple(word)
+        tr = _REDUCED_TRACES.get(word)
+        perm = Permutation(word) if tr is None else tr.perm
+        length = perm.length() if tr is None else len(tr.crossings)
+        # every inverted pair crosses an odd number of times and every other
+        # pair an even number, so the grid is reduced exactly when its
+        # crosses number the inversions
+        if sum(record.crosses for record in records) == length:
+            if tr is None:
+                inversions = {(b, a): 1 for a, b in combinations(word, 2) if a > b}
+                tr = _REDUCED_TRACES[word] = PipeTrace(perm, MappingProxyType(inversions))
+        else:
+            pairs: dict[tuple[int, int], int] = {}
+            _exit_labels(records, n, pairs)
+            # re-key each pair of exit rows by the pipes' entry columns
+            crossings = {}
+            for (a, b), count in pairs.items():
+                p, q = word[a - 1], word[b - 1]
+                crossings[(p, q) if p < q else (q, p)] = count
+            tr = PipeTrace(perm, crossings)
         # the instance attribute skips the frozen dataclass's __setattr__
         object.__setattr__(grid, "_trace", tr)
     return tr

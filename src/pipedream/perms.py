@@ -9,7 +9,7 @@ lists the patterns of one word for the coefficient transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations, permutations
 
 from .errors import NotAPermutation
@@ -70,14 +70,15 @@ class Permutation(tuple):
 
     def length(self) -> int:
         """Coxeter length: the number of inversions."""
-        return sum(1 for i, j in combinations(range(len(self)), 2)
-                   if self[i] > self[j])
+        return sum(a > b for a, b in combinations(self, 2))
 
     def contains(self, pattern: "Permutation") -> bool:
-        return pattern_count(pattern, self) > 0
+        """Whether some subword has the relative order of ``pattern``;
+        stops at the first occurrence."""
+        return any(ranks(values) == pattern for values in combinations(self, len(pattern)))
 
     def avoids(self, pattern: "Permutation") -> bool:
-        return pattern_count(pattern, self) == 0
+        return not self.contains(pattern)
 
 
 @dataclass(frozen=True)
@@ -101,6 +102,11 @@ class SubwordSelection:
         return tuple(self.host[i - 1] for i in self.indices)
 
     def pattern(self) -> Permutation:
+        return self._pattern
+
+    @cached_property
+    def _pattern(self) -> Permutation:
+        # kept on the selection: removal's callers flatten the same one twice
         return flatten_word(self.values())
 
     @classmethod

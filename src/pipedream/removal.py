@@ -7,20 +7,21 @@ the alternating sign matrix of elbows.  A removable pipe y->x is a lone +1
 at (x, y), alone in its row and its column, so removal deletes those rows
 and columns from the matrix, and insertion puts them back as unit rows and
 columns.  This equals the stepwise contraction of the hooks and keeps the
-code small.  The tiles of the new matrix are read off the table of moves
-(``enumeration.table_tiles``), which builds only the moves the matrix
-takes, so the cost stays in the rows touched at any size, and images and
-their expansions share the table's row tuples, as the grids of the stream
-do.  Both functions
-trace their input through ``removable_pipes``, and the trace stays on the
-grid for later callers.
+code small.  The entries and bump flags of the input come from its row
+records (``grid.row_records``).  The tiles of the new matrix are read off
+the table of moves (``enumeration.table_tiles``), which builds only the
+moves the matrix takes and rejects a row that may not follow the rows
+above it, so the cost stays in the rows touched at any size, and images
+and their expansions share the table's row tuples, as the grids of the
+stream do.  Both functions trace their input through ``removable_pipes``,
+and the trace stays on the grid for later callers.
 """
 
 from __future__ import annotations
 
 from .enumeration import removable_pipes, table_tiles
 from .errors import NotMinimal, SubwordMismatch
-from .grid import Asm, BpdGrid, Tile, asm_row, validate
+from .grid import BpdGrid, row_records, validate
 from .perms import Permutation, SubwordSelection
 
 
@@ -31,17 +32,20 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
     the returned subword.  Grids that are already minimal come back
     unchanged with the full-word selection.  Bump tiles are faults.
     """
-    if grid.count(Tile.BUMP):
+    records = row_records(grid.rows)
+    if any(record.bump for record in records):
         validate(grid)
     report = removable_pipes(grid)
     if not report.pipes:
         return grid, report.subword
     removed_rows = {x for _, x in report.pipes}
     removed_cols = {y for y, _ in report.pipes}
-    sub = Asm(tuple(
-        tuple(e for j, e in enumerate(asm_row(row), start=1) if j not in removed_cols)
-        for i, row in enumerate(grid.rows, start=1) if i not in removed_rows))
-    return BpdGrid(table_tiles(sub.rows, sub.n)), report.subword
+    kept_cols = [j for j in range(grid.n) if j + 1 not in removed_cols]
+    # deleting unit rows and columns leaves a matrix, so the table of
+    # moves takes every row
+    sub = [tuple(record.entries[j] for j in kept_cols)
+           for x, record in enumerate(records, start=1) if x not in removed_rows]
+    return BpdGrid(table_tiles(sub, len(sub))), report.subword
 
 
 def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
@@ -64,22 +68,23 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
         raise SubwordMismatch("image permutation differs from the flattened subword")
     if not report.minimal:
         raise NotMinimal("image still has removable pipes")
-    if image.count(Tile.BUMP):
+    records = row_records(image.rows)
+    if any(record.bump for record in records):
         validate(image)
 
     n = w.size
     kept = frozenset(v.indices)
     cols = sorted(v.values())          # the columns the image occupies
-    image_rows = iter(image.rows)
+    image_rows = iter(records)
     rows = []
     for x in range(1, n + 1):
         row = [0] * n
         if x in kept:
-            for c, e in zip(cols, asm_row(next(image_rows))):
+            for c, e in zip(cols, next(image_rows).entries):
                 row[c - 1] = e
         else:
             row[w[x - 1] - 1] = 1
         rows.append(tuple(row))
-    out = BpdGrid(table_tiles(rows, n))
-    validate(out)
-    return out
+    # each column holds the image's column or one unit +1, so the rows form
+    # a matrix, and the tiles of a matrix make a well-formed grid
+    return BpdGrid(table_tiles(rows, n))

@@ -253,8 +253,12 @@ def test_conjecture_sweep_n9():
 
 
 # grid checks at size 7 with their instance counts: every 7x7 ASM, the
-# vexillary words of S_7, and the nonreduced grids of size 7
-GRID_CHECKS_N7 = {"bk-order": 218348, "vexillary-K": 2761, "nonreduced-pattern": 67977}
+# vexillary words of S_7, the nonreduced grids of size 7, and the reduced
+# grids of the 1243-avoiders of S_7 and of all of S_7, that is, the sum of
+# nu_w(0) over those words
+GRID_CHECKS_N7 = {"bk-order": 218348, "vexillary-K": 2761, "nonreduced-pattern": 67977,
+                  "bijection-roundtrip": 218348, "reduced-restriction": 40136,
+                  "weight-preservation": 150371}
 
 
 @pytest.mark.slow

@@ -1,23 +1,65 @@
-"""Oracles for the trace kept on each grid and for the grids that removal
-reads off the transition table."""
+"""Oracles for the trace kept on each grid, read off the row records, and
+for the grids that removal reads off the transition table."""
 
 import gc
 
 import pytest
 
-from pipedream import (BpdGrid, BrokenStrand, InconsistentAsm, Permutation,
-                       PipeTrace, insert, remove, trace)
+from pipedream import (BpdGrid, BrokenStrand, GridError, InconsistentAsm,
+                       Permutation, PipeTrace, insert, remove, removable_pipes,
+                       resolve, trace, validate)
 from pipedream import enumeration
 from pipedream import grid as grid_module
 from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows, stored,
                                    table_tiles)
-from pipedream.grid import scan, tiles_from_asm_rows
+from pipedream.grid import COL_MAJOR, ROW_MAJOR, Tile, scan, tiles_from_asm_rows
 
 
 def scanned(grid):
     """A fresh trace of the grid, straight off ``scan``."""
     word, crossings, _ = scan(grid.rows, grid.n)
     return PipeTrace(Permutation(word), crossings)
+
+
+def outcome(check, *args, **kwargs):
+    """The class and message of the fault ``check`` raises, or None."""
+    try:
+        check(*args, **kwargs)
+    except GridError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def tile_count_pipes(grid):
+    """The removable pipes by the tile-count rule ``removable_pipes``
+    followed before it read the row records: pipe w(x) -> x is removable
+    when the r-elbow at its exit cell is the only one in its row and its
+    column.  Kept only as an oracle."""
+    rows = grid.rows
+    w = trace(grid).perm
+    pipes = []
+    for x, row in enumerate(rows, start=1):
+        j = w[x - 1] - 1
+        if (row[j] is Tile.R_ELBOW and row.count(Tile.R_ELBOW) == 1
+                and sum(r[j] is Tile.R_ELBOW for r in rows) == 1):
+            pipes.append((j + 1, x))
+    return sorted(pipes)
+
+
+def derived_grids():
+    """For every grid with n <= 6: its resolved grids in both scan orders
+    (with bump rows where it is nonreduced), its removal image and the
+    insertion of that image, each a fresh object with no trace kept."""
+    for n in range(7):
+        for grid in bpd_stream(n):
+            for order in (COL_MAJOR, ROW_MAJOR):
+                resolved, _ = resolve(grid, order)
+                if resolved is not grid:
+                    yield resolved
+            image, v = remove(grid)
+            if image is not grid:
+                yield image
+            yield insert(image, v.host, v)
 
 
 def table_rows(n):
@@ -42,6 +84,56 @@ def test_trace_equals_a_fresh_scan(memo_max_n, cold_caches, monkeypatch):
             # the cached trace is no field: equality and hashing see rows only
             twin = BpdGrid(grid.rows)
             assert twin == grid and hash(twin) == hash(grid)
+
+
+def test_trace_and_validate_equal_a_fresh_scan_on_derived_grids():
+    bumped = 0
+    for grid in derived_grids():
+        assert grid._trace is None
+        tr = trace(grid)
+        assert tr == scanned(grid)
+        for allow_bump in (False, True):
+            assert outcome(validate, grid, allow_bump) == outcome(
+                scan, grid.rows, grid.n, allow_bump=allow_bump)
+        bumped += grid.count(Tile.BUMP) > 0
+    # the nonreduced grids of sizes 4..6 resolve with bumps in both orders
+    assert bumped > 0
+
+
+def test_removable_pipes_equal_the_tile_count_rule():
+    images = 0
+    for n in range(7):
+        for grid in bpd_stream(n):
+            assert list(removable_pipes(grid).pipes) == tile_count_pipes(grid)
+            image, _ = remove(grid)
+            assert list(removable_pipes(image).pipes) == tile_count_pipes(image) == []
+            images += 1
+    assert images == 1 + 1 + 2 + 7 + 42 + 429 + 7436
+
+
+def test_removable_pipes_follow_the_exit_cell_on_bumped_grids():
+    # row 2 is a unit row whose +1 is alone in column 2, but the bump east
+    # of it turns pipe 2 north, so w(2) != 2 and the pipe is not removable
+    grid = BpdGrid.from_ascii("..r-\n.rb-\nr+jr\n||r+")
+    assert trace(grid).perm[1] != 2
+    assert list(removable_pipes(grid).pipes) == tile_count_pipes(grid) == []
+
+
+def test_well_formed_grids_are_never_scanned(monkeypatch):
+    grids = [BpdGrid(grid.rows) for n in range(7) for grid in bpd_stream(n)]
+    calls = []
+    real = grid_module.scan
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(grid_module, "scan", counted)
+    for grid in grids:
+        validate(grid)
+        trace(grid)
+        removable_pipes(grid)
+    assert calls == []
 
 
 def test_stored_grids_are_scanned_once(cold_caches, monkeypatch):
