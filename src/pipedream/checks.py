@@ -217,7 +217,7 @@ def _check_bijection_roundtrip(n, tally):
         image, v = remove(grid)
         u = v.pattern()
         report = removable_pipes(image)
-        if report.subword.host != u:
+        if report.trace.perm != u:
             tally.fail(f"{_grid_fixture(grid)}: image permutation is not {u.text()}")
         if not report.minimal:
             tally.fail(f"{_grid_fixture(grid)}: image not minimal")

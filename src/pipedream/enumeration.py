@@ -6,19 +6,23 @@ carries a row's entries, the column sums below it and its tile row.  The
 depth-first walk yields every matrix as its path of moves, and at size 0
 the one empty path, so the empty grid is an ordinary member of the
 stream.  The matrix stream reads the entries off a path and the grid
-stream its tile rows, so every grid is built once, out of the table's own
-rows.  The table is filled lazily: ``table_tiles`` turns any matrix into
-its tile rows by building only the moves it takes, so removal, which
-builds its grids that way, costs time in the rows it touches at any size
-and shares the table's rows with the stream.  Grid families (all grids
-with a given permutation, the reduced ones, the minimal ones, and so on)
-are filters over the grid stream, and ``removable_pipes`` finds the
-unit rows whose +1 is alone in its column with two passes over the +1
-masks of the rows' records (``grid.row_record``).  The row-transfer pass
-merges matrices that agree below a row and sums their weights by type,
-which is all the nu and Grothendieck tables need; it runs each move's
-label program off the same records, and for nu it carries each weight
-sum as one integer, the polynomial at b = 2^S.
+stream its tile rows, so every grid is built once, out of the table's
+own rows, through ``BpdGrid._of_table_rows``, which skips the per-tile
+coercion those rows do not need.  The table is filled lazily:
+``table_tiles`` turns any matrix into its tile rows by building only the
+moves it takes, so removal, which builds its grids that way, costs time
+in the rows it touches at any size and shares the table's rows with the
+stream.  Grid families (all grids with a given permutation, the reduced
+ones, the minimal ones, and so on) are filters over the grid stream, and
+``removable_pipes`` finds the unit rows whose +1 is alone in its column
+with two passes over the +1 masks of the rows' records
+(``grid.row_record``); its report holds the kept indices and builds the
+subword selection only when it is read, and ``removal`` hands the
+records it already holds to the same pass (``_removable``).  The
+row-transfer pass merges matrices that agree below a row and sums their
+weights by type, which is all the nu and Grothendieck tables need; it
+runs each move's label program off the same records, and for nu it
+carries each weight sum as one integer, the polynomial at b = 2^S.
 """
 
 from __future__ import annotations
@@ -29,8 +33,7 @@ from math import comb
 from typing import Callable, Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm
-from .grid import (Asm, BpdGrid, PipeTrace, Tile, row_record, row_records, tile_row,
-                   trace)
+from .grid import Asm, BpdGrid, Tile, row_record, row_records, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .polynomials import kronecker_bits
@@ -94,24 +97,9 @@ def _alternating_line(entries) -> bool:
 
 def _moves(n: int) -> dict:
     """The size-n table of moves, {state: {entries: move}}, where a move is
-    (entries, successor state, tile row).  ``_move`` fills it one row at
-    a time and ``_transitions`` completes it."""
+    (entries, successor state, tile row).  ``table_tiles`` fills it one
+    row at a time and ``_transitions`` completes it."""
     return stored("moves", n, lambda _: {})
-
-
-def _move(moves: dict, state: int, entries: tuple) -> tuple:
-    """The move of row ``entries`` from column-sum ``state``, built on
-    first use; raises ``InconsistentAsm`` if the row may not follow."""
-    by_entries = moves.get(state)
-    if by_entries is None:
-        by_entries = moves[state] = {}
-    move = by_entries.get(entries)
-    if move is None:
-        plus, minus = _masks(entries)
-        if state & plus or minus & ~state or not _alternating_line(entries):
-            raise InconsistentAsm(f"row {entries} cannot follow column sums {state:b}")
-        move = by_entries[entries] = _new_move(state, entries, plus, minus)
-    return move
 
 
 def _new_move(state: int, entries: tuple, plus: int, minus: int) -> tuple:
@@ -149,8 +137,18 @@ def table_tiles(rows, n: int) -> tuple:
     state = 0
     out = []
     for entries in rows:
-        _, state, tiles = _move(moves, state, entries)
-        out.append(tiles)
+        by_entries = moves.get(state)
+        if by_entries is None:
+            by_entries = moves[state] = {}
+        move = by_entries.get(entries)
+        if move is None:
+            # the move of this row from this column-sum state, on first use
+            plus, minus = _masks(entries)
+            if state & plus or minus & ~state or not _alternating_line(entries):
+                raise InconsistentAsm(f"row {entries} cannot follow column sums {state:b}")
+            move = by_entries[entries] = _new_move(state, entries, plus, minus)
+        state = move[1]
+        out.append(move[2])
     return tuple(out)
 
 
@@ -305,22 +303,36 @@ def bpd_stream(n: int) -> Iterator[BpdGrid]:
     Each grid is built from the tile rows of its path, so all grids share
     the transition table's row tuples.
     """
-    grids = (BpdGrid(tuple(tiles for _, _, tiles in path)) for path in _paths(n))
+    grids = (BpdGrid._of_table_rows(tuple(tiles for _, _, tiles in path))
+             for path in _paths(n))
     yield from stored("bpd", n, lambda _: tuple(grids)) if n <= _MEMO_MAX_N else grids
 
 
-@dataclass(frozen=True)
 class RemovablePipeReport:
     """The removable pipes of a grid and the subword they leave behind.
 
     A pipe y->x is removable when the r-elbow at (x, y) is the only one in
     its row and column; such a pipe is always hook-shaped.  The subword
-    keeps the entries of the permutation other than the removed values.
+    keeps the entries of the permutation other than the removed values, at
+    ``indices``; it is built only when read, since removal's own checks
+    need only ``trace.perm``, its host.  A plain slotted class, so reports
+    have no value equality.
     """
 
-    pipes: tuple[tuple[int, int], ...]  # (y, x), sorted by y
-    subword: SubwordSelection
-    trace: PipeTrace  # the trace the permutation was read from
+    __slots__ = ("pipes", "indices", "trace", "_subword")
+
+    def __init__(self, pipes, indices, trace):
+        self.pipes = pipes        # (y, x), sorted by y
+        self.indices = indices    # the rows of the kept pipes
+        self.trace = trace        # the trace the permutation was read from
+        self._subword = None
+
+    @property
+    def subword(self) -> SubwordSelection:
+        sel = self._subword
+        if sel is None:
+            sel = self._subword = SubwordSelection(self.trace.perm, self.indices)
+        return sel
 
     @property
     def minimal(self) -> bool:
@@ -328,24 +340,29 @@ class RemovablePipeReport:
 
 
 def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
+    return _removable(grid, row_records(grid.rows))
+
+
+def _removable(grid: BpdGrid, records) -> RemovablePipeReport:
+    """``removable_pipes`` of a grid whose row records the caller holds."""
     tr = trace(grid)
-    plus = [record.plus for record in row_records(grid.rows)]
     seen = twice = 0  # the columns holding a +1, and those holding two
-    for p in plus:
-        twice |= seen & p
-        seen |= p
+    for record in records:
+        twice |= seen & record.plus
+        seen |= record.plus
     lone = seen & ~twice
     # pipe y -> x is removable when row x is the unit row with its +1 in
     # column y = w(x), alone in its column; without bumps a unit row with
     # a lone +1 is always such a row
     pipes, indices = [], []
-    for x, (p, y) in enumerate(zip(plus, tr.perm), start=1):
+    for x, (record, y) in enumerate(zip(records, tr.perm), start=1):
+        p = record.plus
         if p & lone and p == 1 << y - 1:
             pipes.append((y, x))
         else:
             indices.append(x)
     pipes.sort()
-    return RemovablePipeReport(tuple(pipes), SubwordSelection(tr.perm, tuple(indices)), tr)
+    return RemovablePipeReport(tuple(pipes), tuple(indices), tr)
 
 
 QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd", "BPD_v", "bpd_v")

@@ -21,6 +21,11 @@ inversions, as a read-only mapping; only a nonreduced grid walks its
 crosses for its own counts.  The shared traces are held weakly
 (``_REDUCED_TRACES``), so streamed grids leave nothing behind.
 
+``BpdGrid(rows)`` coerces every tile to a ``Tile`` and checks the grid is
+square.  Grids whose rows come from the table of moves, which are
+already tuples of ``Tile`` members (the stream's and removal's), are
+built by ``BpdGrid._of_table_rows``, which skips both.
+
 ``scan`` is the one pass over a grid's tiles: it labels every edge with
 the entry column of the pipe on it, and so checks the grid, reads its
 permutation and crossing counts, and (with ``resolve``) turns repeated
@@ -105,6 +110,16 @@ class BpdGrid:
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("grid must be square")
+
+    @classmethod
+    def _of_table_rows(cls, rows) -> "BpdGrid":
+        """A grid of ``rows`` as the table of moves builds them: a tuple of
+        n tuples of n ``Tile`` members.  Skips the coercion and the square
+        check of ``BpdGrid(rows)``, which the stream and removal would pay
+        on every grid they build."""
+        grid = object.__new__(cls)
+        object.__setattr__(grid, "rows", rows)
+        return grid
 
     @property
     def n(self) -> int:

@@ -14,12 +14,12 @@ source grid itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from math import comb
 
 from .errors import NegativeExponent, WitnessNotFound
 # the scan orders live in grid and are re-exported here
 from .grid import COL_MAJOR, ROW_MAJOR, BpdGrid, Tile, scan, trace
-from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, ranks
+from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, occurrences
 from .polynomials import BetaPolynomial
 
 
@@ -67,8 +67,9 @@ def beta_weight(grid: BpdGrid, reference_length: int) -> BetaPolynomial:
     if blanks < reference_length:
         raise NegativeExponent(
             f"{blanks} blanks cannot support reference length {reference_length}")
-    return (BetaPolynomial.monomial(blanks - reference_length)
-            * BetaPolynomial.one_plus_beta_power(jelbows))
+    # the binomial row of (1+b)^jelbows, shifted up by the b power
+    return BetaPolynomial((0,) * (blanks - reference_length)
+                          + tuple(comb(jelbows, k) for k in range(jelbows + 1)))
 
 
 @dataclass(frozen=True)
@@ -81,10 +82,11 @@ class NonreducedWitness:
 
 
 def _first_occurrence(pattern: Permutation, w: Permutation):
-    for idx in combinations(range(1, len(w) + 1), len(pattern)):
-        if ranks([w[i - 1] for i in idx]) == pattern:
-            return SubwordSelection(w, idx)
-    return None
+    values = next(occurrences(pattern, w), None)
+    if values is None:
+        return None
+    position = {v: i for i, v in enumerate(w, start=1)}
+    return SubwordSelection(w, tuple(position[v] for v in values))
 
 
 def nonreduced_witness(grid: BpdGrid):

@@ -2,14 +2,15 @@
 
 Permutations are words on 1..n; the empty permutation (n = 0) is a valid
 value and seeds every recursion in this package.  Pattern counting is a
-brute-force scan over index subsets; the census serves the oracles and
+brute-force scan over index subsets, each compared along the pattern's
+value order (``occurrences``); the census serves the oracles and
 lists the patterns of one word for the coefficient transform.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import NotAPermutation
@@ -75,7 +76,7 @@ class Permutation(tuple):
     def contains(self, pattern: "Permutation") -> bool:
         """Whether some subword has the relative order of ``pattern``;
         stops at the first occurrence."""
-        return any(ranks(values) == pattern for values in combinations(self, len(pattern)))
+        return next(occurrences(pattern, self), None) is not None
 
     def avoids(self, pattern: "Permutation") -> bool:
         return not self.contains(pattern)
@@ -101,13 +102,17 @@ class SubwordSelection:
     def values(self) -> tuple[int, ...]:
         return tuple(self.host[i - 1] for i in self.indices)
 
-    def pattern(self) -> Permutation:
-        return self._pattern
+    # set by ``pattern`` on first use; a class attribute, so not a field and
+    # unseen by equality and hashing
+    _pattern = None
 
-    @cached_property
-    def _pattern(self) -> Permutation:
+    def pattern(self) -> Permutation:
         # kept on the selection: removal's callers flatten the same one twice
-        return flatten_word(self.values())
+        p = self._pattern
+        if p is None:
+            p = flatten_word(self.values())
+            object.__setattr__(self, "_pattern", p)
+        return p
 
     @classmethod
     def full(cls, host: Permutation) -> "SubwordSelection":
@@ -128,6 +133,31 @@ def ranks(values) -> tuple[int, ...]:
     """
     rank = {v: r for r, v in enumerate(sorted(values), start=1)}
     return tuple(rank[v] for v in values)
+
+
+def occurrences(pattern, w):
+    """Yield the values of each subword of w with the relative order of
+    ``pattern``, in lexicographic index order.
+
+    A subword has that order exactly when its entries increase along the
+    pattern's value order (the positions of the values 1, 2, ..., k), so
+    each subword costs at most k comparisons and no ``ranks``.
+
+    >>> list(occurrences((1, 3, 2), (2, 1, 4, 3)))
+    [(2, 4, 3), (1, 4, 3)]
+    """
+    order = [0] * len(pattern)
+    for i, v in enumerate(pattern):
+        order[v - 1] = i
+    for values in combinations(w, len(order)):
+        prev = 0  # below every entry
+        for i in order:
+            value = values[i]
+            if value < prev:
+                break
+            prev = value
+        else:
+            yield values
 
 
 def flatten_word(values) -> Permutation:
@@ -158,7 +188,7 @@ def all_subwords(w: Permutation):
 
 def pattern_count(u: Permutation, w: Permutation) -> int:
     """Number of subwords of w order-isomorphic to u; 0 means w avoids u."""
-    return sum(1 for values in combinations(w, len(u)) if ranks(values) == u)
+    return sum(1 for _ in occurrences(u, w))
 
 
 def pattern_census(w: Permutation) -> dict[tuple[int, ...], int]:

@@ -13,13 +13,21 @@ the table of moves (``enumeration.table_tiles``), which builds only the
 moves the matrix takes and rejects a row that may not follow the rows
 above it, so the cost stays in the rows touched at any size, and images
 and their expansions share the table's row tuples, as the grids of the
-stream do.  Both functions trace their input through ``removable_pipes``,
-and the trace stays on the grid for later callers.
+stream do; since those rows are already tuples of tiles, the new grid
+skips the public constructor's per-tile coercion
+(``BpdGrid._of_table_rows``).  Each call reads its input's row records
+once and makes one removability pass over them
+(``enumeration._removable``), which traces the input; the trace stays on
+the grid for later callers.  Neither call builds a subword selection it
+does not return: ``insert`` compares the image's permutation, not its
+report's subword, with the flattened subword.
 """
 
 from __future__ import annotations
 
-from .enumeration import removable_pipes, table_tiles
+from itertools import compress
+
+from .enumeration import _removable, table_tiles
 from .errors import NotMinimal, SubwordMismatch
 from .grid import BpdGrid, row_records, validate
 from .perms import Permutation, SubwordSelection
@@ -35,17 +43,16 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
     records = row_records(grid.rows)
     if any(record.bump for record in records):
         validate(grid)
-    report = removable_pipes(grid)
+    report = _removable(grid, records)
     if not report.pipes:
         return grid, report.subword
-    removed_rows = {x for _, x in report.pipes}
-    removed_cols = {y for y, _ in report.pipes}
-    kept_cols = [j for j in range(grid.n) if j + 1 not in removed_cols]
+    keep = [True] * grid.n
+    for y, _ in report.pipes:
+        keep[y - 1] = False
     # deleting unit rows and columns leaves a matrix, so the table of
     # moves takes every row
-    sub = [tuple(record.entries[j] for j in kept_cols)
-           for x, record in enumerate(records, start=1) if x not in removed_rows]
-    return BpdGrid(table_tiles(sub, len(sub))), report.subword
+    sub = [tuple(compress(records[x - 1].entries, keep)) for x in report.indices]
+    return BpdGrid._of_table_rows(table_tiles(sub, len(sub))), report.subword
 
 
 def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
@@ -63,12 +70,12 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     m = image.n
     if m != len(v):
         raise SubwordMismatch(f"image size {m} != subword size {len(v)}")
-    report = removable_pipes(image)
-    if report.subword.host != v.pattern():
+    records = row_records(image.rows)
+    report = _removable(image, records)
+    if report.trace.perm != v.pattern():
         raise SubwordMismatch("image permutation differs from the flattened subword")
     if not report.minimal:
         raise NotMinimal("image still has removable pipes")
-    records = row_records(image.rows)
     if any(record.bump for record in records):
         validate(image)
 
@@ -77,14 +84,14 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     cols = sorted(v.values())          # the columns the image occupies
     image_rows = iter(records)
     rows = []
-    for x in range(1, n + 1):
-        row = [0] * n
+    for x, y in enumerate(w, start=1):
         if x in kept:
+            row = [0] * n
             for c, e in zip(cols, next(image_rows).entries):
                 row[c - 1] = e
+            rows.append(tuple(row))
         else:
-            row[w[x - 1] - 1] = 1
-        rows.append(tuple(row))
+            rows.append((0,) * (y - 1) + (1,) + (0,) * (n - y))
     # each column holds the image's column or one unit +1, so the rows form
     # a matrix, and the tiles of a matrix make a well-formed grid
-    return BpdGrid(table_tiles(rows, n))
+    return BpdGrid._of_table_rows(table_tiles(rows, n))

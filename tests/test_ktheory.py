@@ -145,6 +145,15 @@ class TestBetaWeight:
             wt = beta_weight(g, typ.length())
             assert wt(1) == 2 ** g.count(Tile.J_ELBOW)
 
+    def test_equals_the_product_of_monomial_and_binomial_power(self):
+        for n in range(6):
+            for grid in bpd_stream(n):
+                blanks, jelbows = grid.count(Tile.BLANK), grid.count(Tile.J_ELBOW)
+                power = BetaPolynomial.one_plus_beta_power(jelbows)
+                for ref in range(blanks + 1):
+                    assert beta_weight(grid, ref) == (
+                        BetaPolynomial.monomial(blanks - ref) * power)
+
     def test_negative_exponent(self, red_bpds):
         with pytest.raises(NegativeExponent):
             beta_weight(red_bpds[0], 5)

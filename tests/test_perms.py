@@ -1,11 +1,15 @@
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipedream import (NotAPermutation, Permutation, SubwordSelection, flatten,
                        layered, pattern_count, skew_sum, subwords)
+from pipedream.ktheory import _first_occurrence
 from pipedream.perms import (PATTERN_132, PATTERN_1243, PATTERN_2143,
-                             all_perms, flatten_word, pattern_census)
+                             all_perms, flatten_word, occurrences, pattern_census,
+                             ranks)
 
 
 def P(text):
@@ -137,6 +141,24 @@ class TestPatternCount:
     def test_contains_avoids(self):
         assert P("12453").contains(P("132"))
         assert P("12453").avoids(P("2143"))
+
+    def test_value_order_matches_the_ranks_definition(self):
+        # every pattern of size <= 4 in every word of size <= 6, against the
+        # subwords whose ranks spell the pattern
+        for n in range(7):
+            for w in all_perms(n):
+                for k in range(min(n, 4) + 1):
+                    by_ranks = {}
+                    for idx in combinations(range(1, n + 1), k):
+                        values = tuple(w[i - 1] for i in idx)
+                        by_ranks.setdefault(ranks(values), []).append((values, idx))
+                    for u in all_perms(k):
+                        want = by_ranks.get(u, [])
+                        assert list(occurrences(u, w)) == [values for values, _ in want]
+                        assert pattern_count(u, w) == len(want)
+                        assert w.contains(u) == bool(want) == (not w.avoids(u))
+                        first = _first_occurrence(u, w)
+                        assert first == (SubwordSelection(w, want[0][1]) if want else None)
 
 
 class TestSkewSum:

@@ -1,13 +1,14 @@
-"""Oracles for the trace kept on each grid, read off the row records, and
-for the grids that removal reads off the transition table."""
+"""Oracles for the trace kept on each grid, read off the row records, for
+the grids that the stream and removal read off the transition table, and
+for the removable-pipe reports."""
 
 import gc
 
 import pytest
 
 from pipedream import (BpdGrid, BrokenStrand, GridError, InconsistentAsm,
-                       Permutation, PipeTrace, insert, remove, removable_pipes,
-                       resolve, trace, validate)
+                       Permutation, PipeTrace, SubwordSelection, insert, remove,
+                       removable_pipes, resolve, trace, validate)
 from pipedream import enumeration
 from pipedream import grid as grid_module
 from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows, stored,
@@ -176,6 +177,40 @@ def test_shared_traces_live_as_long_as_a_grid_holds_them():
     del grid
     gc.collect()
     assert word not in grid_module._REDUCED_TRACES
+
+
+def removal_grids():
+    """Every grid with n <= 6, and its removal image and the insertion of
+    that image, as (grid, image, back) triples."""
+    for n in range(7):
+        for grid in bpd_stream(n):
+            image, v = remove(grid)
+            yield grid, image, insert(image, v.host, v)
+
+
+def test_table_built_grids_equal_the_coerced_grids():
+    for triple in removal_grids():
+        for grid in triple:
+            n = grid.n
+            assert type(grid.rows) is tuple
+            assert all(type(row) is tuple and len(row) == n for row in grid.rows)
+            assert all(type(t) is Tile for row in grid.rows for t in row)
+            assert BpdGrid(grid.rows) == grid
+            # the coercing constructor turns plain ints into the same tiles
+            assert BpdGrid([[int(t) for t in row] for row in grid.rows]) == grid
+
+
+def test_reports_build_their_subword_when_read():
+    for grid, image, _ in removal_grids():
+        for g in (grid, image):
+            report = removable_pipes(g)
+            assert report._subword is None
+            sel = report.subword
+            assert sel == SubwordSelection(report.trace.perm, report.indices)
+            assert sel.host == report.trace.perm
+            assert report.subword is sel
+            assert sorted(report.indices + tuple(x for _, x in report.pipes)) == list(
+                range(1, g.n + 1))
 
 
 def test_table_tiles_match_the_matrix_rebuild():
