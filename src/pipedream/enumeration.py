@@ -32,7 +32,7 @@ from itertools import product
 from math import comb
 from typing import Callable, Iterator, Optional
 
-from .errors import GuardExceeded, InconsistentAsm
+from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
 from .grid import Asm, BpdGrid, Tile, row_record, row_records, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
@@ -370,7 +370,11 @@ QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd", "BPD_v", "bpd_v")
 
 @dataclass(frozen=True)
 class SetQuery:
-    """A named grid family: permutation/type filters over the full stream."""
+    """A named grid family: permutation/type filters over the full stream.
+
+    The subword kinds take a selection ``v`` of w itself; a selection of
+    another host raises ``SubwordMismatch``.
+    """
 
     kind: str
     w: Permutation
@@ -382,6 +386,10 @@ class SetQuery:
         needs_v = self.kind in ("BPD_v", "bpd_v")
         if needs_v != (self.v is not None):
             raise ValueError(f"kind {self.kind} {'requires' if needs_v else 'forbids'} a subword")
+        if needs_v and self.v.host != self.w:
+            # a grid's removable pipes select a subword of its own permutation
+            raise SubwordMismatch(f"subword of {self.v.host.text()} queried "
+                                  f"for {self.w.text()}")
 
 
 def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:

@@ -1,7 +1,11 @@
 """Permutations in one-line notation and pattern machinery.
 
 Permutations are words on 1..n; the empty permutation (n = 0) is a valid
-value and seeds every recursion in this package.  Pattern counting is a
+value and seeds every recursion in this package.  ``Permutation(word)``
+checks its word; the members of ``all_perms`` and the pattern of a
+subword selection, which are permutations by construction, are built
+unchecked.  ``length`` counts inversions with one bitmask of the letters
+seen, n steps instead of n(n-1)/2 pairs.  Pattern counting is a
 brute-force scan over index subsets, each compared along the pattern's
 value order (``occurrences``); the census serves the oracles and
 lists the patterns of one word for the coefficient transform.
@@ -31,10 +35,17 @@ class Permutation(tuple):
     __slots__ = ()
 
     def __new__(cls, word=()):
-        word = tuple(int(v) for v in word)
+        word = tuple(map(int, word))
         if sorted(word) != list(range(1, len(word) + 1)):
             raise NotAPermutation(f"not a bijection of 1..{len(word)}: {word}")
         return super().__new__(cls, word)
+
+    @classmethod
+    def _trusted(cls, word) -> "Permutation":
+        """The permutation ``word``, a tuple of ints already known to be one
+        (a member of ``all_perms``, the ranks of a subword).  Skips the
+        conversion and the check of ``Permutation(word)``."""
+        return tuple.__new__(cls, word)
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -70,8 +81,16 @@ class Permutation(tuple):
         return Permutation(inv)
 
     def length(self) -> int:
-        """Coxeter length: the number of inversions."""
-        return sum(a > b for a, b in combinations(self, 2))
+        """Coxeter length: the number of inversions.
+
+        Each letter adds the number of larger letters before it, read off a
+        bitmask of the letters seen (bit v for the letter v).
+        """
+        seen = inversions = 0
+        for v in self:
+            inversions += (seen >> v).bit_count()
+            seen |= 1 << v
+        return inversions
 
     def contains(self, pattern: "Permutation") -> bool:
         """Whether some subword has the relative order of ``pattern``;
@@ -84,12 +103,18 @@ class Permutation(tuple):
 
 @dataclass(frozen=True)
 class SubwordSelection:
-    """A subword of ``host`` given by strictly increasing 1-based indices."""
+    """A subword of ``host`` given by strictly increasing 1-based indices.
+
+    A host that is not a ``Permutation`` is converted to one, and so
+    checked: ``pattern`` relies on the host's letters being distinct.
+    """
 
     host: Permutation
     indices: tuple[int, ...]
 
     def __post_init__(self):
+        if not isinstance(self.host, Permutation):
+            object.__setattr__(self, "host", Permutation(self.host))
         idx = self.indices
         if any(idx[i] >= idx[i + 1] for i in range(len(idx) - 1)):
             raise ValueError(f"indices not strictly increasing: {idx}")
@@ -107,10 +132,11 @@ class SubwordSelection:
     _pattern = None
 
     def pattern(self) -> Permutation:
-        # kept on the selection: removal's callers flatten the same one twice
+        # kept on the selection: removal's callers flatten the same one twice;
+        # the ranks of distinct letters are a permutation, so unchecked
         p = self._pattern
         if p is None:
-            p = flatten_word(self.values())
+            p = Permutation._trusted(ranks(self.values()))
             object.__setattr__(self, "_pattern", p)
         return p
 
@@ -250,4 +276,4 @@ def layered(n: int) -> list[Permutation]:
 @lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Permutation, ...]:
     """All of S_n in lexicographic order."""
-    return tuple(Permutation(p) for p in permutations(range(1, n + 1)))
+    return tuple(map(Permutation._trusted, permutations(range(1, n + 1))))

@@ -9,9 +9,11 @@ Two small value types cover everything this package needs:
 
 All arithmetic is over Python integers, so it is exact at every size;
 there is no overflow to guard against.  The table kernels also carry a
-polynomial as one integer, its value at b = 2^S (Kronecker substitution),
-and read it back with ``BetaPolynomial.from_kronecker``; ``kronecker_bits``
-gives the slot width S that keeps that exact for the tables of a size.
+polynomial as one integer, its value at b = 2^S (Kronecker substitution).
+Both directions of that format live here: ``BetaPolynomial.to_kronecker``
+writes a polynomial as that integer and ``BetaPolynomial.from_kronecker``
+reads it back; ``kronecker_bits`` gives the slot width S that keeps that
+exact for the tables of a size.
 """
 
 from __future__ import annotations
@@ -82,6 +84,19 @@ class BetaPolynomial:
                 value += 1
             coeffs.append(digit)
         return cls(tuple(coeffs))
+
+    def to_kronecker(self, bits: int) -> int:
+        """The value at b = 2^bits, ``p(1 << bits)``, built with shifts;
+        ``from_kronecker(p.to_kronecker(bits), bits)`` gives p back under
+        the same bound on its coefficients.
+
+        >>> BetaPolynomial.from_coeffs([3, 3, 1]).to_kronecker(8)
+        66307
+        """
+        value = 0
+        for a in reversed(self.coeffs):
+            value = (value << bits) + a
+        return value
 
     @classmethod
     def zero(cls) -> "BetaPolynomial":

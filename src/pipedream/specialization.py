@@ -9,15 +9,21 @@ computes c over a pattern-closed set of words, all of S_<=n or the
 patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
 
 The nu and Grothendieck tables of a size come from one row-transfer pass
-(``enumeration.row_transfer``) that aggregates weights row by row without
-listing the grids; the tables are kept in the package's table store, the
-one place a computed nu is kept, and ``nu`` of a word and the transform's
-leaves are read off the table of their size.  The nu pass and the
-transform run on integers, each polynomial taken at b = 2^S for a slot
-width S (``polynomials.kronecker_bits``) that bounds every coefficient,
-and read each word's polynomial back once.  The minimal grids come from
-one filter over the grid stream (``minimal_sets``), and their counts and
-weight sums (``minimal_summary``) are read off those sets.
+(``enumeration.row_transfer``) that aggregates weights row by row
+without listing the grids.  Its sums are read through ``all_perms(n)``:
+there must be exactly one per permutation, so the tables share
+``all_perms``'s keys and iterate in lexicographic order.  A nu sum is
+divided by b^length(w) on the integer, by checking that its low slots
+are zero and shifting them off, before it is read back as a polynomial.
+The tables are kept in the package's table store, the one place a
+computed nu is kept, and ``nu`` of a word and the transform's leaves are
+read off the table of their size.  The nu pass and the transform run on
+integers, each polynomial taken at b = 2^S for a slot width S
+(``polynomials.kronecker_bits``) that bounds every coefficient, and read
+each word's polynomial back once; the transform's leaves are written in
+that form with ``BetaPolynomial.to_kronecker``.  The minimal grids come
+from one filter over the grid stream (``minimal_sets``), and their
+counts and weight sums (``minimal_summary``) are read off those sets.
 """
 
 from __future__ import annotations
@@ -26,6 +32,7 @@ from dataclasses import dataclass
 
 from .enumeration import (bpd_stream, check_guard, removable_pipes, row_transfer,
                           stored)
+from .errors import CheckFailed
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
@@ -40,11 +47,33 @@ def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
 def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
     bits = kronecker_bits(n)
     table = {}
-    for typ, value in row_transfer(n, per_row=False).items():
-        w = Permutation(typ)
-        # blanks never dip below the length of the type, so this is exact
-        table[w] = BetaPolynomial.from_kronecker(value, bits).shift_down(w.length())
+    for w, value in _by_permutation(n, row_transfer(n, per_row=False)):
+        # blanks never dip below the length of the type, so the low
+        # length(w) slots are zero and shifting them off divides by b^length
+        low = bits * w.length()
+        if value & ((1 << low) - 1):
+            raise ValueError(f"not divisible by b^{w.length()}: "
+                             f"{BetaPolynomial.from_kronecker(value, bits)}")
+        table[w] = BetaPolynomial.from_kronecker(value >> low, bits)
     return table
+
+
+def _by_permutation(n: int, sums: dict):
+    """Pairs (w, sums[w]) for w in ``all_perms(n)``, in its order.
+
+    The row transfer keys its sums by type words; there must be exactly
+    one per permutation of size n, so every grid's type is a permutation
+    and every permutation is some grid's type.
+    """
+    perms = all_perms(n)
+    if len(sums) != len(perms):
+        raise CheckFailed(f"the row transfer gives {len(sums)} types for "
+                          f"the {len(perms)} permutations of size {n}")
+    for w in perms:
+        value = sums.get(w)
+        if value is None:
+            raise CheckFailed(f"the row transfer gives no grid of type {w.text()}")
+        yield w, value
 
 
 def nu(w: Permutation, guard=None) -> BetaPolynomial:
@@ -67,8 +96,7 @@ def _build_grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomia
     # the last row has no blank or j-elbow, so x_n never occurs
     nvars = max(n - 1, 0)
     table = {}
-    for typ, weights in row_transfer(n, per_row=True).items():
-        w = Permutation(typ)
+    for w, weights in _by_permutation(n, row_transfer(n, per_row=True)):
         terms = {expo[:nvars]: BetaPolynomial.monomial(sum(expo), count)
                  for expo, count in weights.items()}
         table[w] = MultivariatePolynomial(nvars, terms).beta_shift_down(w.length())
@@ -128,14 +156,13 @@ def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
     so u' is a slice and a translate.
     """
     bits = kronecker_bits(len(layers) - 1)
-    point = 1 << bits
     # lower[t] maps each byte above t one down and the others to themselves
     lower = [bytes(range(t + 1)) + bytes(range(t, 255)) for t in range(len(layers))]
     keys = [[bytes(u) for u in layer] for layer in layers]
     above: dict[bytes, int] = {}
     for j in range(len(layers) - 1, -1, -1):
         nus = nu_table(j, guard=guard)
-        layer = {key: nus[u](point) for u, key in zip(layers[j], keys[j])}
+        layer = {key: nus[u].to_kronecker(bits) for u, key in zip(layers[j], keys[j])}
         for m in range(j + 1, len(layers)):
             k = m - j - 1
             for u in keys[m]:

@@ -1,7 +1,7 @@
 import pytest
 
 from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
-                       SubwordSelection, count_asms_bruteforce,
+                       SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
                        removable_pipes, remove, trace)
 from pipedream import enumeration
@@ -173,6 +173,14 @@ class TestQuery:
             SetQuery("BPD", P("123"), SubwordSelection(P("123"), (1,)))
         with pytest.raises(ValueError):
             SetQuery("nope", P("123"))
+
+    def test_subword_of_another_host_rejected(self):
+        # the same indices of 2143 would silently match no grid of 1243
+        w = P("1243")
+        assert len(query(SetQuery("bpd_v", w, SubwordSelection(w, (2, 3, 4))))) == 1
+        for kind in ("BPD_v", "bpd_v"):
+            with pytest.raises(SubwordMismatch):
+                SetQuery(kind, w, SubwordSelection(P("2143"), (2, 3, 4)))
 
 
 class TestPartitionLaws:

@@ -8,8 +8,8 @@ from pipedream import (NotAPermutation, Permutation, SubwordSelection, flatten,
                        layered, pattern_count, skew_sum, subwords)
 from pipedream.ktheory import _first_occurrence
 from pipedream.perms import (PATTERN_132, PATTERN_1243, PATTERN_2143,
-                             all_perms, flatten_word, occurrences, pattern_census,
-                             ranks)
+                             all_perms, all_subwords, flatten_word, occurrences,
+                             pattern_census, ranks)
 
 
 def P(text):
@@ -65,9 +65,11 @@ class TestLength:
         assert w.length() == 3 * 2 + P("132").length() + P("21").length()
 
     def test_length_equals_21_count(self):
+        # against both definitions: 21 patterns, and pairs out of order
         for n in range(8):
             for w in all_perms(n):
                 assert w.length() == pattern_count(P("21"), w)
+                assert w.length() == sum(a > b for a, b in combinations(w, 2))
 
 
 class TestFlatten:
@@ -89,6 +91,23 @@ class TestFlatten:
     def test_bad_indices(self):
         with pytest.raises(ValueError):
             SubwordSelection(P("123"), (2, 2))
+
+    def test_public_flatten_keeps_its_check(self):
+        # only a selection's pattern skips the check, and a selection's host
+        # is checked: a word with a repeated letter has repeated ranks
+        with pytest.raises(NotAPermutation):
+            flatten_word((2, 2))
+        with pytest.raises(NotAPermutation):
+            SubwordSelection((2, 2, 1), (1, 2))
+        assert SubwordSelection((2, 3, 1), (1, 2)).pattern() == P("12")
+
+    def test_pattern_matches_checked_flatten(self):
+        for n in range(6):
+            for w in all_perms(n):
+                for sel in all_subwords(w):
+                    pattern = sel.pattern()
+                    assert type(pattern) is Permutation
+                    assert pattern == flatten_word(sel.values())
 
 
 class TestSubwords:

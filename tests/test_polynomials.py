@@ -84,6 +84,8 @@ class TestKronecker:
             for coeffs in cases:
                 p = BetaPolynomial.from_coeffs(coeffs)
                 assert BetaPolynomial.from_kronecker(p(1 << bits), bits) == p, coeffs
+                assert p.to_kronecker(bits) == p(1 << bits), coeffs
+                assert BetaPolynomial.from_kronecker(p.to_kronecker(bits), bits) == p, coeffs
 
 
 class TestMultivariate:

@@ -2,10 +2,11 @@ from collections import Counter
 
 import pytest
 
-from pipedream import (BetaPolynomial, GuardExceeded, Permutation,
-                       coefficient, coefficient_table, grothendieck, nu,
-                       nu_table, schubert, skew_identities, skew_sum)
-from pipedream import enumeration
+from pipedream import (BetaPolynomial, CheckFailed, GuardExceeded,
+                       Permutation, coefficient, coefficient_table,
+                       grothendieck, nu, nu_table, schubert, skew_identities,
+                       skew_sum)
+from pipedream import enumeration, specialization
 from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows,
                                    removable_pipes)
 from pipedream.grid import Tile, scan, tiles_from_asm_rows, trace
@@ -171,6 +172,44 @@ class TestRowTransfer:
             assert nu_table(n) == nus, n
             if n <= 6:
                 assert grothendieck_table(n) == groths, n
+
+    def test_tables_are_keyed_by_the_all_perms_instances(self):
+        # both tables iterate over all_perms(n), in its lexicographic order
+        for n in range(7):
+            for table in (nu_table(n), grothendieck_table(n)):
+                assert len(table) == len(all_perms(n))
+                assert all(key is w for key, w in zip(table, all_perms(n))), n
+
+    @pytest.mark.parametrize("build", [nu_table, grothendieck_table])
+    @pytest.mark.parametrize("damage", ["drop", "replace", "extra"])
+    def test_sums_must_cover_exactly_the_permutations(self, cold_caches, monkeypatch,
+                                                      build, damage):
+        true_transfer = specialization.row_transfer
+
+        def damaged(n, per_row):
+            sums = true_transfer(n, per_row)
+            value = sums[(1, 3, 2)]
+            if damage != "extra":
+                del sums[(1, 3, 2)]
+            if damage != "drop":
+                sums[(1, 3, 3)] = value
+            return sums
+
+        monkeypatch.setattr(specialization, "row_transfer", damaged)
+        with pytest.raises(CheckFailed):
+            build(3)
+
+    def test_nu_low_slots_must_vanish(self, cold_caches, monkeypatch):
+        true_transfer = specialization.row_transfer
+
+        def damaged(n, per_row):
+            sums = true_transfer(n, per_row)
+            sums[(1, 3, 2)] += 1  # b^0 of a type of length 1
+            return sums
+
+        monkeypatch.setattr(specialization, "row_transfer", damaged)
+        with pytest.raises(ValueError, match=r"not divisible by b\^1"):
+            nu_table(3)
 
     def test_grothendieck_matches_divided_differences(self):
         for n in range(1, 6):
