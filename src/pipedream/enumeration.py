@@ -2,27 +2,27 @@
 
 One table of moves drives two walks over the rows of alternating sign
 matrices, with each column's running sum confined to {0, 1}; each move
-carries a row's entries, the column sums below it and its tile row.  The
-depth-first walk yields every matrix as its path of moves, and at size 0
-the one empty path, so the empty grid is an ordinary member of the
-stream.  The matrix stream reads the entries off a path and the grid
-stream its tile rows, so every grid is built once, out of the table's
-own rows, through ``BpdGrid._of_table_rows``, which skips the per-tile
-coercion those rows do not need.  The table is filled lazily:
-``table_tiles`` turns any matrix into its tile rows by building only the
-moves it takes, so removal, which builds its grids that way, costs time
-in the rows it touches at any size and shares the table's rows with the
-stream.  Grid families (all grids with a given permutation, the reduced
-ones, the minimal ones, and so on) are filters over the grid stream, and
-``removable_pipes`` finds the unit rows whose +1 is alone in its column
-with two passes over the +1 masks of the rows' records
-(``grid.row_record``); its report holds the kept indices and builds the
-subword selection only when it is read, and ``removal`` hands the
-records it already holds to the same pass (``_removable``).  The
-row-transfer pass merges matrices that agree below a row and sums their
-weights by type, which is all the nu and Grothendieck tables need; it
-runs each move's label program off the same records, and for nu it
-carries each weight sum as one integer, the polynomial at b = 2^S.
+is the record of its tile row (``grid.row_record``), holding the row's
+entries, its tiles and the column sums below it.  The depth-first walk
+yields every matrix as its path of moves, and at size 0 the one empty
+path, so the empty grid is an ordinary member of the stream.  The matrix
+stream reads the entries off a path and the grid stream its tile rows,
+building each grid once out of the table's own rows with
+``BpdGrid._of_table_rows``, which skips the per-tile coercion.  The
+table is filled lazily: ``table_tiles`` turns any matrix into its tile
+rows by building only the moves it takes, so removal, which builds its
+grids that way, costs time in the rows it touches at any size and shares
+the table's rows with the stream.  Grid families (all grids with a given
+permutation, the reduced ones, the minimal ones, and so on) are filters
+over the grid stream, and ``removable_pipes`` finds the unit rows whose
++1 is alone in its column with two passes over the +1 masks of the rows'
+records; its report holds the kept indices and builds the subword
+selection only when it is read, and ``removal`` hands the records it
+already holds to the same pass (``_removable``).  The row-transfer pass
+merges matrices that agree below a row and sums their weights by type,
+which is all the nu and Grothendieck tables need; it runs each move's
+label program, and for nu it carries each weight sum as one integer, the
+polynomial at b = 2^S.  Each table is kept per size in the table store.
 """
 
 from __future__ import annotations
@@ -30,36 +30,19 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 from math import comb
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
 from .grid import Asm, BpdGrid, Tile, row_record, row_records, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .polynomials import kronecker_bits
+from .store import stored
 
 DEFAULT_GUARD = 9
 
 # grid lists are memoized up to this size; larger sizes stream uncached
 _MEMO_MAX_N = 6
-
-# every per-size table of the package, keyed by (kind, size)
-_TABLES: dict[tuple[str, int], object] = {}
-
-
-def stored(kind: str, n: int, build: Callable[[int], object]):
-    """The ``kind`` table of size n, built by ``build(n)`` on first use."""
-    key = (kind, n)
-    table = _TABLES.get(key)
-    if table is None:
-        table = _TABLES[key] = build(n)
-    return table
-
-
-def clear_caches() -> None:
-    """Drop every stored table (mainly for tests)."""
-    _TABLES.clear()
-
 
 def check_guard(n: int, guard: Optional[int] = None) -> None:
     """Reject a size below 0 or above the guard (default ``DEFAULT_GUARD``)."""
@@ -95,30 +78,22 @@ def _alternating_line(entries) -> bool:
     return running == 1
 
 
-def _moves(n: int) -> dict:
-    """The size-n table of moves, {state: {entries: move}}, where a move is
-    (entries, successor state, tile row).  ``table_tiles`` fills it one
-    row at a time and ``_transitions`` completes it."""
-    return stored("moves", n, lambda _: {})
-
-
-def _new_move(state: int, entries: tuple, plus: int, minus: int) -> tuple:
-    return entries, (state | plus) & ~minus, tile_row(state, entries)
+def _no_moves(n: int) -> dict:
+    return {}
 
 
 def _transitions(n: int) -> dict:
-    """For each column-sum state, every legal row in lexicographic entry
-    order, as {entries: move}.
+    """The size-n table of moves, {state: {entries: move}}, completed: for
+    each column-sum state, every legal row in lexicographic entry order.
 
-    This is the table of moves of ``_moves``, completed: rows already
-    built for ``table_tiles`` are kept, so both walk the same move tuples.
+    A move is the record of its tile row, from state ``north`` to state
+    ``south``.  ``table_tiles`` fills the table one row at a time; records
+    are kept by their tile row, so its moves come back as the same objects.
     """
-    moves = _moves(n)
+    moves = stored("moves", n, _no_moves)
     rows = _valid_rows(n)
     for state in range(1 << n):
-        # rebuilt in entry order, keeping the moves already made
-        known = moves.get(state, {})
-        moves[state] = {entries: known.get(entries) or _new_move(state, entries, plus, minus)
+        moves[state] = {entries: row_record(tile_row(state, entries))
                         for entries, plus, minus in rows
                         if not (state & plus or minus & ~state)}
     return moves
@@ -133,7 +108,7 @@ def table_tiles(rows, n: int) -> tuple:
     raises ``InconsistentAsm``.  Gives the same tiles as
     ``grid.tiles_from_asm_rows``.
     """
-    moves = _moves(n)
+    moves = stored("moves", n, _no_moves)
     state = 0
     out = []
     for entries in rows:
@@ -146,15 +121,15 @@ def table_tiles(rows, n: int) -> tuple:
             plus, minus = _masks(entries)
             if state & plus or minus & ~state or not _alternating_line(entries):
                 raise InconsistentAsm(f"row {entries} cannot follow column sums {state:b}")
-            move = by_entries[entries] = _new_move(state, entries, plus, minus)
-        state = move[1]
-        out.append(move[2])
+            move = by_entries[entries] = row_record(tile_row(state, entries))
+        state = move.south
+        out.append(move.tiles)
     return tuple(out)
 
 
 def _paths(n: int) -> Iterator[tuple]:
-    """Yield each alternating sign matrix of size n as its path of moves
-    (entries, state below, tile row) through the transition table.
+    """Yield each alternating sign matrix of size n as its path of moves,
+    the records of its tile rows, through the transition table.
 
     Deterministic order: depth-first, rows in lexicographic entry order.
     Size 0 yields the one empty path.  Every path of n moves is a matrix:
@@ -169,14 +144,14 @@ def _paths(n: int) -> Iterator[tuple]:
             yield path
             continue
         for move in reversed(table[state].values()):
-            work.append((path + (move,), move[1]))
+            work.append((path + (move,), move.south))
 
 
 def iter_asm_rows(n: int) -> Iterator[tuple]:
     """Yield each alternating sign matrix of size n as a tuple of row tuples,
     in the order of ``_paths``."""
     for path in _paths(n):
-        yield tuple(entries for entries, _, _ in path)
+        yield tuple(move.entries for move in path)
 
 
 def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
@@ -213,13 +188,13 @@ def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
     steps = {}  # column-sum state -> [(successor, label program, row factor)]
     for state, moves in table.items():
         steps[state] = []
-        for _, below, tiles in moves.values():
-            blanks, jelbows = tiles.count(Tile.BLANK), tiles.count(Tile.J_ELBOW)
+        for move in moves.values():
+            blanks, jelbows = move.tiles.count(Tile.BLANK), move.tiles.count(Tile.J_ELBOW)
             if per_row:
                 factor = [((blanks + k,), comb(jelbows, k)) for k in range(jelbows + 1)]
             else:
                 factor = (1 + point) ** jelbows << bits * blanks
-            steps[state].append((below, row_record(tiles).program, factor))
+            steps[state].append((move.south, move.program, factor))
     level = {(0, (0,) * n): {(): 1} if per_row else 1}
     for row in range(1, n + 1):
         nxt: dict[tuple, dict | int] = {}
@@ -303,7 +278,7 @@ def bpd_stream(n: int) -> Iterator[BpdGrid]:
     Each grid is built from the tile rows of its path, so all grids share
     the transition table's row tuples.
     """
-    grids = (BpdGrid._of_table_rows(tuple(tiles for _, _, tiles in path))
+    grids = (BpdGrid._of_table_rows(tuple(move.tiles for move in path))
              for path in _paths(n))
     yield from stored("bpd", n, lambda _: tuple(grids)) if n <= _MEMO_MAX_N else grids
 

@@ -7,19 +7,19 @@ The elbow tiles are in bijection with the nonzero entries of an
 alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
 
 Checking a grid and reading its permutation are row-local, so both read
-one record per tile row (``row_record``), kept by the row tuple: its
-entries, its +1 mask, the columns it opens north and south, whether its
-neighbouring tiles agree, and its label program (crosses, elbows and
-bumps, east to west).  Grids of the stream and of removal share the
-transition table's row tuples, so there are at most as many records as
-moves.  ``trace`` reads the permutation by running the rows' turns
-top-down (``_exit_labels``) and keeps the result on the grid
-(``BpdGrid._trace``).  A grid is reduced exactly when its crosses number
-the inversions of its permutation, and all reduced grids of one
+one record per tile row (``row_record``), kept per size in the table
+store: its tiles and entries, its +1 mask, the columns it opens north and
+south, whether its neighbouring tiles agree, and its label program
+(crosses, elbows and bumps, east to west).  Each move of the transition
+table is the record of its row, so grids of the stream and of removal
+share the records' row tuples.  ``trace`` reads the permutation by running
+the rows' turns top-down (``_exit_labels``) and keeps the result on the
+grid (``BpdGrid._trace``).  A grid is reduced exactly when its crosses
+number the inversions of its permutation, and all reduced grids of one
 permutation share one ``PipeTrace``, whose crossings are those
 inversions, as a read-only mapping; only a nonreduced grid walks its
-crosses for its own counts.  The shared traces are held weakly
-(``_REDUCED_TRACES``), so streamed grids leave nothing behind.
+crosses for its own counts.  The shared traces are a weak store entry
+per size, so streamed grids leave nothing behind.
 
 ``BpdGrid(rows)`` coerces every tile to a ``Tile`` and checks the grid is
 square.  Grids whose rows come from the table of moves, which are
@@ -48,6 +48,7 @@ from weakref import WeakValueDictionary
 
 from .errors import BoundaryLeak, BrokenStrand, InconsistentAsm, NotBijective
 from .perms import Permutation
+from .store import stored
 
 
 class Tile(IntEnum):
@@ -219,8 +220,11 @@ _BLANK, _HORIZONTAL, _VERTICAL, _CROSS, _R_ELBOW, _J_ELBOW = (
 COL_MAJOR = "col-major"  # columns left to right, rows bottom to top (the default)
 ROW_MAJOR = "row-major"  # rows bottom to top, columns left to right
 
-# The visiting order of ``scan``'s cells, built once per (order, size).
-_CELLS: dict[tuple[str, int], tuple] = {}
+# the builders of ``scan``'s cell orders, whose cells the table store keeps
+_CELL_ORDERS = {
+    COL_MAJOR: lambda n: tuple((i, j) for j in range(n) for i in range(n - 1, -1, -1)),
+    ROW_MAJOR: lambda n: tuple((i, j) for i in range(n - 1, -1, -1) for j in range(n)),
+}
 
 # Whether each tile kind (indexed by its value) opens its south / west edge.
 _SOUTH_OPEN = tuple(t in _SOUTH for t in Tile)
@@ -251,16 +255,10 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
     tile rows, which are ``rows`` itself unless resolution turned a cross
     into a bump.
     """
-    if order not in (COL_MAJOR, ROW_MAJOR):
+    build = _CELL_ORDERS.get(order)
+    if build is None:
         raise ValueError(f"unknown scan order {order!r}")
-    cells = _CELLS.get((order, n))
-    if cells is None:
-        bottom_up = range(n - 1, -1, -1)
-        if order == COL_MAJOR:
-            cells = tuple((i, j) for j in range(n) for i in bottom_up)
-        else:
-            cells = tuple((i, j) for i in bottom_up for j in range(n))
-        _CELLS[order, n] = cells
+    cells = stored(order, n, build)
     up = list(range(1, n + 1))  # label on the north edge of the last tile per column
     east = [0] * n              # label on the east edge of the last tile per row
     opens_south, opens_west = _SOUTH_OPEN, _WEST_OPEN
@@ -313,19 +311,22 @@ def scan(rows, n, order=COL_MAJOR, resolve=False, allow_bump=True):
 
 
 class RowRecord:
-    """What the row-at-a-time readers need of one tile row.
+    """One tile row and what the row-at-a-time readers need of it.
 
-    Masks hold column j+1 at bit j.  ``program`` lists the row's crosses,
-    elbows and bumps from east to west as (column index, tile) steps, and
-    ``turns`` is the same without the crosses.  Records are shared by every
-    grid holding the row and are never changed; a plain slotted class is
-    cheaper to define and to build than a frozen dataclass.
+    Masks hold column j+1 at bit j.  In a well-formed grid ``north`` and
+    ``south`` are the column-sum states above and below the row, so each
+    move of the transition table is its row's record.  ``program`` lists
+    the row's crosses, elbows and bumps from east to west as (column index,
+    tile) steps, and ``turns`` is the same without the crosses.  Records
+    are shared by every grid holding the row and are never changed; a plain
+    slotted class is cheaper to define and to build than a frozen dataclass.
     """
 
-    __slots__ = ("entries", "plus", "north", "south", "across", "program", "turns",
-                 "crosses", "bump")
+    __slots__ = ("tiles", "entries", "plus", "north", "south", "across", "program",
+                 "turns", "crosses", "bump")
 
-    def __init__(self, entries, plus, north, south, across, program, turns, crosses, bump):
+    def __init__(self, tiles, entries, plus, north, south, across, program, turns, crosses, bump):
+        self.tiles = tiles        # the row itself, a tuple of Tile members
         self.entries = entries    # +1 at r-elbows, -1 at j-elbows
         self.plus = plus          # the columns of the +1 entries
         self.north = north        # the columns whose tile opens north
@@ -337,17 +338,16 @@ class RowRecord:
         self.bump = bump
 
 
-# the record of every tile row read so far, keyed by the row
-_ROWS: dict[tuple, RowRecord] = {}
-# one tuple per (column index, tile) step, shared by the programs
-_STEPS: dict[tuple[int, Tile], tuple[int, Tile]] = {}
+def _no_records(n: int) -> dict:
+    return {}
 
 
 def row_record(row) -> RowRecord:
-    """The record of one tile row, built on its first use."""
-    record = _ROWS.get(row)
+    """The record of one tile row, built on first use and kept in the store."""
+    records = stored("rows", len(row), _no_records)
+    record = records.get(row)
     if record is None:
-        record = _ROWS[row] = _new_record(row)
+        record = records[row] = _new_record(row)
     return record
 
 
@@ -368,16 +368,16 @@ def _new_record(row) -> RowRecord:
             across = False
         opens_east = t in _EAST
         if t >= _CROSS:
-            program.append(_STEPS.setdefault((j, t), (j, t)))
+            program.append((j, t))
     program = tuple(reversed(program))
-    return RowRecord(asm_row(row), plus, north, south, across, program,
+    return RowRecord(row, asm_row(row), plus, north, south, across, program,
                      tuple(step for step in program if step[1] is not _CROSS),
                      row.count(_CROSS), Tile.BUMP in row)
 
 
 def row_records(rows) -> list[RowRecord]:
-    """The record of each of the tile rows."""
-    get = _ROWS.get
+    """The record of each of the tile rows of a square grid."""
+    get = stored("rows", len(rows), _no_records).get
     return [get(row) or row_record(row) for row in rows]
 
 
@@ -447,9 +447,8 @@ def is_valid(grid: BpdGrid, allow_bump: bool = False) -> bool:
     return True
 
 
-# the one trace of the reduced grids of a permutation, keyed by its word
-# and kept while some grid holds it
-_REDUCED_TRACES: WeakValueDictionary[tuple[int, ...], PipeTrace] = WeakValueDictionary()
+def _no_traces(n: int) -> WeakValueDictionary:
+    return WeakValueDictionary()
 
 
 def trace(grid: BpdGrid) -> PipeTrace:
@@ -473,7 +472,9 @@ def trace(grid: BpdGrid) -> PipeTrace:
         for y, x in enumerate(_exit_labels(records, n), start=1):
             word[x - 1] = y
         word = tuple(word)
-        tr = _REDUCED_TRACES.get(word)
+        # the one trace of each permutation's reduced grids, held weakly
+        shared = stored("traces", n, _no_traces)
+        tr = shared.get(word)
         perm = Permutation(word) if tr is None else tr.perm
         length = perm.length() if tr is None else len(tr.crossings)
         # every inverted pair crosses an odd number of times and every other
@@ -482,7 +483,7 @@ def trace(grid: BpdGrid) -> PipeTrace:
         if sum(record.crosses for record in records) == length:
             if tr is None:
                 inversions = {(b, a): 1 for a, b in combinations(word, 2) if a > b}
-                tr = _REDUCED_TRACES[word] = PipeTrace(perm, MappingProxyType(inversions))
+                tr = shared[word] = PipeTrace(perm, MappingProxyType(inversions))
         else:
             pairs: dict[tuple[int, int], int] = {}
             _exit_labels(records, n, pairs)

@@ -82,11 +82,9 @@ class NonreducedWitness:
 
 
 def _first_occurrence(pattern: Permutation, w: Permutation):
+    # occurrences yields a subword's values in word order, as of_values selects
     values = next(occurrences(pattern, w), None)
-    if values is None:
-        return None
-    position = {v: i for i, v in enumerate(w, start=1)}
-    return SubwordSelection(w, tuple(position[v] for v in values))
+    return None if values is None else SubwordSelection.of_values(w, values)
 
 
 def nonreduced_witness(grid: BpdGrid):
@@ -110,7 +108,7 @@ def nonreduced_witness(grid: BpdGrid):
         raise WitnessNotFound(
             f"permutation {tr.perm.text()} lacks the promised {pattern.text()} pattern")
     _, type_perm = resolve(grid)
-    if _first_occurrence(PATTERN_2143, type_perm) is None:
+    if type_perm.avoids(PATTERN_2143):
         raise WitnessNotFound(
             f"type {type_perm.text()} lacks the promised 2143 pattern")
     return NonreducedWitness(parity, pattern, occurrence)

@@ -2,8 +2,8 @@
 
 Permutations are words on 1..n; the empty permutation (n = 0) is a valid
 value and seeds every recursion in this package.  ``Permutation(word)``
-checks its word; the members of ``all_perms`` and the pattern of a
-subword selection, which are permutations by construction, are built
+checks its word; ``all_perms`` (kept in the table store) and the pattern
+of a subword selection, permutations by construction, are built
 unchecked.  ``length`` counts inversions with one bitmask of the letters
 seen, n steps instead of n(n-1)/2 pairs.  Pattern counting is a
 brute-force scan over index subsets, each compared along the pattern's
@@ -14,10 +14,10 @@ lists the patterns of one word for the coefficient transform.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import combinations, permutations
 
 from .errors import NotAPermutation
+from .store import stored
 
 
 class Permutation(tuple):
@@ -273,7 +273,10 @@ def layered(n: int) -> list[Permutation]:
     return sorted(result)
 
 
-@lru_cache(maxsize=None)
 def all_perms(n: int) -> tuple[Permutation, ...]:
-    """All of S_n in lexicographic order."""
+    """All of S_n in lexicographic order, kept in the table store."""
+    return stored("perms", n, _build_perms)
+
+
+def _build_perms(n: int) -> tuple[Permutation, ...]:
     return tuple(map(Permutation._trusted, permutations(range(1, n + 1))))

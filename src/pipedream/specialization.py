@@ -15,8 +15,8 @@ there must be exactly one per permutation, so the tables share
 ``all_perms``'s keys and iterate in lexicographic order.  A nu sum is
 divided by b^length(w) on the integer, by checking that its low slots
 are zero and shifting them off, before it is read back as a polynomial.
-The tables are kept in the package's table store, the one place a
-computed nu is kept, and ``nu`` of a word and the transform's leaves are
+The tables are kept in the table store (``store.stored``), the one place
+a computed nu is kept, and ``nu`` of a word and the transform's leaves are
 read off the table of their size.  The nu pass and the transform run on
 integers, each polynomial taken at b = 2^S for a slot width S
 (``polynomials.kronecker_bits``) that bounds every coefficient, and read
@@ -30,12 +30,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .enumeration import (bpd_stream, check_guard, removable_pipes, row_transfer,
-                          stored)
+from .enumeration import bpd_stream, check_guard, removable_pipes, row_transfer
 from .errors import CheckFailed
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
+from .store import stored
 
 
 def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:

@@ -3,7 +3,7 @@ from pathlib import Path
 import pytest
 
 from pipedream import Asm, BpdGrid, Tile, removable_pipes
-from pipedream.enumeration import _TABLES, clear_caches
+from pipedream.store import _TABLES, clear_caches
 
 FIXTURES = Path(__file__).parent / "fixtures"
 

@@ -8,7 +8,7 @@ import pytest
 from pipedream import BetaPolynomial, Permutation, nu
 from pipedream.cache import SCHEMA_VERSION, default_cache_path, load_cache, store_cache
 from pipedream.cli import main
-from pipedream.enumeration import _TABLES
+from pipedream.store import _TABLES
 
 
 def P(text):

@@ -11,9 +11,10 @@ from pipedream import (CHECK_IDS, Asm, BpdGrid, GuardExceeded, Permutation,
 from pipedream import enumeration
 from pipedream.checks import MAX_COUNTEREXAMPLES
 from pipedream.cli import main
-from pipedream.enumeration import QUERY_KINDS, clear_caches
+from pipedream.enumeration import QUERY_KINDS
 from pipedream.grid import COL_MAJOR, Tile
 from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms
+from pipedream.store import clear_caches
 
 
 def P(text):

@@ -4,10 +4,11 @@ from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
                        SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
                        removable_pipes, remove, trace)
-from pipedream import enumeration
-from pipedream.enumeration import bpd_stream, iter_asm_rows, stored
+from pipedream import enumeration, store
+from pipedream.enumeration import bpd_stream, iter_asm_rows
 from pipedream.grid import Tile, tiles_from_asm_rows
 from pipedream.perms import all_perms
+from pipedream.store import stored
 from conftest import load_grid
 
 
@@ -51,12 +52,12 @@ class TestGridStream:
         monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
         for n in range(3, 7):
             assert list(bpd_stream(n)) == _rebuilt(n)
-            assert ("bpd", n) not in enumeration._TABLES
+            assert ("bpd", n) not in store._TABLES
 
     def test_streamed_grids_share_the_table_rows(self, cold_caches, monkeypatch):
         monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
         table = stored("transitions", 5, enumeration._transitions)
-        own = {id(tiles) for moves in table.values() for _, _, tiles in moves.values()}
+        own = {id(move.tiles) for moves in table.values() for move in moves.values()}
         for grid in bpd_stream(5):
             assert all(id(row) in own for row in grid.rows)
 

@@ -7,7 +7,7 @@ from pipedream import (Asm, BpdGrid, BrokenStrand, NotMinimal, Permutation,
                        SetQuery, SubwordMismatch, SubwordSelection, Tile,
                        from_asm, insert, query, remove, removable_pipes, trace,
                        validate)
-from pipedream import enumeration
+from pipedream import store
 from pipedream.enumeration import bpd_stream
 from pipedream.grid import east_open, north_open, south_open
 from pipedream.perms import all_perms, all_subwords
@@ -119,8 +119,8 @@ class TestRemove:
         elapsed = time.perf_counter() - start
         assert v.indices == tuple(range(2, 17)) and image.n == 15
         assert back == grid
-        assert ("transitions", 15) not in enumeration._TABLES
-        assert ("transitions", 16) not in enumeration._TABLES
+        assert ("transitions", 15) not in store._TABLES
+        assert ("transitions", 16) not in store._TABLES
         assert elapsed < 5
 
     def test_bump_tile_fails_as_in_validate(self):

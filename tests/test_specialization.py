@@ -6,16 +6,17 @@ from pipedream import (BetaPolynomial, CheckFailed, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
                        grothendieck, nu, nu_table, schubert, skew_identities,
                        skew_sum)
-from pipedream import enumeration, specialization
-from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows,
-                                   removable_pipes)
-from pipedream.grid import Tile, scan, tiles_from_asm_rows, trace
+from pipedream import enumeration, specialization, store
+from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
+from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
+                            tiles_from_asm_rows, trace)
 from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
 from pipedream.specialization import (MinimalSummary, coefficient_values,
                                       grothendieck_table, minimal_sets,
                                       minimal_summary)
+from pipedream.store import clear_caches
 
 
 def P(text):
@@ -357,13 +358,25 @@ class TestSkewIdentities:
 class TestCaches:
     def test_clear_caches_drops_every_memo(self, cold_caches):
         w = P("1243")
+        row = BpdGrid.identity(3).rows[1]
+
+        def value(obj):
+            # a row record has no value equality: compare its slots
+            if isinstance(obj, RowRecord):
+                return [getattr(obj, name) for name in RowRecord.__slots__]
+            return obj
+
         builders = [lambda: nu_table(3), lambda: nu(w), lambda: coefficient(w),
                     lambda: grothendieck_table(3), lambda: minimal_summary(3),
-                    lambda: minimal_sets(3), lambda: next(bpd_stream(3))]
+                    lambda: minimal_sets(3), lambda: next(bpd_stream(3)),
+                    lambda: all_perms(3), lambda: row_record(row),
+                    # the shared trace of a fresh reduced grid of size 5
+                    lambda: trace(BpdGrid.identity(5))]
         before = [build() for build in builders]
         assert [build() for build in builders] == before
         clear_caches()
+        assert not store._TABLES
         after = [build() for build in builders]
-        assert after == before
+        assert list(map(value, after)) == list(map(value, before))
         for old, new in zip(before, after):
             assert old is not new

@@ -9,11 +9,11 @@ import pytest
 from pipedream import (BpdGrid, BrokenStrand, GridError, InconsistentAsm,
                        Permutation, PipeTrace, SubwordSelection, insert, remove,
                        removable_pipes, resolve, trace, validate)
-from pipedream import enumeration
+from pipedream import enumeration, store
 from pipedream import grid as grid_module
-from pipedream.enumeration import (bpd_stream, clear_caches, iter_asm_rows, stored,
-                                   table_tiles)
+from pipedream.enumeration import bpd_stream, iter_asm_rows, table_tiles
 from pipedream.grid import COL_MAJOR, ROW_MAJOR, Tile, scan, tiles_from_asm_rows
+from pipedream.store import clear_caches, stored
 
 
 def scanned(grid):
@@ -66,7 +66,7 @@ def derived_grids():
 def table_rows(n):
     """The ids of the tile rows the transition table of size n holds."""
     table = stored("transitions", n, enumeration._transitions)
-    return {id(tiles) for moves in table.values() for _, _, tiles in moves.values()}
+    return {id(move.tiles) for moves in table.values() for move in moves.values()}
 
 
 @pytest.mark.parametrize("memo_max_n", [enumeration._MEMO_MAX_N, 2])
@@ -173,10 +173,10 @@ def test_shared_traces_live_as_long_as_a_grid_holds_them():
     # size 10 lies above every stored stream, so no other grid holds it
     grid = BpdGrid.identity(10)
     word = tuple(trace(grid).perm)
-    assert word in grid_module._REDUCED_TRACES
+    assert word in store._TABLES["traces", 10]
     del grid
     gc.collect()
-    assert word not in grid_module._REDUCED_TRACES
+    assert word not in store._TABLES["traces", 10]
 
 
 def removal_grids():
@@ -238,7 +238,7 @@ def test_moves_built_first_are_kept_by_the_full_table(cold_caches):
     matrices = list(iter_asm_rows(n))
     clear_caches()
     early = [table_tiles(rows, n) for rows in matrices[::7]]
-    assert ("transitions", n) not in enumeration._TABLES
+    assert ("transitions", n) not in store._TABLES
     # completing the table keeps the moves made so far and the entry order
     assert list(iter_asm_rows(n)) == matrices
     own = table_rows(n)
