@@ -1,13 +1,13 @@
 """Exhaustive generation of alternating sign matrices and grid families.
 
-One table of moves drives two walks over the rows of alternating sign
-matrices, with each column's running sum confined to {0, 1}; each move
-is the record of its tile row (``grid.row_record``), holding the row's
-entries, its tiles and the column sums below it.  The depth-first walk
-yields every matrix as its path of moves, and at size 0 the one empty
-path, so the empty grid is an ordinary member of the stream.  The matrix
-stream reads the entries off a path and the grid stream its tile rows,
-building each grid once out of the table's own rows with
+One table of moves drives a depth-first walk over the rows of
+alternating sign matrices, with each column's running sum confined to
+{0, 1}; each move is the record of its tile row (``grid.row_record``),
+holding the row's entries, its tiles and the column sums below it.  The
+walk yields every matrix as its path of moves, and at size 0 the one
+empty path, so the empty grid is an ordinary member of the stream.  The
+matrix stream reads the entries off a path and the grid stream its tile
+rows, building each grid once out of the table's own rows with
 ``BpdGrid._of_table_rows``, which skips the per-tile coercion.  The
 table is filled lazily: ``table_tiles`` turns any matrix into its tile
 rows by building only the moves it takes, so removal, which builds its
@@ -18,25 +18,21 @@ over the grid stream, and ``removable_pipes`` finds the unit rows whose
 +1 is alone in its column with two passes over the +1 masks of the rows'
 records; its report holds the kept indices and builds the subword
 selection only when it is read, and ``removal`` hands the records it
-already holds to the same pass (``_removable``).  The row-transfer pass
-merges matrices that agree below a row and sums their weights by type,
-which is all the nu and Grothendieck tables need; it runs each move's
-label program, and for nu it carries each weight sum as one integer, the
-polynomial at b = 2^S.  Each table is kept per size in the table store.
+already holds to the same pass (``_removable``).  Each table is kept per
+size in the table store.  The nu and Grothendieck tables do not read
+these grids: ``specialization`` builds them from a Hecke product.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import comb
 from typing import Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
-from .grid import Asm, BpdGrid, Tile, row_record, row_records, tile_row, trace
+from .grid import Asm, BpdGrid, row_record, row_records, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
-from .polynomials import kronecker_bits
 from .store import stored
 
 DEFAULT_GUARD = 9
@@ -152,86 +148,6 @@ def iter_asm_rows(n: int) -> Iterator[tuple]:
     in the order of ``_paths``."""
     for path in _paths(n):
         yield tuple(move.entries for move in path)
-
-
-def row_transfer(n: int, per_row: bool) -> dict[tuple, dict | int]:
-    """Weight sums of all grids of size n, by type, without listing them.
-
-    Row i of a grid contributes (b*x_i)^blanks * (1 + b*x_i)^jelbows, so
-    every b comes with an x and the b-degree of a term is its total
-    x-degree.  With ``per_row`` the result is {type word: {key: count}},
-    a key being the tuple of x exponents of rows 1..n.  Otherwise every x
-    is set to 1 and b to 2^S, S = ``kronecker_bits(n)``: each state and
-    each result is one integer, a row's factor is (1 + 2^S)^jelbows
-    shifted up by S*blanks, and merging a move into a state is one
-    multiply-add; ``BetaPolynomial.from_kronecker`` reads a result back.
-    Weights are not shifted by the length of the type.
-
-    Rows are read top-down and each row right to left.  A strand is
-    labelled by the row it exits through, so the label entering a row
-    from the east is the row itself and the labels leaving the last row
-    through the south edge spell the type.  At a cross, a vertical label
-    a above a horizontal label h with a > h means the two strands have
-    already crossed to the north-east: the tile is resolved as a bump and
-    the labels swap.  The scan is ``ktheory.resolve``'s row-major order
-    reversed, so each pair keeps its last crossing here where resolve
-    keeps its first.  Either way the type is the Demazure product of the
-    word the crosses spell, built from one end or from the other; the
-    Demazure product is associative, so the two types agree (the bk-order
-    check confirms that resolve's scan orders agree).  Blanks and
-    j-elbows, hence weights, are untouched by resolution.
-    """
-    table = stored("transitions", n, _transitions)
-    bits = kronecker_bits(n)
-    point = 1 << bits
-    cross, r_elbow = Tile.CROSS, Tile.R_ELBOW
-    steps = {}  # column-sum state -> [(successor, label program, row factor)]
-    for state, moves in table.items():
-        steps[state] = []
-        for move in moves.values():
-            blanks, jelbows = move.tiles.count(Tile.BLANK), move.tiles.count(Tile.J_ELBOW)
-            if per_row:
-                factor = [((blanks + k,), comb(jelbows, k)) for k in range(jelbows + 1)]
-            else:
-                factor = (1 + point) ** jelbows << bits * blanks
-            steps[state].append((move.south, move.program, factor))
-    level = {(0, (0,) * n): {(): 1} if per_row else 1}
-    for row in range(1, n + 1):
-        nxt: dict[tuple, dict | int] = {}
-        for (state, labels), weights in level.items():
-            for below, program, factor in steps[state]:
-                out = list(labels)
-                h = row
-                for j, tile in program:
-                    if tile is cross:
-                        a = labels[j]
-                        if a > h:
-                            out[j] = h
-                            h = a
-                    elif tile is r_elbow:
-                        out[j] = h
-                    else:
-                        h = labels[j]
-                        out[j] = 0
-                key = (below, tuple(out))
-                if not per_row:
-                    nxt[key] = nxt.get(key, 0) + weights * factor
-                    continue
-                slot = nxt.get(key)
-                if slot is None:
-                    slot = nxt[key] = {}
-                for expo, c in weights.items():
-                    for grow, m in factor:
-                        e = expo + grow
-                        slot[e] = slot.get(e, 0) + c * m
-        level = nxt
-    sums = {}
-    for (_, labels), weights in level.items():
-        word = [0] * n
-        for y, label in enumerate(labels, start=1):
-            word[label - 1] = y
-        sums[tuple(word)] = weights
-    return sums
 
 
 def enumerate_asm(n: int) -> Iterator[Asm]:

@@ -28,9 +28,12 @@ def kronecker_bits(n: int) -> int:
     Every nu of size m <= n has nonnegative coefficients summing to at
     most 2^(m(m-1)/2): summed over S_m, nu at b = 1 counts the grids by
     their j-elbows, 2^(m(m-1)/2) in all (the 2-enumeration of alternating
-    sign matrices).  A pattern-coefficient state is a signed sum of at
-    most 2^n of them, so its coefficients lie within 2^(S-2) in absolute
-    value; S leaves one sign bit and one spare bit.
+    sign matrices).  The intermediate states of the Hecke product that
+    builds the nu table obey the same bound: they are nonnegative, and at
+    b = 1 each of its m(m-1)/2 factors at most doubles their total, so no
+    coefficient exceeds 2^(m(m-1)/2).  A pattern-coefficient state is a
+    signed sum of at most 2^n of them, so its coefficients lie within
+    2^(S-2) in absolute value; S leaves one sign bit and one spare bit.
     """
     return n * (n - 1) // 2 + n + 2
 
@@ -171,6 +174,8 @@ class BetaPolynomial:
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError(f"negative exponent {k}: not a polynomial")
         result = BetaPolynomial.one()
         base = self
         while k:

@@ -8,17 +8,17 @@ over the flattened subwords w_S of w.  One transform (``_transform``)
 computes c over a pattern-closed set of words, all of S_<=n or the
 patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
 
-The nu and Grothendieck tables of a size come from one row-transfer pass
-(``enumeration.row_transfer``) that aggregates weights row by row
-without listing the grids.  Its sums are read through ``all_perms(n)``:
-there must be exactly one per permutation, so the tables share
-``all_perms``'s keys and iterate in lexicographic order.  A nu sum is
-divided by b^length(w) on the integer, by checking that its low slots
-are zero and shifting them off, before it is read back as a polynomial.
-The tables are kept in the table store (``store.stored``), the one place
-a computed nu is kept, and ``nu`` of a word and the transform's leaves are
-read off the table of their size.  The nu pass and the transform run on
-integers, each polynomial taken at b = 2^S for a slot width S
+The nu and Grothendieck tables of a size come from one Hecke product
+(Fomin and Kirillov), the product of the factors (1 + x_i u_j) over a
+list of coefficients aligned with ``all_perms(n)``, so the tables share
+its keys and iterate in lexicographic order.  No grid is built: the
+per-matrix sums over the grid stream and the divided differences of the
+tests are its oracles.  The coefficient of u_w is the polynomial of w
+itself, not of its inverse and not times a power of b, so it is read
+back as it stands.  The tables are kept in the table store
+(``store.stored``), the one place a computed nu is kept, and ``nu`` of a
+word and the transform's leaves are read off the table of their size.  The nu product and the transform run
+on integers, each polynomial taken at b = 2^S for a slot width S
 (``polynomials.kronecker_bits``) that bounds every coefficient, and read
 each word's polynomial back once; the transform's leaves are written in
 that form with ``BetaPolynomial.to_kronecker``.  The minimal grids come
@@ -28,10 +28,11 @@ counts and weight sums (``minimal_summary``) are read off those sets.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
+from math import factorial
 
-from .enumeration import bpd_stream, check_guard, removable_pipes, row_transfer
-from .errors import CheckFailed
+from .enumeration import bpd_stream, check_guard, removable_pipes
 from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
@@ -39,41 +40,58 @@ from .store import stored
 
 
 def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
-    """nu for every permutation of size n, from one row-transfer pass."""
+    """nu for every permutation of size n, from one Hecke product."""
     check_guard(n, guard)
     return stored("nu", n, _build_nu_table)
 
 
 def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
-    bits = kronecker_bits(n)
-    table = {}
-    for w, value in _by_permutation(n, row_transfer(n, per_row=False)):
-        # blanks never dip below the length of the type, so the low
-        # length(w) slots are zero and shifting them off divides by b^length
-        low = bits * w.length()
-        if value & ((1 << low) - 1):
-            raise ValueError(f"not divisible by b^{w.length()}: "
-                             f"{BetaPolynomial.from_kronecker(value, bits)}")
-        table[w] = BetaPolynomial.from_kronecker(value >> low, bits)
-    return table
+    # every x is 1 and beta is 2^S, so a factor is v + (v << S) + vec[r]
+    bits, perms = kronecker_bits(n), all_perms(n)
+    vec = [0] * len(perms)
+    vec[0] = 1
+    for _, sources, targets in _hecke_factors(n):
+        for r, t in zip(sources, targets):
+            v = vec[t]
+            vec[t] = v + (v << bits) + vec[r]
+    return {w: BetaPolynomial.from_kronecker(value, bits) for w, value in zip(perms, vec)}
 
 
-def _by_permutation(n: int, sums: dict):
-    """Pairs (w, sums[w]) for w in ``all_perms(n)``, in its order.
+def _hecke_factors(n: int):
+    """The factors (1 + x_i u_j) of the Hecke product, in order, as
+    (i, sources, targets) with the ranks of ``_ascents(n, j - 1)``.
 
-    The row transfer keys its sums by type words; there must be exactly
-    one per permutation of size n, so every grid's type is a permutation
-    and every permutation is some grid's type.
+    Fomin and Kirillov: in the Hecke algebra, where u_v u_j is u_(v s_j)
+    when v has an ascent at j and beta u_v otherwise, the product over
+    i = 1..n-1 and, within each i, j = n-1 down to i, of (1 + x_i u_j)
+    is the sum of G^beta_w(x) u_w over S_n.  The state is the list of
+    the coefficients, aligned with ``all_perms(n)``; a factor leaves the
+    sources as they are and sets each target to
+    vec[t] (1 + beta x_i) + x_i vec[r].
     """
-    perms = all_perms(n)
-    if len(sums) != len(perms):
-        raise CheckFailed(f"the row transfer gives {len(sums)} types for "
-                          f"the {len(perms)} permutations of size {n}")
-    for w in perms:
-        value = sums.get(w)
-        if value is None:
-            raise CheckFailed(f"the row transfer gives no grid of type {w.text()}")
-        yield w, value
+    ascents = [_ascents(n, p) for p in range(n - 1)]
+    for i in range(1, n):
+        for j in range(n - 1, i - 1, -1):
+            yield (i, *ascents[j - 1])
+
+
+def _ascents(n: int, p: int) -> tuple[array, array]:
+    """The ranks r in ``all_perms(n)`` of the v with v[p] < v[p+1] (p from
+    0), and the ranks t of the same v with those two letters swapped.
+
+    The lexicographic rank has the Lehmer code for its factorial digits:
+    a and b, the digits of positions p and p+1, count the smaller letters
+    to the right of each, so the ascent is a <= b, and swapping makes the
+    digits b+1 and a.
+    """
+    f1, f2 = factorial(n - 1 - p), factorial(n - 2 - p)
+    sources, targets = array("q"), array("q")
+    for r in range(factorial(n)):
+        a, b = r // f1 % (n - p), r // f2 % (n - 1 - p)
+        if a <= b:
+            sources.append(r)
+            targets.append(r + (b + 1 - a) * f1 + (a - b) * f2)
+    return sources, targets
 
 
 def nu(w: Permutation, guard=None) -> BetaPolynomial:
@@ -93,13 +111,30 @@ def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePoly
 
 
 def _build_grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomial]:
-    # the last row has no blank or j-elbow, so x_n never occurs
-    nvars = max(n - 1, 0)
+    # an entry maps x-exponents, the digits of one base-n integer with
+    # x_i (of degree at most n - i) at n^(i-1), to counts; a term's
+    # beta-degree is its x-degree less the length of its word, so beta is
+    # not carried
+    nvars, perms = max(n - 1, 0), all_perms(n)
+    vec = [{} for _ in perms]
+    vec[0][0] = 1
+    for i, sources, targets in _hecke_factors(n):
+        step = n ** (i - 1)
+        for r, t in zip(sources, targets):
+            entry = vec[t]
+            grown = {}
+            for terms in (entry, vec[r]):
+                for key, count in terms.items():
+                    grown[key + step] = grown.get(key + step, 0) + count
+            for key, count in grown.items():
+                entry[key] = entry.get(key, 0) + count
     table = {}
-    for w, weights in _by_permutation(n, row_transfer(n, per_row=True)):
-        terms = {expo[:nvars]: BetaPolynomial.monomial(sum(expo), count)
-                 for expo, count in weights.items()}
-        table[w] = MultivariatePolynomial(nvars, terms).beta_shift_down(w.length())
+    for w, entry in zip(perms, vec):
+        length, terms = w.length(), {}
+        for key, count in entry.items():
+            expo = tuple(key // n ** k % n for k in range(nvars))
+            terms[expo] = BetaPolynomial.monomial(sum(expo) - length, count)
+        table[w] = MultivariatePolynomial(nvars, terms)
     return table
 
 

@@ -43,6 +43,13 @@ class TestBetaPolynomial:
         assert p.coeffs == (2 ** 300,)
         assert p(1) == 2 ** 300
 
+    def test_power(self):
+        b = BetaPolynomial.beta()
+        assert b ** 0 == BetaPolynomial.one()
+        assert (b + 1) ** 3 == BetaPolynomial.one_plus_beta_power(3)
+        with pytest.raises(ValueError, match="negative exponent"):
+            b ** -1
+
     @given(polys, polys, polys)
     def test_ring_axioms(self, a, b, c):
         assert a + b == b + a

@@ -2,20 +2,20 @@ from collections import Counter
 
 import pytest
 
-from pipedream import (BetaPolynomial, CheckFailed, GuardExceeded,
+from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
                        grothendieck, nu, nu_table, schubert, skew_identities,
                        skew_sum)
-from pipedream import enumeration, specialization, store
+from pipedream import enumeration, store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
                             tiles_from_asm_rows, trace)
 from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import (MinimalSummary, coefficient_values,
-                                      grothendieck_table, minimal_sets,
-                                      minimal_summary)
+from pipedream.specialization import (MinimalSummary, _ascents,
+                                      coefficient_values, grothendieck_table,
+                                      minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
 
 
@@ -181,43 +181,32 @@ class TestRowTransfer:
                 assert len(table) == len(all_perms(n))
                 assert all(key is w for key, w in zip(table, all_perms(n))), n
 
-    @pytest.mark.parametrize("build", [nu_table, grothendieck_table])
-    @pytest.mark.parametrize("damage", ["drop", "replace", "extra"])
-    def test_sums_must_cover_exactly_the_permutations(self, cold_caches, monkeypatch,
-                                                      build, damage):
-        true_transfer = specialization.row_transfer
-
-        def damaged(n, per_row):
-            sums = true_transfer(n, per_row)
-            value = sums[(1, 3, 2)]
-            if damage != "extra":
-                del sums[(1, 3, 2)]
-            if damage != "drop":
-                sums[(1, 3, 3)] = value
-            return sums
-
-        monkeypatch.setattr(specialization, "row_transfer", damaged)
-        with pytest.raises(CheckFailed):
-            build(3)
-
-    def test_nu_low_slots_must_vanish(self, cold_caches, monkeypatch):
-        true_transfer = specialization.row_transfer
-
-        def damaged(n, per_row):
-            sums = true_transfer(n, per_row)
-            sums[(1, 3, 2)] += 1  # b^0 of a type of length 1
-            return sums
-
-        monkeypatch.setattr(specialization, "row_transfer", damaged)
-        with pytest.raises(ValueError, match=r"not divisible by b\^1"):
-            nu_table(3)
-
     def test_grothendieck_matches_divided_differences(self):
         for n in range(1, 6):
             oracle = divided_difference_table(n)
             assert len(oracle) == len(all_perms(n))
             assert grothendieck_table(n) == oracle, n
         assert str(divided_difference_table(3)[P("132")]) == "x1+x2+b*x1*x2"
+
+
+class TestHeckeProduct:
+    def test_ascents_pair_each_ascent_with_its_swap(self):
+        for n in range(7):
+            perms = all_perms(n)
+            rank = {w: r for r, w in enumerate(perms)}
+            for p in range(n - 1):
+                sources, targets = _ascents(n, p)
+                assert list(sources) == [r for r, w in enumerate(perms) if w[p] < w[p + 1]]
+                assert len(targets) == len(perms) // 2
+                for r, t in zip(sources, targets):
+                    w = perms[r]
+                    assert t == rank[w[:p] + (w[p + 1], w[p]) + w[p + 2:]]
+
+    def test_tables_build_no_grid(self, cold_caches):
+        # the product never reads the table of moves or a row record
+        nu_table(5)
+        grothendieck_table(5)
+        assert not {"transitions", "moves", "rows"} & {kind for kind, _ in store._TABLES}
 
 
 def streamed_minimal_summary(n):
