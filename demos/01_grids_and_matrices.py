@@ -8,6 +8,9 @@ running 7 x 7 example, reads off its permutation, and round-trips it
 through its matrix of elbows.
 """
 
+import os
+import tempfile
+
 from pipedream import BpdGrid, Tile, from_asm, render, to_asm, trace
 
 # Tiles: '.' blank, '-' dash, '|' bar, '+' cross, 'r' and 'j' elbows.
@@ -41,9 +44,10 @@ print(BpdGrid.identity(4).to_ascii())
 
 # Rendering: ascii for fixtures, one-line json for machines, svg to look at.
 print(render(grid, "json"))
-with open("/tmp/pipedream_demo.svg", "w") as handle:
+svg_path = os.path.join(tempfile.gettempdir(), "pipedream_demo.svg")
+with open(svg_path, "w") as handle:
     handle.write(render(grid, "svg"))
-print("wrote /tmp/pipedream_demo.svg")
+print("wrote", svg_path)
 
 # Tile counts drive everything downstream: blanks measure how far the grid
 # is above the minimum, j-elbows measure how often pipes bounce.

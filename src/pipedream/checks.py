@@ -317,15 +317,10 @@ def _check_conj_groth(n, tally):
 
 def _block_decomposes(grid, mu, mv):
     """Does the grid split as blanks / top-right, bottom-left / crosses?"""
-    n = mu + mv
-    for i in range(1, mu + 1):
-        for j in range(1, mv + 1):
-            if grid.tile(i, j) is not Tile.BLANK:
-                return None
-    for i in range(mu + 1, n + 1):
-        for j in range(mv + 1, n + 1):
-            if grid.tile(i, j) is not Tile.CROSS:
-                return None
+    if any(t is not Tile.BLANK for row in grid.rows[:mu] for t in row[:mv]):
+        return None
+    if any(t is not Tile.CROSS for row in grid.rows[mu:] for t in row[mv:]):
+        return None
     top = BpdGrid(tuple(row[mv:] for row in grid.rows[:mu]))
     bottom = BpdGrid(tuple(row[:mv] for row in grid.rows[mu:]))
     return top, bottom

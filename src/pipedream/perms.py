@@ -249,28 +249,16 @@ def layered(n: int) -> list[Permutation]:
     """All layered permutations of size n, one per composition of n.
 
     Each composition (n_1, ..., n_k) contributes the concatenation of
-    decreasing blocks n_1..1, (n_1+n_2)..(n_1+1), and so on.
+    decreasing blocks n_1..1, (n_1+n_2)..(n_1+1), and so on: a first block
+    of size k, then a layered word of size n - k shifted up by k.  Taking
+    k ascending gives the words in lexicographic order.
     """
     if n < 0:
         raise ValueError("size must be nonnegative")
     if n == 0:
         return [Permutation()]
-    result = set()
-    # compositions of n via subsets of the n-1 gaps
-    for gaps in range(1 << (n - 1)):
-        word = []
-        start = 0
-        size = 1
-        for pos in range(n - 1):
-            if gaps >> pos & 1:
-                word.extend(range(start + size, start, -1))
-                start += size
-                size = 1
-            else:
-                size += 1
-        word.extend(range(start + size, start, -1))
-        result.add(Permutation(word))
-    return sorted(result)
+    return [Permutation._trusted(tuple(range(k, 0, -1)) + tuple(v + k for v in rest))
+            for k in range(1, n + 1) for rest in layered(n - k)]
 
 
 def all_perms(n: int) -> tuple[Permutation, ...]:

@@ -3,17 +3,17 @@
 Two small value types cover everything this package needs:
 
 * ``BetaPolynomial`` -- a univariate polynomial in the deformation
-  parameter, stored densely as a coefficient tuple.
+  parameter, stored densely as a coefficient tuple with no trailing zero.
 * ``MultivariatePolynomial`` -- a sparse polynomial in x_1..x_k whose
-  coefficients are ``BetaPolynomial`` values.
+  coefficients are ``BetaPolynomial`` values; its constructor drops the
+  terms that cancel, and each type subtracts by adding the negation.
 
-All arithmetic is over Python integers, so it is exact at every size;
-there is no overflow to guard against.  The table kernels also carry a
-polynomial as one integer, its value at b = 2^S (Kronecker substitution).
-Both directions of that format live here: ``BetaPolynomial.to_kronecker``
-writes a polynomial as that integer and ``BetaPolynomial.from_kronecker``
-reads it back; ``kronecker_bits`` gives the slot width S that keeps that
-exact for the tables of a size.
+All arithmetic is over Python integers, so it is exact at every size.
+The table kernels also carry a polynomial as one integer, its value at
+b = 2^S (Kronecker substitution): ``BetaPolynomial.to_kronecker`` writes
+it and ``BetaPolynomial.from_kronecker`` reads it back, and
+``kronecker_bits`` gives the slot width S that keeps that exact for the
+tables of a size.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ class BetaPolynomial:
             return cls(())
         return cls((0,) * power + (coeff,))
 
-    @classmethod
-    def one_plus_beta_power(cls, k: int) -> "BetaPolynomial":
-        """(1+b)^k, by binomial coefficients."""
-        c = [1]
-        for _ in range(k):
-            c = [a + b for a, b in zip_longest([0] + c, c + [0], fillvalue=0)]
-        return cls(tuple(c))
-
     # -- ring operations -------------------------------------------------
 
     def __add__(self, other):
@@ -149,21 +141,18 @@ class BetaPolynomial:
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return BetaPolynomial(_trim(
-            a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)))
+        return self + -other
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return other - self
+        return other + -self
 
     def __mul__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
-            return BetaPolynomial(())
         out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
         for i, a in enumerate(self.coeffs):
             if a:
@@ -202,12 +191,6 @@ class BetaPolynomial:
 
     def is_nonnegative(self) -> bool:
         return all(a >= 0 for a in self.coeffs)
-
-    def shift_down(self, k: int) -> "BetaPolynomial":
-        """Exact division by b^k; the low k coefficients must vanish."""
-        if any(self.coeffs[:k]):
-            raise ValueError(f"not divisible by b^{k}: {self}")
-        return BetaPolynomial(self.coeffs[k:])
 
     def __str__(self):
         if not self.coeffs:
@@ -286,23 +269,11 @@ class MultivariatePolynomial:
         self._check(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
-            s = out.get(expo, ZERO) + coeff
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
+            out[expo] = out.get(expo, ZERO) + coeff
         return MultivariatePolynomial(self.nvars, out)
 
     def __sub__(self, other):
-        self._check(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            s = out.get(expo, ZERO) - coeff
-            if s:
-                out[expo] = s
-            else:
-                out.pop(expo, None)
-        return MultivariatePolynomial(self.nvars, out)
+        return self + other * -1
 
     def __mul__(self, other):
         if isinstance(other, (int, BetaPolynomial)):
@@ -314,11 +285,7 @@ class MultivariatePolynomial:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+                out[e] = out.get(e, ZERO) + c1 * c2
         return MultivariatePolynomial(self.nvars, out)
 
     __rmul__ = __mul__
@@ -333,10 +300,6 @@ class MultivariatePolynomial:
     def __bool__(self):
         return bool(self.terms)
 
-    def beta_shift_down(self, k: int) -> "MultivariatePolynomial":
-        return MultivariatePolynomial(
-            self.nvars, {e: c.shift_down(k) for e, c in self.terms.items()})
-
     def at_beta(self, beta_value: int) -> "MultivariatePolynomial":
         return MultivariatePolynomial(
             self.nvars,
@@ -344,10 +307,7 @@ class MultivariatePolynomial:
 
     def all_ones(self) -> BetaPolynomial:
         """Substitute 1 for every x variable."""
-        total = ZERO
-        for coeff in self.terms.values():
-            total = total + coeff
-        return total
+        return sum(self.terms.values(), ZERO)
 
     def sorted_terms(self):
         """Graded order: total degree first, then x1 before x2 within a degree."""
@@ -373,8 +333,8 @@ class MultivariatePolynomial:
             elif ctext == "-1":
                 body = "-" + "*".join(factors)
             else:
-                if len(coeff.coeffs) - coeff.coeffs.count(0) > 1 or ctext.startswith("-"):
-                    ctext = f"({ctext})" if "+" in ctext or "-" in ctext[1:] else ctext
+                if "+" in ctext or "-" in ctext[1:]:
+                    ctext = f"({ctext})"
                 body = "*".join([ctext] + factors)
             if parts and not body.startswith("-"):
                 parts.append("+" + body)

@@ -14,9 +14,9 @@ SRC = str(Path(pipedream.__file__).parent.parent)
 
 
 @pytest.mark.parametrize("script", DEMOS, ids=[d.name for d in DEMOS])
-def test_demo_runs(script):
+def test_demo_runs(script, tmp_path):
     path = os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))
-    env = dict(os.environ, PYTHONPATH=path)
+    env = dict(os.environ, PYTHONPATH=path, TMPDIR=str(tmp_path))
     done = subprocess.run([sys.executable, str(script)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr

@@ -5,7 +5,8 @@ import pytest
 from pipedream import (Asm, BoundaryLeak, BpdGrid, BrokenStrand,
                        InconsistentAsm, NotBijective, Permutation, Tile,
                        enumerate_asm, from_asm, from_json, is_valid, render,
-                       to_asm, trace, validate)
+                       resolve, to_asm, trace, validate)
+from pipedream.enumeration import bpd_stream
 
 def P(text):
     return Permutation.from_text(text)
@@ -34,6 +35,9 @@ class TestValidate:
         g = BpdGrid(((Tile.VERTICAL,),))
         with pytest.raises((BoundaryLeak, BrokenStrand, NotBijective)):
             validate(g)
+
+    def test_is_valid_false_on_a_malformed_grid(self):
+        assert not is_valid(BpdGrid.from_ascii("r-\n.|"))
 
     def test_empty_grid_is_valid(self):
         validate(BpdGrid(()))
@@ -173,6 +177,14 @@ class TestRender:
             {Tile.BLANK: 0, Tile.HORIZONTAL: 1, Tile.VERTICAL: 1, Tile.CROSS: 2,
              Tile.R_ELBOW: 1, Tile.J_ELBOW: 1, Tile.BUMP: 2}[t]
             for row in fig_bpd_1.rows for t in row)
+
+    def test_svg_bump_arcs(self):
+        # a bump is two arcs of sweep flag 1; elbows sweep the other way
+        g = next(g for g in bpd_stream(4) if not trace(g).is_reduced)
+        resolved = resolve(g)[0]
+        bumps = resolved.count(Tile.BUMP)
+        assert bumps >= 1
+        assert render(resolved, "svg").count(" 0 0 1 ") == 2 * bumps
 
     def test_unknown_format(self, fig_bpd_1):
         with pytest.raises(ValueError):

@@ -149,7 +149,7 @@ class TestBetaWeight:
         for n in range(6):
             for grid in bpd_stream(n):
                 blanks, jelbows = grid.count(Tile.BLANK), grid.count(Tile.J_ELBOW)
-                power = BetaPolynomial.one_plus_beta_power(jelbows)
+                power = (1 + BetaPolynomial.beta()) ** jelbows
                 for ref in range(blanks + 1):
                     assert beta_weight(grid, ref) == (
                         BetaPolynomial.monomial(blanks - ref) * power)

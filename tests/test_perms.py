@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pipedream import (NotAPermutation, Permutation, SubwordSelection, flatten,
-                       layered, pattern_count, skew_sum, subwords)
+                       is_vexillary, layered, pattern_count, skew_sum,
+                       subwords)
 from pipedream.ktheory import _first_occurrence
 from pipedream.perms import (PATTERN_132, PATTERN_1243, PATTERN_2143,
                              all_perms, all_subwords, flatten_word, occurrences,
@@ -239,6 +240,15 @@ class TestLayered:
         assert not P("1243").avoids(PATTERN_1243)
         assert P("2143") in layered(4)
         assert not P("2143").avoids(PATTERN_2143)
+
+    def test_lexicographic_order(self):
+        for n in range(9):
+            assert layered(n) == sorted(set(layered(n)))
+
+
+def test_is_vexillary_avoids_2143():
+    for w in all_perms(5):
+        assert is_vexillary(w) == w.avoids(PATTERN_2143)
 
 
 def test_named_patterns():

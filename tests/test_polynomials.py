@@ -28,16 +28,6 @@ class TestBetaPolynomial:
         assert p(1) == 7
         assert p(2) == 13
 
-    def test_one_plus_beta_power(self):
-        assert BetaPolynomial.one_plus_beta_power(0) == BetaPolynomial.one()
-        assert BetaPolynomial.one_plus_beta_power(2).coeffs == (1, 2, 1)
-
-    def test_shift_down(self):
-        p = BetaPolynomial.from_coeffs([0, 0, 5, 1])
-        assert p.shift_down(2).coeffs == (5, 1)
-        with pytest.raises(ValueError):
-            p.shift_down(3)
-
     def test_huge_values_stay_exact(self):
         p = BetaPolynomial.from_coeffs([2]) ** 300
         assert p.coeffs == (2 ** 300,)
@@ -46,9 +36,13 @@ class TestBetaPolynomial:
     def test_power(self):
         b = BetaPolynomial.beta()
         assert b ** 0 == BetaPolynomial.one()
-        assert (b + 1) ** 3 == BetaPolynomial.one_plus_beta_power(3)
+        assert (b + 1) ** 3 == BetaPolynomial.from_coeffs([1, 3, 3, 1])
         with pytest.raises(ValueError, match="negative exponent"):
             b ** -1
+
+    def test_foreign_operand_is_not_coerced(self):
+        with pytest.raises(TypeError, match="for -:"):
+            "x" - BetaPolynomial.one()
 
     @given(polys, polys, polys)
     def test_ring_axioms(self, a, b, c):
@@ -121,13 +115,17 @@ class TestMultivariate:
     def test_zero_terms_dropped(self):
         x1 = MultivariatePolynomial.variable(1, 1)
         assert not (x1 - x1).terms
+        assert not x1 - x1
+
+    def test_subtraction_text(self):
+        x1 = MultivariatePolynomial.variable(2, 1)
+        x2 = MultivariatePolynomial.variable(2, 2)
+        b = BetaPolynomial.beta()
+        assert str(x1 - x2) == "x1-x2"
+        assert str(x2 - x1 * 2) == "-2*x1+x2"
+        assert str(x1 * x1 - x2 * (b + 1)) == "(-b-1)*x2+x1^2"
 
     def test_parenthesized_coefficients(self):
         x1 = MultivariatePolynomial.variable(1, 1)
         p = BetaPolynomial.from_coeffs([1, 1]) * x1
         assert str(p) == "(b+1)*x1"
-
-    def test_beta_shift_down(self):
-        x1 = MultivariatePolynomial.variable(1, 1)
-        p = BetaPolynomial.from_coeffs([0, 0, 3]) * x1
-        assert p.beta_shift_down(2) == 3 * x1

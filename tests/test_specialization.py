@@ -82,6 +82,10 @@ class TestGrothendieck:
         assert str(grothendieck(P("132"))) == "x1+x2+b*x1*x2"
         assert str(schubert(P("132"))) == "x1+x2"
 
+    def test_2143_has_a_squared_variable_and_a_b_squared_term(self):
+        assert str(grothendieck(P("2143"))) == (
+            "x1^2+x1*x2+x1*x3+b*x1^2*x2+b*x1^2*x3+b*x1*x2*x3+b^2*x1^2*x2*x3")
+
     def test_principal_specialization_consistency(self):
         for n in range(5):
             for w in all_perms(n):
@@ -115,16 +119,16 @@ def per_matrix_tables(n, groth):
     for (typ, blanks, jelbows), count in counts.items():
         w = Permutation(typ)
         assert blanks[-1] == jelbows[-1] == 0
-        weight = (BetaPolynomial.monomial(sum(blanks) - w.length(), count)
-                  * BetaPolynomial.one_plus_beta_power(sum(jelbows)))
-        nus[w] = nus.get(w, BetaPolynomial.zero()) + weight
+        # the weight's lowest power of b is b^(blanks), so it divides by b^l(w)
+        assert sum(blanks) >= w.length()
+        low = BetaPolynomial.monomial(sum(blanks) - w.length(), count)
+        nus[w] = (nus.get(w, BetaPolynomial.zero())
+                  + low * (1 + BetaPolynomial.beta()) ** sum(jelbows))
         if groth:
-            term = MultivariatePolynomial(
-                nvars, {blanks[:nvars]: BetaPolynomial.monomial(sum(blanks), count)})
+            term = MultivariatePolynomial(nvars, {blanks[:nvars]: low})
             for factor, k in zip(factors, jelbows):
                 for _ in range(k):
                     term = term * factor
-            term = term.beta_shift_down(w.length())
             groths[w] = groths[w] + term if w in groths else term
     return nus, groths
 
