@@ -5,8 +5,8 @@ size, from 0 up, and reports counterexamples instead of asserting, so a
 falsified statement surfaces as data.  A check body counts its instances
 and files its counterexamples on a ``_Tally``, which stops the body at the
 ``MAX_COUNTEREXAMPLES``-th one.  The removal checks share one stratum
-comparison (``_compare_strata``) and the bound checks one pattern-weighted
-sum over the minimal grids (``_minimal_sum``).  The default size schedule
+comparison (``_compare_strata``) and the bound checks one zeta transform
+over the minimal grids (``_minimal_sums``).  The default size schedule
 lives in the test suite; heavier sizes are opt-in.
 """
 
@@ -30,9 +30,9 @@ from .perms import (PATTERN_132, PATTERN_1243, PATTERN_2143, Permutation,
                     ranks, skew_sum)
 from .polynomials import BetaPolynomial
 from .removal import insert, remove
-from .specialization import (EMPTY_SUMMARY, coefficient, coefficient_table,
-                             coefficient_values, minimal_sets, minimal_summary,
-                             nu, nu_table, skew_identities)
+from .specialization import (EMPTY_SUMMARY, _transform, coefficient,
+                             coefficient_table, coefficient_values, minimal_sets,
+                             minimal_summary, nu, nu_table, skew_identities)
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -90,13 +90,12 @@ def _grid_fixture(grid: BpdGrid) -> str:
     return "/".join("".join(t.char for t in row) for row in grid.rows)
 
 
-def _minimal_sum(w, summaries, field):
-    """Sum over the subwords of w of ``field`` of the minimal-grid summary
-    of their flattened patterns; ``summaries[m]`` is ``minimal_summary(m)``."""
-    total = getattr(EMPTY_SUMMARY, field)
-    for key, count in pattern_census(w).items():
-        total = total + count * getattr(summaries[len(key)].get(key, EMPTY_SUMMARY), field)
-    return total
+def _minimal_sums(n, guard, leaf):
+    """The minimal-grid summaries of sizes 0..n, and the sum of ``leaf`` of
+    them over the subwords of every w in S_<=n (a missing one counts 0)."""
+    summaries = [minimal_summary(m, guard=guard) for m in range(n + 1)]
+    leaves = [{u: leaf(s) for u, s in summary.items()} for summary in summaries]
+    return summaries, _transform([all_perms(m) for m in range(n + 1)], leaves, sign=1)
 
 
 def _compare_strata(tally, words, strata, predict, describe):
@@ -124,11 +123,11 @@ def _compare_strata(tally, words, strata, predict, describe):
 
 def _check_upper_bound(n, tally):
     """nu is at most the pattern-weighted count of minimal reduced grids."""
-    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
+    _, sums = _minimal_sums(n, tally.guard, lambda s: BetaPolynomial.const(s.count_reduced))
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         lhs = nu(w, guard=tally.guard).constant_term
-        rhs = _minimal_sum(w, summaries, "count_reduced")
+        rhs = sums[w].constant_term
         if lhs > rhs:
             tally.fail(f"{w.text()}: nu={lhs} > bound={rhs}")
 
@@ -136,13 +135,13 @@ def _check_upper_bound(n, tally):
 def _check_thm_1243(n, tally):
     """For 1243-avoiding w the upper bound is an equality and the
     coefficient counts the minimal reduced grids."""
-    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
+    summaries, sums = _minimal_sums(n, tally.guard, lambda s: BetaPolynomial.const(s.count_reduced))
     for w in all_perms(n):
         if w.contains(PATTERN_1243):
             continue
         tally.instances += 1
         lhs = nu(w, guard=tally.guard).constant_term
-        rhs = _minimal_sum(w, summaries, "count_reduced")
+        rhs = sums[w].constant_term
         c_w = coefficient(w, guard=tally.guard).constant_term
         mbpd_count = summaries[n].get(w, EMPTY_SUMMARY).count_reduced
         if lhs != rhs:
@@ -282,12 +281,12 @@ def _check_weight_preservation(n, tally):
 def _check_groth(n, tally):
     """For vexillary 1243-avoiding w, nu equals the pattern-weighted sum of
     minimal reduced weights and the coefficient is the minimal weight."""
-    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
+    summaries, sums = _minimal_sums(n, tally.guard, lambda s: s.weight_reduced)
     for w in all_perms(n):
         if w.contains(PATTERN_1243) or w.contains(PATTERN_2143):
             continue
         tally.instances += 1
-        total = _minimal_sum(w, summaries, "weight_reduced")
+        total = sums[w]
         nu_w = nu(w, guard=tally.guard)
         if nu_w != total:
             tally.fail(f"{w.text()}: nu={nu_w} != weighted sum={total}")

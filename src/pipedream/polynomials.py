@@ -31,8 +31,9 @@ def kronecker_bits(n: int) -> int:
     sign matrices).  The intermediate states of the Hecke product that
     builds the nu table obey the same bound: they are nonnegative, and at
     b = 1 each of its m(m-1)/2 factors at most doubles their total, so no
-    coefficient exceeds 2^(m(m-1)/2).  A pattern-coefficient state is a
-    signed sum of at most 2^n of them, so its coefficients lie within
+    coefficient exceeds 2^(m(m-1)/2), nor do the zeta sums' minimal-grid
+    leaves: the minimal reduced grids of w have type w.  A transform state
+    adds at most 2^n leaves, signed for c, so its coefficients lie within
     2^(S-2) in absolute value; S leaves one sign bit and one spare bit.
     """
     return n * (n - 1) // 2 + n + 2
@@ -261,18 +262,28 @@ class MultivariatePolynomial:
         expo = tuple(1 if i == index - 1 else 0 for i in range(nvars))
         return cls(nvars, {expo: ONE})
 
-    def _check(self, other):
+    def _matches(self, other) -> bool:
+        """Is ``other`` a polynomial in as many variables?  A foreign type
+        is not (its operator returns ``NotImplemented``, so Python's
+        ``TypeError`` names it); another variable count is an error."""
+        if not isinstance(other, MultivariatePolynomial):
+            return False
         if self.nvars != other.nvars:
             raise ValueError("variable count mismatch")
+        return True
 
     def __add__(self, other):
-        self._check(other)
+        if not self._matches(other):
+            return NotImplemented
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             out[expo] = out.get(expo, ZERO) + coeff
         return MultivariatePolynomial(self.nvars, out)
 
     def __sub__(self, other):
+        # checked before negating, since "a" * -1 is ""
+        if not self._matches(other):
+            return NotImplemented
         return self + other * -1
 
     def __mul__(self, other):
@@ -280,7 +291,8 @@ class MultivariatePolynomial:
             c = _coerce_strict(other)
             return MultivariatePolynomial(
                 self.nvars, {e: k * c for e, k in self.terms.items()})
-        self._check(other)
+        if not self._matches(other):
+            return NotImplemented
         out: dict[tuple[int, ...], BetaPolynomial] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():

@@ -4,9 +4,9 @@ The polynomial attached to a permutation w sums, over all grids of type w,
 the monomial built from blank tiles (a beta-weighted variable per row) and
 j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
 gives the principal specialization nu, and c_w sums (-1)^(n-|S|) nu(w_S)
-over the flattened subwords w_S of w.  One transform (``_transform``)
-computes c over a pattern-closed set of words, all of S_<=n or the
-patterns of one word; the direct signed sum (``mode="ie"``) is its oracle.
+over the flattened subwords w_S of w.  One transform (``_transform``) sums
+over the subwords of a pattern-closed set: signed over nu it gives c (its
+oracle is the direct sum, ``mode="ie"``), plain the bound checks' sums.
 
 The nu and Grothendieck tables of a size come from one Hecke product
 (Fomin and Kirillov), the product of the factors (1 + x_i u_j) over a
@@ -17,13 +17,13 @@ tests are its oracles.  The coefficient of u_w is the polynomial of w
 itself, not of its inverse and not times a power of b, so it is read
 back as it stands.  The tables are kept in the table store
 (``store.stored``), the one place a computed nu is kept, and ``nu`` of a
-word and the transform's leaves are read off the table of their size.  The nu product and the transform run
-on integers, each polynomial taken at b = 2^S for a slot width S
-(``polynomials.kronecker_bits``) that bounds every coefficient, and read
-each word's polynomial back once; the transform's leaves are written in
-that form with ``BetaPolynomial.to_kronecker``.  The minimal grids come
-from one filter over the grid stream (``minimal_sets``), and their
-counts and weight sums (``minimal_summary``) are read off those sets.
+word and the leaves of c are read off the table of their size.  The nu
+product and the transform run on integers, each polynomial taken at
+b = 2^S for a slot width S (``polynomials.kronecker_bits``) that bounds
+every coefficient (``BetaPolynomial.to_kronecker`` writes the leaves),
+and read each word's polynomial back once.  The minimal grids come from
+one filter over the grid stream (``minimal_sets``), and their counts
+and weight sums (``minimal_summary``) are read off those sets.
 """
 
 from __future__ import annotations
@@ -167,7 +167,7 @@ def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolyno
     census = pattern_census(w)
     if mode == RECURSIVE:
         layers = [[u for u in census if len(u) == m] for m in range(w.size + 1)]
-        return _transform(layers, guard)[w]
+        return _transform(layers, [nu_table(m, guard=guard) for m in range(w.size + 1)])[w]
     total = BetaPolynomial.zero()
     for key, count in census.items():
         sign = -1 if (w.size - len(key)) % 2 else 1
@@ -175,42 +175,47 @@ def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolyno
     return total
 
 
-def _transform(layers, guard) -> dict[tuple, BetaPolynomial]:
-    """The coefficient of every word in ``layers``, keyed like the words.
+def _transform(layers, leaves, sign=-1) -> dict[tuple, BetaPolynomial]:
+    """Sum the leaves over the subwords of every word in ``layers``, keyed
+    like the words: with sign -1 a subword counts with the sign of the
+    letters it drops (nu leaves give c), with +1 plainly (the zeta sum).
 
     ``layers[m]`` lists the size-m words of a pattern-closed set, as
-    permutations or plain tuples.  h(u, j), the signed nu-sum over the
-    subwords of u that keep its last j letters, obeys h(u, |u|) = nu(u) and
-    h(u, j) = h(u, j+1) - h(u', j), where u' drops letter k = |u| - j - 1
-    (from 0) of u and lowers the letters above it by one; c_u = h(u, 0).
-    Sizes ascend so each u' precedes u.  The leaves of size j are read off
-    one ``nu_table(j)``, which plain tuples index as well as permutations.
-    Every state is one integer, its polynomial at b = 2^S with S =
-    ``kronecker_bits`` of the largest size, and each word's last state is
-    read back as a polynomial once.  States are keyed by the words' bytes,
-    so u' is a slice and a translate.
+    permutations or plain tuples, and ``leaves[m]`` maps size-m words to
+    polynomials, a missing word counting as 0.  The sum for u is
+    sign^|u| h(u, 0), where h(u, j), the sum of f(v) = sign^|v| leaf(v)
+    over the subwords v of u that keep its last j letters, obeys
+    h(u, |u|) = f(u) and h(u, j) = h(u, j+1) + h(u', j); u' drops letter
+    k = |u| - j - 1 (from 0) of u and lowers the letters above it by one.
+    Sizes ascend so each u' precedes u.  Every state is one integer, its
+    polynomial at b = 2^S with S = ``kronecker_bits`` of the largest size,
+    and each word's last state is read back as a polynomial once.  States
+    are keyed by the words' bytes, so u' is a slice and a translate.
     """
-    bits = kronecker_bits(len(layers) - 1)
+    bits, zero = kronecker_bits(len(layers) - 1), BetaPolynomial.zero()
+    scales = [sign ** m for m in range(len(layers))]
     # lower[t] maps each byte above t one down and the others to themselves
     lower = [bytes(range(t + 1)) + bytes(range(t, 255)) for t in range(len(layers))]
     keys = [[bytes(u) for u in layer] for layer in layers]
     above: dict[bytes, int] = {}
     for j in range(len(layers) - 1, -1, -1):
-        nus = nu_table(j, guard=guard)
-        layer = {key: nus[u].to_kronecker(bits) for u, key in zip(layers[j], keys[j])}
+        layer = {key: scales[j] * leaves[j].get(u, zero).to_kronecker(bits)
+                 for u, key in zip(layers[j], keys[j])}
         for m in range(j + 1, len(layers)):
             k = m - j - 1
             for u in keys[m]:
-                layer[u] = above[u] - layer[(u[:k] + u[k + 1:]).translate(lower[u[k]])]
+                layer[u] = above[u] + layer[(u[:k] + u[k + 1:]).translate(lower[u[k]])]
         above = layer
-    return {u: BetaPolynomial.from_kronecker(above[key], bits)
-            for layer, layer_keys in zip(layers, keys) for u, key in zip(layer, layer_keys)}
+    return {u: BetaPolynomial.from_kronecker(scale * above[key], bits)
+            for scale, layer, layer_keys in zip(scales, layers, keys)
+            for u, key in zip(layer, layer_keys)}
 
 
 def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
     """Coefficients of every permutation of size <= n, from one transform."""
     check_guard(n, guard)
-    return stored("c", n, lambda _: _transform([all_perms(m) for m in range(n + 1)], guard))
+    return stored("c", n, lambda _: _transform(
+        [all_perms(m) for m in range(n + 1)], [nu_table(m, guard=guard) for m in range(n + 1)]))
 
 
 def coefficient_values(n: int, beta_value: int, guard=None) -> dict[Permutation, int]:

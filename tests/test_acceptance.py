@@ -2,8 +2,8 @@
 
 Every criterion is pinned to its exact expected values and its exhaustive
 size schedule; each test prints one PASS line on success so a full run
-reads as a checklist.  Size 9, and the grid checks at size 7, are opt-in
-via the ``slow`` marker.
+reads as a checklist.  Size 9, and the grid and minimal-grid bound checks
+at size 7, are opt-in via the ``slow`` marker.
 """
 
 import hashlib
@@ -268,3 +268,19 @@ def test_grid_checks_n7(check_id):
     assert report.passed, report.failures
     assert report.instances_checked == GRID_CHECKS_N7[check_id]
     _report(f"slow {check_id} n=7")
+
+
+# the minimal-grid bound checks at size 7 in one process, whose
+# pattern-weighted sums come from one zeta transform over S_<=7, with their
+# instance counts: all of S_7, its 1243-avoiders, and its words avoiding
+# both 1243 and 2143
+BOUND_CHECKS_N7 = {"upper-bound": 5040, "thm-1243": 2761, "groth-1243-2143": 1806}
+
+
+@pytest.mark.slow
+def test_bound_checks_n7():
+    for check_id, instances in BOUND_CHECKS_N7.items():
+        report = run_check(check_id, 7)
+        assert report.passed, (check_id, report.failures)
+        assert report.instances_checked == instances, check_id
+    _report("slow bound checks n=7")

@@ -3,17 +3,18 @@ import json
 
 import pytest
 
-from pipedream import (CHECK_IDS, Asm, BpdGrid, GuardExceeded, Permutation,
-                       PipedreamError, SetQuery, SubwordSelection, UnknownCheck,
-                       checks, count_asms_bruteforce, count_asms_literal,
-                       enumerate_asm, layered, maxima_table, nu, pattern_count,
-                       query, run_check)
+from pipedream import (CHECK_IDS, Asm, BetaPolynomial, BpdGrid, GuardExceeded,
+                       Permutation, PipedreamError, SetQuery, SubwordSelection,
+                       UnknownCheck, checks, count_asms_bruteforce,
+                       count_asms_literal, enumerate_asm, layered, maxima_table,
+                       nu, pattern_count, query, run_check)
 from pipedream import enumeration
 from pipedream.checks import MAX_COUNTEREXAMPLES
 from pipedream.cli import main
 from pipedream.enumeration import QUERY_KINDS
 from pipedream.grid import COL_MAJOR, Tile
-from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms
+from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms, pattern_census
+from pipedream.specialization import EMPTY_SUMMARY
 from pipedream.store import clear_caches
 
 
@@ -186,6 +187,32 @@ class TestIntroBounds:
     def test_pattern_sum_through_size_six(self):
         for n in range(7):
             assert run_check("pattern-sum", n).passed
+
+
+def _census_sum(w, summaries, field):
+    """The pattern-weighted sum over w's census, one word at a time: the
+    oracle of the bound checks' zeta sums."""
+    total = BetaPolynomial.zero()
+    for key, count in pattern_census(w).items():
+        total = total + count * getattr(summaries[len(key)].get(key, EMPTY_SUMMARY), field)
+    return total
+
+
+class TestMinimalSums:
+    @pytest.mark.parametrize("fault", ["none", "minimal-summary-size3"])
+    def test_zeta_sums_match_the_census_form(self, fault, monkeypatch):
+        # under the fault every size-3 summary is missing and counts as 0
+        if fault in FAULTS:
+            _inject(monkeypatch, fault)
+        leaves = {"count_reduced": lambda s: BetaPolynomial.const(s.count_reduced),
+                  "weight_reduced": lambda s: s.weight_reduced}
+        for field, leaf in leaves.items():
+            summaries, sums = checks._minimal_sums(6, None, leaf)
+            assert (summaries[3] == {}) == (fault != "none")
+            assert len(sums) == sum(len(all_perms(m)) for m in range(7))
+            for m in range(7):
+                for w in all_perms(m):
+                    assert sums[w] == _census_sum(w, summaries, field), (field, w)
 
 
 EXPECTED_MAXIMA = {

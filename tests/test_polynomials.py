@@ -1,3 +1,4 @@
+import operator
 from itertools import product
 
 import pytest
@@ -129,3 +130,27 @@ class TestMultivariate:
         x1 = MultivariatePolynomial.variable(1, 1)
         p = BetaPolynomial.from_coeffs([1, 1]) * x1
         assert str(p) == "(b+1)*x1"
+
+    def test_foreign_operands(self):
+        # a foreign operand gives NotImplemented, so Python raises the
+        # TypeError; another variable count is a ValueError
+        x1 = MultivariatePolynomial.variable(2, 1)
+        for other in (3, "a", None):
+            for op in (operator.add, operator.sub):
+                with pytest.raises(TypeError):
+                    op(x1, other)
+        for other in ("a", None, 1.5):
+            with pytest.raises(TypeError):
+                x1 * other
+        assert x1.__add__(3) is NotImplemented
+        assert x1.__sub__("a") is NotImplemented
+        assert x1.__mul__("a") is NotImplemented
+        assert x1.__rmul__("a") is NotImplemented
+        assert str(3 * x1 - x1 * 3) == "0"
+        assert str(BetaPolynomial.beta() * x1) == "b*x1"
+        y1 = MultivariatePolynomial.variable(3, 1)
+        for op in (operator.add, operator.sub, operator.mul):
+            with pytest.raises(ValueError):
+                op(x1, y1)
+        for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
+            assert op in MultivariatePolynomial.__dict__
