@@ -28,11 +28,11 @@ from .ktheory import (COL_MAJOR, ROW_MAJOR, beta_weight, nonreduced_witness,
 from .perms import (PATTERN_132, PATTERN_1243, PATTERN_2143, Permutation,
                     all_perms, layered, pattern_census, pattern_count,
                     ranks, skew_sum)
-from .polynomials import BetaPolynomial
+from .polynomials import BetaPolynomial, kronecker_bits
 from .removal import insert, remove
-from .specialization import (EMPTY_SUMMARY, _transform, coefficient,
-                             coefficient_table, coefficient_values, minimal_sets,
-                             minimal_summary, nu, nu_table, skew_identities)
+from .specialization import (EMPTY_SUMMARY, _by_word, _nu_values, _transform,
+                             coefficient, coefficient_table, minimal_sets,
+                             minimal_summary, nu, skew_identities)
 
 MAX_COUNTEREXAMPLES = 10
 
@@ -94,8 +94,10 @@ def _minimal_sums(n, guard, leaf):
     """The minimal-grid summaries of sizes 0..n, and the sum of ``leaf`` of
     them over the subwords of every w in S_<=n (a missing one counts 0)."""
     summaries = [minimal_summary(m, guard=guard) for m in range(n + 1)]
-    leaves = [{u: leaf(s) for u, s in summary.items()} for summary in summaries]
-    return summaries, _transform([all_perms(m) for m in range(n + 1)], leaves, sign=1)
+    bits = kronecker_bits(n)
+    leaves = [[leaf(summary.get(w, EMPTY_SUMMARY)).to_kronecker(bits) for w in all_perms(m)]
+              for m, summary in enumerate(summaries)]
+    return summaries, _by_word(_transform(n, leaves, sign=1), bits)
 
 
 def _compare_strata(tally, words, strata, predict, describe):
@@ -455,14 +457,11 @@ def maxima_table(n: int, beta_value: int, guard=None) -> MaximaRow:
     the two argmax sets are checked to coincide.
     """
     check_guard(n, guard)
-    table = nu_table(n, guard=guard)
-    values = coefficient_values(n, beta_value, guard=guard)
-    perms = all_perms(n)
-    nu_vals = {w: table[w](beta_value) for w in perms}
-    max_nu = max(nu_vals.values())
-    max_c = max(values[w] for w in perms)
-    argmax_nu = tuple(sorted(w for w, val in nu_vals.items() if val == max_nu))
-    argmax_c = tuple(sorted(w for w in perms if values[w] == max_c))
+    leaves = [_nu_values(m, beta_value) for m in range(n + 1)]
+    nu_vals, c_vals = leaves[n], _transform(n, leaves)[n]
+    max_nu, max_c = max(nu_vals), max(c_vals)
+    argmax_nu = tuple(w for w, value in zip(all_perms(n), nu_vals) if value == max_nu)
+    argmax_c = tuple(w for w, value in zip(all_perms(n), c_vals) if value == max_c)
     if beta_value in (0, 1):
         layer = set(layered(n))
         for w in argmax_nu + argmax_c:

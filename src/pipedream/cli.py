@@ -4,7 +4,8 @@ Subcommands: enumerate, nu, coeff, poly, render, verify, maxima, cache.
 Output is deterministic for fixed inputs; the verify command's text form
 deliberately omits timing so runs are byte-identical.  The on-disk cache
 belongs to this module: ``nu`` answers from it when it holds the word, and
-``coeff`` never reads it, only adds the nu of the patterns of its word.
+``coeff`` never reads it, only adds the nu of the patterns of its word,
+which the recursive mode sums from the coefficient table.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .enumeration import SetQuery, check_guard, query
 from .errors import CacheError, PipedreamError
 from .grid import render
 from .perms import Permutation, SubwordSelection, pattern_census
-from .specialization import coefficient, grothendieck, nu
+from .specialization import coefficient, coefficient_table, grothendieck, nu
 
 
 def _perm(text: str) -> Permutation:
@@ -137,9 +138,13 @@ def _cmd_coeff(args) -> int:
     w = _perm(args.perm)
     value = coefficient(w, mode=args.mode, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
+    # each mode writes from the tables it read: ie from the nu tables, the
+    # recursive mode from the coefficients, a pattern's nu being their sum
+    c = coefficient_table(w.size, guard=args.guard) if args.mode == "recursive" else None
     for key in pattern_census(w):
         u = Permutation(key)
-        values[u] = nu(u, guard=args.guard)
+        values[u] = nu(u, guard=args.guard) if c is None else sum(
+            count * c[v] for v, count in pattern_census(u).items())
     _store(args.cache_path, values)
     return 0
 

@@ -7,8 +7,8 @@ of a subword selection, permutations by construction, are built
 unchecked.  ``length`` counts inversions with one bitmask of the letters
 seen, n steps instead of n(n-1)/2 pairs.  Pattern counting is a
 brute-force scan over index subsets, each compared along the pattern's
-value order (``occurrences``); the census serves the oracles and
-lists the patterns of one word for the coefficient transform.
+value order (``occurrences``); the census serves the oracles: the
+direct sum of ``coefficient(w, "ie")`` and the ``pattern-sum`` check.
 """
 
 from __future__ import annotations

@@ -9,11 +9,12 @@ Two small value types cover everything this package needs:
   terms that cancel, and each type subtracts by adding the negation.
 
 All arithmetic is over Python integers, so it is exact at every size.
-The table kernels also carry a polynomial as one integer, its value at
+The table kernels take b as an integer argument.  At a fixed integer
+beta they carry the values themselves and need no slot width; for the
+polynomial tables they carry each polynomial as one integer, its value at
 b = 2^S (Kronecker substitution): ``BetaPolynomial.to_kronecker`` writes
-it and ``BetaPolynomial.from_kronecker`` reads it back, and
-``kronecker_bits`` gives the slot width S that keeps that exact for the
-tables of a size.
+it, ``BetaPolynomial.from_kronecker`` reads it back, and
+``kronecker_bits`` gives the slot width S that keeps that exact.
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ from itertools import zip_longest
 
 
 def kronecker_bits(n: int) -> int:
-    """The slot width S(n) = n(n-1)/2 + n + 2 of the size-<=n table kernels.
+    """The slot width S(n) = n(n-1)/2 + n + 2 of the size-<=n table kernels
+    at b = 2^S; a kernel run at a fixed integer beta needs none.
 
     Every nu of size m <= n has nonnegative coefficients summing to at
     most 2^(m(m-1)/2): summed over S_m, nu at b = 1 counts the grids by

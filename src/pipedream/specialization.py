@@ -5,7 +5,7 @@ the monomial built from blank tiles (a beta-weighted variable per row) and
 j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
 gives the principal specialization nu, and c_w sums (-1)^(n-|S|) nu(w_S)
 over the flattened subwords w_S of w.  One transform (``_transform``) sums
-over the subwords of a pattern-closed set: signed over nu it gives c (its
+over the subwords of every word of S_<=n: signed over nu it gives c (its
 oracle is the direct sum, ``mode="ie"``), plain the bound checks' sums.
 
 The nu and Grothendieck tables of a size come from one Hecke product
@@ -14,16 +14,17 @@ list of coefficients aligned with ``all_perms(n)``, so the tables share
 its keys and iterate in lexicographic order.  No grid is built: the
 per-matrix sums over the grid stream and the divided differences of the
 tests are its oracles.  The coefficient of u_w is the polynomial of w
-itself, not of its inverse and not times a power of b, so it is read
-back as it stands.  The tables are kept in the table store
-(``store.stored``), the one place a computed nu is kept, and ``nu`` of a
-word and the leaves of c are read off the table of their size.  The nu
-product and the transform run on integers, each polynomial taken at
-b = 2^S for a slot width S (``polynomials.kronecker_bits``) that bounds
-every coefficient (``BetaPolynomial.to_kronecker`` writes the leaves),
-and read each word's polynomial back once.  The minimal grids come from
-one filter over the grid stream (``minimal_sets``), and their counts
-and weight sums (``minimal_summary``) are read off those sets.
+itself, not of its inverse and not times a power of b.  The nu product
+(``_nu_values``) and the transform are integer kernels that take b as an
+argument, their states aligned with ``all_perms``: at an integer beta
+they give the values (``coefficient_values``, ``checks.maxima_table``),
+and at b = 2^S, for a slot width S (``polynomials.kronecker_bits``) that
+bounds every coefficient, the polynomials, each read back once.  The
+tables are kept in the table store (``store.stored``), the one place a
+computed nu is kept, and ``nu`` of a word is read off the table of its
+size.  The minimal grids come from one filter over the grid stream
+(``minimal_sets``), and their counts and weight sums (``minimal_summary``)
+are read off those sets.
 """
 
 from __future__ import annotations
@@ -46,15 +47,20 @@ def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
 
 
 def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
-    # every x is 1 and beta is 2^S, so a factor is v + (v << S) + vec[r]
-    bits, perms = kronecker_bits(n), all_perms(n)
-    vec = [0] * len(perms)
-    vec[0] = 1
+    bits = kronecker_bits(n)
+    return {w: BetaPolynomial.from_kronecker(value, bits)
+            for w, value in zip(all_perms(n), _nu_values(n, 1 << bits))}
+
+
+def _nu_values(n: int, beta_value: int) -> list[int]:
+    """nu at b = ``beta_value`` of every permutation of size n, aligned with
+    ``all_perms(n)``; at b = 2^S the ints hold the polynomials."""
+    # every x is 1, so a factor sets each target to vec[t] (1 + b) + vec[r]
+    scale, vec = 1 + beta_value, [1] + [0] * (factorial(n) - 1)
     for _, sources, targets in _hecke_factors(n):
         for r, t in zip(sources, targets):
-            v = vec[t]
-            vec[t] = v + (v << bits) + vec[r]
-    return {w: BetaPolynomial.from_kronecker(value, bits) for w, value in zip(perms, vec)}
+            vec[t] = vec[t] * scale + vec[r]
+    return vec
 
 
 def _hecke_factors(n: int):
@@ -82,16 +88,17 @@ def _ascents(n: int, p: int) -> tuple[array, array]:
     The lexicographic rank has the Lehmer code for its factorial digits:
     a and b, the digits of positions p and p+1, count the smaller letters
     to the right of each, so the ascent is a <= b, and swapping makes the
-    digits b+1 and a.
+    digits b+1 and a.  The digits below keep their run of (n-2-p)! ranks
+    and the digits above their block of (n-p)!, so the first block's runs
+    are tiled over the others.
     """
     f1, f2 = factorial(n - 1 - p), factorial(n - 2 - p)
-    sources, targets = array("q"), array("q")
-    for r in range(factorial(n)):
-        a, b = r // f1 % (n - p), r // f2 % (n - 1 - p)
-        if a <= b:
-            sources.append(r)
-            targets.append(r + (b + 1 - a) * f1 + (a - b) * f2)
-    return sources, targets
+    runs = [(a * f1 + b * f2, (b + 1) * f1 + a * f2)
+            for a in range(n - p) for b in range(a, n - 1 - p)]
+    blocks = range(0, factorial(n), f1 * (n - p))
+    return tuple(array("q", [block + start + c for block in blocks
+                             for start in starts for c in range(f2)])
+                 for starts in zip(*runs))
 
 
 def nu(w: Permutation, guard=None) -> BetaPolynomial:
@@ -157,70 +164,87 @@ INCLUSION_EXCLUSION = "inclusion_exclusion"
 def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolynomial:
     """The pattern coefficient of w, seeded by 1 on the empty permutation.
 
-    ``recursive`` runs the suffix-marked transform over the patterns of w;
-    ``inclusion_exclusion`` evaluates the signed sum of nu over all
-    subwords of w directly.  The two agree.
+    ``recursive`` reads the coefficient table of the size of w, one
+    transform over S_<=|w|; ``inclusion_exclusion`` evaluates the signed
+    sum of nu over all subwords of w directly.  The two agree.
     """
     check_guard(w.size, guard)
     if mode not in (RECURSIVE, INCLUSION_EXCLUSION, "ie"):
         raise ValueError(f"unknown coefficient mode {mode!r}")
-    census = pattern_census(w)
     if mode == RECURSIVE:
-        layers = [[u for u in census if len(u) == m] for m in range(w.size + 1)]
-        return _transform(layers, [nu_table(m, guard=guard) for m in range(w.size + 1)])[w]
+        return coefficient_table(w.size, guard=guard)[w]
     total = BetaPolynomial.zero()
-    for key, count in census.items():
+    for key, count in pattern_census(w).items():
         sign = -1 if (w.size - len(key)) % 2 else 1
         total = total + sign * count * nu(Permutation(key), guard=guard)
     return total
 
 
-def _transform(layers, leaves, sign=-1) -> dict[tuple, BetaPolynomial]:
-    """Sum the leaves over the subwords of every word in ``layers``, keyed
-    like the words: with sign -1 a subword counts with the sign of the
-    letters it drops (nu leaves give c), with +1 plainly (the zeta sum).
+def _transform(n: int, leaves: list[list[int]], sign: int = -1) -> list[list[int]]:
+    """Sum the leaves over the subwords of every word of S_<=n: with sign
+    -1 a subword counts with the sign of the letters it drops (nu leaves
+    give c), with +1 plainly (the zeta sum).
 
-    ``layers[m]`` lists the size-m words of a pattern-closed set, as
-    permutations or plain tuples, and ``leaves[m]`` maps size-m words to
-    polynomials, a missing word counting as 0.  The sum for u is
-    sign^|u| h(u, 0), where h(u, j), the sum of f(v) = sign^|v| leaf(v)
-    over the subwords v of u that keep its last j letters, obeys
-    h(u, |u|) = f(u) and h(u, j) = h(u, j+1) + h(u', j); u' drops letter
-    k = |u| - j - 1 (from 0) of u and lowers the letters above it by one.
-    Sizes ascend so each u' precedes u.  Every state is one integer, its
-    polynomial at b = 2^S with S = ``kronecker_bits`` of the largest size,
-    and each word's last state is read back as a polynomial once.  States
-    are keyed by the words' bytes, so u' is a slice and a translate.
+    ``leaves[m]`` and the result's row m are lists of ints aligned with
+    ``all_perms(m)``: values at one integer b, or polynomials at b = 2^S.
+    The sum for u is sign^|u| h(u, 0), where h(u, j), the sum of
+    f(v) = sign^|v| leaf(v) over the subwords v of u that keep its last j
+    letters, obeys h(u, |u|) = f(u) and h(u, j) = h(u, j+1) + h(u', j);
+    u' drops letter k = |u| - j - 1 (from 0) of u and is flattened, so its
+    rank is ``_deletions`` of (|u|, k) at the rank of u.  Sizes ascend so
+    each u' precedes u.
     """
-    bits, zero = kronecker_bits(len(layers) - 1), BetaPolynomial.zero()
-    scales = [sign ** m for m in range(len(layers))]
-    # lower[t] maps each byte above t one down and the others to themselves
-    lower = [bytes(range(t + 1)) + bytes(range(t, 255)) for t in range(len(layers))]
-    keys = [[bytes(u) for u in layer] for layer in layers]
-    above: dict[bytes, int] = {}
-    for j in range(len(layers) - 1, -1, -1):
-        layer = {key: scales[j] * leaves[j].get(u, zero).to_kronecker(bits)
-                 for u, key in zip(layers[j], keys[j])}
-        for m in range(j + 1, len(layers)):
-            k = m - j - 1
-            for u in keys[m]:
-                layer[u] = above[u] + layer[(u[:k] + u[k + 1:]).translate(lower[u[k]])]
-        above = layer
-    return {u: BetaPolynomial.from_kronecker(scale * above[key], bits)
-            for scale, layer, layer_keys in zip(scales, layers, keys)
-            for u, key in zip(layer, layer_keys)}
+    states = [[sign ** m * value for value in row] for m, row in enumerate(leaves)]
+    for j in range(n - 1, -1, -1):
+        for m, deletion in enumerate(_deletions(j, n), start=j + 1):
+            below = states[m - 1]
+            states[m] = [h + below[d] for h, d in zip(states[m], deletion)]
+    return [[sign ** m * h for h in row] for m, row in enumerate(states)]
+
+
+def _deletions(j: int, n: int):
+    """del(m, m - j - 1) for m = j+1..n in turn: del(m, k)[r] is the rank in
+    ``all_perms(m - 1)`` of word r of ``all_perms(m)`` with its letter k
+    (from 0) deleted and the rest flattened.
+
+    The first, del(j + 1, 0), keeps r mod j!.  Each later map comes from
+    the one before by the first letter a of word r (letters count from 0
+    here): with r' the rank of the rest and s its letter k - 1, flattened,
+    the word left starts with a - [s < a] and goes on as
+    del(m - 1, k - 1)[r'].  ``letters`` holds the letter k of every word,
+    lifted past the first letter from one size to the next.
+    """
+    size = factorial(j)
+    deletion = list(range(size)) * (j + 1)
+    letters = b"".join(bytes((a,)) * size for a in range(j + 1))
+    yield deletion
+    for m in range(j + 2, n + 1):
+        size = factorial(m - 2)
+        shifts = [[(a - (s < a)) * size for s in range(m - 1)] for a in range(m)]
+        deletion = [shift[s] + d for shift in shifts for s, d in zip(letters, deletion)]
+        lifts = [bytes.maketrans(bytes(range(a, m - 1)), bytes(range(a + 1, m))) for a in range(m)]
+        letters = b"".join(letters.translate(lift) for lift in lifts)
+        yield deletion
 
 
 def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
     """Coefficients of every permutation of size <= n, from one transform."""
     check_guard(n, guard)
-    return stored("c", n, lambda _: _transform(
-        [all_perms(m) for m in range(n + 1)], [nu_table(m, guard=guard) for m in range(n + 1)]))
+    bits = kronecker_bits(n)
+    return stored("c", n, lambda _: _by_word(
+        _transform(n, [_nu_values(m, 1 << bits) for m in range(n + 1)]), bits))
 
 
 def coefficient_values(n: int, beta_value: int, guard=None) -> dict[Permutation, int]:
-    """``coefficient_table(n)`` evaluated at an integer beta."""
-    return {w: c(beta_value) for w, c in coefficient_table(n, guard=guard).items()}
+    """``coefficient_table(n)`` at an integer beta, from the kernels at it."""
+    check_guard(n, guard)
+    return _by_word(_transform(n, [_nu_values(m, beta_value) for m in range(n + 1)]))
+
+
+def _by_word(rows: list[list[int]], bits=None) -> dict[Permutation, object]:
+    """The transform's rows keyed by word, read at b = 2^bits if given."""
+    return {w: value if bits is None else BetaPolynomial.from_kronecker(value, bits)
+            for m, row in enumerate(rows) for w, value in zip(all_perms(m), row)}
 
 
 # -- skew sums -----------------------------------------------------------------

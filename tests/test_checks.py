@@ -9,12 +9,12 @@ from pipedream import (CHECK_IDS, Asm, BetaPolynomial, BpdGrid, GuardExceeded,
                        count_asms_literal, enumerate_asm, layered, maxima_table,
                        nu, pattern_count, query, run_check)
 from pipedream import enumeration
-from pipedream.checks import MAX_COUNTEREXAMPLES
+from pipedream.checks import MAX_COUNTEREXAMPLES, MaximaRow
 from pipedream.cli import main
 from pipedream.enumeration import QUERY_KINDS
 from pipedream.grid import COL_MAJOR, Tile
 from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms, pattern_census
-from pipedream.specialization import EMPTY_SUMMARY
+from pipedream.specialization import EMPTY_SUMMARY, coefficient_table, nu_table
 from pipedream.store import clear_caches
 
 
@@ -248,6 +248,27 @@ class TestMaxima:
         assert row.max_nu == 5  # attained by 1432
         assert row.max_c == 1
         assert P("1432") in row.argmax_nu
+
+    @pytest.mark.parametrize("n", range(8))
+    def test_rows_match_the_tables_at_every_beta(self, n):
+        # the integer kernels against both polynomial tables at each beta
+        perms = all_perms(n)
+        for beta_value in (-1, 0, 1, 2, 3):
+            nu_vals = [nu_table(n)[w](beta_value) for w in perms]
+            c_vals = [coefficient_table(n)[w](beta_value) for w in perms]
+            max_nu, max_c = max(nu_vals), max(c_vals)
+            expected = MaximaRow(
+                n, beta_value, max_nu, max_c,
+                tuple(sorted(w for w, v in zip(perms, nu_vals) if v == max_nu)),
+                tuple(sorted(w for w, v in zip(perms, c_vals) if v == max_c)))
+            assert maxima_table(n, beta_value) == expected
+
+    def test_guard_reaches_the_kernels(self, monkeypatch):
+        expected = maxima_table(4, 2)
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        assert maxima_table(4, 2, guard=4) == expected
+        with pytest.raises(GuardExceeded):
+            maxima_table(4, 2)
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

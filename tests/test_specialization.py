@@ -1,4 +1,5 @@
 from collections import Counter
+from math import factorial
 
 import pytest
 
@@ -13,7 +14,7 @@ from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
 from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import (MinimalSummary, _ascents,
+from pipedream.specialization import (MinimalSummary, _ascents, _deletions,
                                       coefficient_values, grothendieck_table,
                                       minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
@@ -206,6 +207,19 @@ class TestHeckeProduct:
                     w = perms[r]
                     assert t == rank[w[:p] + (w[p + 1], w[p]) + w[p + 2:]]
 
+    def test_tiled_ascents_match_a_per_rank_reference(self):
+        # the reference reads both Lehmer digits off every rank in turn
+        for n in (7, 8):
+            for p in range(n - 1):
+                f1, f2 = factorial(n - 1 - p), factorial(n - 2 - p)
+                sources, targets = [], []
+                for r in range(factorial(n)):
+                    a, b = r // f1 % (n - p), r // f2 % (n - 1 - p)
+                    if a <= b:
+                        sources.append(r)
+                        targets.append(r + (b + 1 - a) * f1 + (a - b) * f2)
+                assert tuple(map(list, _ascents(n, p))) == (sources, targets), (n, p)
+
     def test_tables_build_no_grid(self, cold_caches):
         # the product never reads the table of moves or a row record
         nu_table(5)
@@ -280,8 +294,8 @@ class TestCoefficient:
             coefficient(P("12"), "newton")
 
     def test_table_matches_pointwise(self):
-        # the table and single-word callers run the transform over
-        # different pattern-closed sets
+        # coefficient(w) reads the table of the size of w, so a smaller
+        # word compares the transforms over S_<=n and over S_<=|w|
         for n in range(7):
             table = coefficient_table(n)
             assert list(table) == [w for m in range(n + 1) for w in all_perms(m)]
@@ -307,10 +321,29 @@ class TestCoefficient:
         assert got == expected
 
     def test_values_match_polynomial_evaluation(self):
-        for beta_value in (0, 1, 2):
-            values = coefficient_values(4, beta_value)
-            for w in all_perms(4):
-                assert values[w] == coefficient(w)(beta_value)
+        # the kernels at an integer beta against the polynomial table
+        for n in range(8):
+            table = coefficient_table(n)
+            for beta_value in (-1, 0, 1, 2, 3):
+                values = coefficient_values(n, beta_value)
+                assert list(values) == list(table)
+                assert values == {w: c(beta_value) for w, c in table.items()}, (n, beta_value)
+
+    def test_deletion_maps_flatten_the_word_left(self):
+        for j in range(6):
+            for m, deletion in enumerate(_deletions(j, 6), start=j + 1):
+                k, rank = m - j - 1, {w: r for r, w in enumerate(all_perms(m - 1))}
+                assert len(deletion) == len(all_perms(m))
+                for r, w in enumerate(all_perms(m)):
+                    left = tuple(x - (x > w[k]) for x in w[:k] + w[k + 1:])
+                    assert deletion[r] == rank[left], (m, k, w)
+
+    def test_values_get_the_callers_guard(self, monkeypatch):
+        expected = coefficient_values(4, 2)
+        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        assert coefficient_values(4, 2, guard=4) == expected
+        with pytest.raises(GuardExceeded):
+            coefficient_values(4, 2)
 
     def test_pattern_sum_recovers_nu(self):
         table = coefficient_table(5)
