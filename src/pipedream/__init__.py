@@ -3,43 +3,48 @@
 Grids, the bijection with alternating sign matrices, pipe removal and
 reinsertion, Schubert and beta-Grothendieck principal specializations,
 pattern coefficients, and a harness of exhaustive machine checks.
+
+Importing the package loads none of its modules: each public name is
+imported from its home module on first access (PEP 562) and kept here.
 """
 
-from .enumeration import (DEFAULT_GUARD, RemovablePipeReport, SetQuery,
-                          count_asms_bruteforce, count_asms_literal,
-                          enumerate_asm, query, removable_pipes)
-from .errors import (BoundaryLeak, BrokenStrand, CheckFailed, GridError,
-                     GuardExceeded, InconsistentAsm, NegativeExponent,
-                     NotAPermutation, NotBijective, NotMinimal,
-                     PipedreamError, SubwordMismatch, UnknownCheck,
-                     WitnessNotFound)
-from .grid import (Asm, BpdGrid, PipeTrace, Tile, from_asm, from_json,
-                   is_valid, render, to_asm, trace, validate)
-from .checks import CHECK_IDS, CheckReport, MaximaRow, maxima_table, run_check
-from .ktheory import NonreducedWitness, beta_weight, nonreduced_witness, resolve
-from .perms import (Permutation, SubwordSelection, all_perms, flatten,
-                    is_vexillary, layered, pattern_count, skew_sum, subwords)
-from .polynomials import BetaPolynomial, MultivariatePolynomial
-from .removal import insert, remove
-from .specialization import (SkewReport, coefficient, coefficient_table,
-                             grothendieck, nu, nu_table, schubert,
-                             skew_identities)
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Asm", "BetaPolynomial", "BoundaryLeak", "BpdGrid", "BrokenStrand",
-    "CHECK_IDS", "CheckFailed", "CheckReport", "DEFAULT_GUARD", "GridError",
-    "GuardExceeded", "InconsistentAsm", "MaximaRow", "MultivariatePolynomial",
-    "NegativeExponent", "NonreducedWitness", "NotAPermutation", "NotBijective",
-    "NotMinimal", "Permutation", "PipeTrace", "PipedreamError",
-    "RemovablePipeReport", "SetQuery", "SkewReport",
-    "SubwordMismatch", "SubwordSelection", "Tile", "UnknownCheck",
-    "WitnessNotFound", "all_perms", "beta_weight", "coefficient",
-    "coefficient_table", "count_asms_bruteforce", "count_asms_literal",
-    "enumerate_asm", "flatten", "from_asm", "from_json", "grothendieck",
-    "insert", "is_valid", "is_vexillary", "layered", "maxima_table",
-    "nonreduced_witness", "nu", "nu_table", "pattern_count", "query",
-    "removable_pipes", "remove", "render", "resolve", "run_check", "schubert",
-    "skew_identities", "skew_sum", "subwords", "to_asm", "trace", "validate",
-]
+# home module -> the public names it gives the package
+_EXPORTS = {
+    "checks": ("CheckReport", "MaximaRow", "maxima_table", "run_check"),
+    "enumeration": ("RemovablePipeReport", "SetQuery", "count_asms_bruteforce",
+                    "count_asms_literal", "enumerate_asm", "query", "removable_pipes"),
+    "errors": ("BoundaryLeak", "BrokenStrand", "CHECK_IDS", "CheckFailed", "GridError",
+               "GuardExceeded", "InconsistentAsm", "NegativeExponent", "NotAPermutation",
+               "NotBijective", "NotMinimal", "PipedreamError", "SubwordMismatch",
+               "UnknownCheck", "WitnessNotFound"),
+    "grid": ("Asm", "BpdGrid", "PipeTrace", "Tile", "from_asm", "from_json", "is_valid",
+             "render", "to_asm", "trace", "validate"),
+    "ktheory": ("NonreducedWitness", "beta_weight", "nonreduced_witness", "resolve"),
+    "perms": ("Permutation", "SubwordSelection", "all_perms", "flatten", "is_vexillary",
+              "layered", "pattern_count", "skew_sum", "subwords"),
+    "polynomials": ("BetaPolynomial", "MultivariatePolynomial"),
+    "removal": ("insert", "remove"),
+    "specialization": ("SkewReport", "coefficient", "coefficient_table", "grothendieck",
+                       "nu", "nu_table", "schubert", "skew_identities"),
+    "store": ("DEFAULT_GUARD",),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a home module itself, so ``pipedream.grid`` needs no import
+        return import_module(f".{name}", __name__)
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .enumeration import bpd_stream, check_guard, removable_pipes
-from .errors import CheckFailed, UnknownCheck, WitnessNotFound
+from .errors import CHECK_IDS, CheckFailed, UnknownCheck, WitnessNotFound
 from .grid import BpdGrid, Tile, trace
 from .ktheory import (COL_MAJOR, ROW_MAJOR, beta_weight, nonreduced_witness,
                       resolve)
@@ -405,24 +405,11 @@ def _check_bk_order(n, tally):
             tally.fail(f"{_grid_fixture(grid)}: scan orders disagree")
 
 
-_CHECKS = {
-    "upper-bound": _check_upper_bound,
-    "thm-1243": _check_thm_1243,
-    "vexillary-K": _check_vexillary_k,
-    "nonreduced-pattern": _check_nonreduced_pattern,
-    "bijection-roundtrip": _check_bijection_roundtrip,
-    "reduced-restriction": _check_reduced_restriction,
-    "weight-preservation": _check_weight_preservation,
-    "groth-1243-2143": _check_groth,
-    "conj-gao": _check_conj_gao,
-    "conj-groth": _check_conj_groth,
-    "skew": _check_skew,
-    "pattern-sum": _check_pattern_sum,
-    "stanley": _check_stanley,
-    "bk-order": _check_bk_order,
-}
-
-CHECK_IDS = tuple(_CHECKS)
+_CHECKS = dict(zip(CHECK_IDS, (
+    _check_upper_bound, _check_thm_1243, _check_vexillary_k, _check_nonreduced_pattern,
+    _check_bijection_roundtrip, _check_reduced_restriction, _check_weight_preservation,
+    _check_groth, _check_conj_gao, _check_conj_groth, _check_skew, _check_pattern_sum,
+    _check_stanley, _check_bk_order), strict=True))
 
 
 def run_check(check_id: str, n: int, guard=None) -> CheckReport:

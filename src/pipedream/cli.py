@@ -5,7 +5,9 @@ Output is deterministic for fixed inputs; the verify command's text form
 deliberately omits timing so runs are byte-identical.  The on-disk cache
 belongs to this module: ``nu`` answers from it when it holds the word, and
 ``coeff`` never reads it, only adds the nu of the patterns of its word,
-which the recursive mode sums from the coefficient table.
+which the recursive mode sums from the coefficient table.  Each command
+imports its layers when it runs: ``nu``, ``coeff`` and ``poly`` load no
+grid stream or checks, ``enumerate`` and ``render`` no checks or tables.
 """
 
 from __future__ import annotations
@@ -14,20 +16,16 @@ import argparse
 import os
 import sys
 
-from .cache import default_cache_path, load_cache, store_cache
-from .checks import CHECK_IDS, maxima_table, run_check
-from .enumeration import SetQuery, check_guard, query
-from .errors import CacheError, PipedreamError
-from .grid import render
-from .perms import Permutation, SubwordSelection, pattern_census
-from .specialization import coefficient, coefficient_table, grothendieck, nu
+from .errors import CHECK_IDS, CacheError, PipedreamError
 
 
-def _perm(text: str) -> Permutation:
+def _perm(text: str):
+    from .perms import Permutation
     return Permutation.from_text(text)
 
 
 def _load(path):
+    from .cache import load_cache
     try:
         values, skipped = load_cache(path)
     except OSError as exc:
@@ -38,6 +36,7 @@ def _load(path):
 
 
 def _store(path, values):
+    from .cache import store_cache
     try:
         store_cache(values, path)
     except OSError as exc:
@@ -97,6 +96,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
+    from .enumeration import SetQuery, query
+    from .grid import render
+    from .perms import SubwordSelection
     w = _perm(args.perm)
     kind = args.kind
     v = None
@@ -124,6 +126,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_nu(args) -> int:
+    from .specialization import nu
+    from .store import check_guard
     values = _load(args.cache_path)
     w = _perm(args.perm)
     check_guard(w.size, args.guard)
@@ -134,6 +138,8 @@ def _cmd_nu(args) -> int:
 
 
 def _cmd_coeff(args) -> int:
+    from .perms import Permutation, pattern_census
+    from .specialization import coefficient, coefficient_table, nu
     values = _load(args.cache_path)
     w = _perm(args.perm)
     value = coefficient(w, mode=args.mode, guard=args.guard)
@@ -150,11 +156,14 @@ def _cmd_coeff(args) -> int:
 
 
 def _cmd_poly(args) -> int:
+    from .specialization import grothendieck
     print(grothendieck(_perm(args.perm), guard=args.guard))
     return 0
 
 
 def _cmd_render(args) -> int:
+    from .enumeration import SetQuery, query
+    from .grid import render
     w = _perm(args.perm)
     grids = query(SetQuery("BPD", w), max_n_guard=args.guard)
     if not 0 <= args.index < len(grids):
@@ -166,6 +175,7 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .checks import run_check
     report = run_check(args.check_id, args.n, guard=args.guard)
     if args.format == "json":
         print(report.to_json())
@@ -175,15 +185,19 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_maxima(args) -> int:
+    from .checks import maxima_table
     row = maxima_table(args.n, args.beta, guard=args.guard)
-    names_nu = ",".join(w.text() or "∅" for w in row.argmax_nu)
-    names_c = ",".join(w.text() or "∅" for w in row.argmax_c)
+    # from size 10 on a word's own letters are separated by commas
+    sep = ";" if row.n >= 10 else ","
+    names_nu = sep.join(w.text() or "∅" for w in row.argmax_nu)
+    names_c = sep.join(w.text() or "∅" for w in row.argmax_c)
     print(f"n={row.n} beta={row.beta_value} max_nu={row.max_nu} max_c={row.max_c} "
           f"argmax_nu={names_nu} argmax_c={names_c}")
     return 0
 
 
 def _cmd_cache(args) -> int:
+    from .cache import default_cache_path
     path = default_cache_path() if args.cache_path is None else args.cache_path
     if args.action == "path":
         print(path)

@@ -19,8 +19,10 @@ over the grid stream, and ``removable_pipes`` finds the unit rows whose
 records; its report holds the kept indices and builds the subword
 selection only when it is read, and ``removal`` hands the records it
 already holds to the same pass (``_removable``).  Each table is kept per
-size in the table store.  The nu and Grothendieck tables do not read
-these grids: ``specialization`` builds them from a Hecke product.
+size in the table store, whose guard (``store.check_guard``) bounds
+``query``.  The nu and Grothendieck tables do not read these grids:
+``specialization`` builds them from a Hecke product, and loads this
+module only for the minimal grids.
 """
 
 from __future__ import annotations
@@ -33,18 +35,10 @@ from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
 from .grid import Asm, BpdGrid, row_record, row_records, tile_row, trace
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
-from .store import stored
-
-DEFAULT_GUARD = 9
+from .store import check_guard, stored
 
 # grid lists are memoized up to this size; larger sizes stream uncached
 _MEMO_MAX_N = 6
-
-def check_guard(n: int, guard: Optional[int] = None) -> None:
-    """Reject a size below 0 or above the guard (default ``DEFAULT_GUARD``)."""
-    limit = DEFAULT_GUARD if guard is None else guard
-    if not 0 <= n <= limit:
-        raise GuardExceeded(f"size {n} outside 0..{limit}")
 
 
 def _valid_rows(n: int):

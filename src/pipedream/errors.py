@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the ids of the named checks."""
 
 
 class PipedreamError(Exception):
@@ -57,6 +57,13 @@ class GuardExceeded(PipedreamError):
 
 class UnknownCheck(PipedreamError):
     """No verification check is registered under the requested identifier."""
+
+
+# the ids of ``checks._CHECKS`` in run order, here so the parser need not load it
+CHECK_IDS = ("upper-bound", "thm-1243", "vexillary-K", "nonreduced-pattern",
+             "bijection-roundtrip", "reduced-restriction", "weight-preservation",
+             "groth-1243-2143", "conj-gao", "conj-groth", "skew", "pattern-sum",
+             "stanley", "bk-order")
 
 
 class NotMinimal(PipedreamError):

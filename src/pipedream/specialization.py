@@ -24,7 +24,8 @@ tables are kept in the table store (``store.stored``), the one place a
 computed nu is kept, and ``nu`` of a word is read off the table of its
 size.  The minimal grids come from one filter over the grid stream
 (``minimal_sets``), and their counts and weight sums (``minimal_summary``)
-are read off those sets.
+are read off those sets; only they import the grid stream and ``ktheory``,
+when they run, so nu, c and the Grothendieck polynomials load neither.
 """
 
 from __future__ import annotations
@@ -33,11 +34,9 @@ from array import array
 from dataclasses import dataclass
 from math import factorial
 
-from .enumeration import bpd_stream, check_guard, removable_pipes
-from .ktheory import beta_weight, resolve_stats
 from .perms import Permutation, all_perms, pattern_census, skew_sum
 from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
-from .store import stored
+from .store import check_guard, stored
 
 
 def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
@@ -314,6 +313,7 @@ def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
 
 
 def _build_minimal_summary(n: int, guard) -> dict[Permutation, MinimalSummary]:
+    from .ktheory import beta_weight, resolve_stats
     zero = BetaPolynomial.zero()
     summary = {}
     for w, (grids, reduced) in minimal_sets(n, guard=guard).items():
@@ -338,6 +338,7 @@ def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
 
 
 def _build_minimal_sets(n: int) -> dict[Permutation, tuple]:
+    from .enumeration import bpd_stream, removable_pipes
     acc: dict[Permutation, tuple[list, list]] = {}
     for grid in bpd_stream(n):
         report = removable_pipes(grid)

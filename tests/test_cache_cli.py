@@ -22,6 +22,50 @@ def isolated_cache(tmp_path, monkeypatch):
     return path
 
 
+HELP = """\
+usage: pipedream [-h] [--guard GUARD] [--cache-path CACHE_PATH]
+                 {enumerate,nu,coeff,poly,render,verify,maxima,cache} ...
+
+Exact combinatorics of bumpless pipe dreams.
+
+positional arguments:
+  {enumerate,nu,coeff,poly,render,verify,maxima,cache}
+    enumerate           list the grids of a family
+    nu                  principal specialization of a permutation
+    coeff               pattern coefficient of a permutation
+    poly                full weight generating polynomial
+    render              draw one grid of a permutation
+    verify              run a named machine check
+    maxima              extremes of the evaluated specializations
+    cache               inspect or clear the on-disk cache
+
+options:
+  -h, --help            show this help message and exit
+  --guard GUARD         largest permutation size allowed (default 9)
+  --cache-path CACHE_PATH
+                        override the on-disk cache location
+"""
+
+VERIFY_HELP = """\
+usage: pipedream verify [-h] --n N [--format {text,json}]
+                        {bijection-roundtrip,bk-order,conj-gao,conj-groth,groth-1243-2143,nonreduced-pattern,pattern-sum,reduced-restriction,skew,stanley,thm-1243,upper-bound,vexillary-K,weight-preservation}
+
+positional arguments:
+  {bijection-roundtrip,bk-order,conj-gao,conj-groth,groth-1243-2143,nonreduced-pattern,pattern-sum,reduced-restriction,skew,stanley,thm-1243,upper-bound,vexillary-K,weight-preservation}
+
+options:
+  -h, --help            show this help message and exit
+  --n N
+  --format {text,json}
+"""
+
+VERIFY_NOPE = """\
+usage: pipedream verify [-h] --n N [--format {text,json}]
+                        {bijection-roundtrip,bk-order,conj-gao,conj-groth,groth-1243-2143,nonreduced-pattern,pattern-sum,reduced-restriction,skew,stanley,thm-1243,upper-bound,vexillary-K,weight-preservation}
+pipedream verify: error: argument check_id: invalid choice: 'nope' (choose from 'bijection-roundtrip', 'bk-order', 'conj-gao', 'conj-groth', 'groth-1243-2143', 'nonreduced-pattern', 'pattern-sum', 'reduced-restriction', 'skew', 'stanley', 'thm-1243', 'upper-bound', 'vexillary-K', 'weight-preservation')
+"""
+
+
 class TestCache:
     def test_round_trip(self, isolated_cache):
         values = {P("1243"): BetaPolynomial.from_coeffs([3, 3, 1]),
@@ -163,6 +207,16 @@ class TestCliCommands:
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["verify", "no-such-check", "--n", "2"]) == 2
+
+    def test_parser_text(self, monkeypatch, capsys):
+        # the help and usage errors at 80 columns, as Python 3.10 and 3.11 print them
+        monkeypatch.setenv("COLUMNS", "80")
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == HELP
+        assert main(["verify", "--help"]) == 0
+        assert capsys.readouterr().out == VERIFY_HELP
+        assert main(["verify", "nope", "--n", "3"]) == 2
+        assert capsys.readouterr().err == VERIFY_NOPE
 
     def test_bad_permutation(self, capsys):
         for text in ("1123", ",", "1,,2", "1,a"):

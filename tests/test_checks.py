@@ -8,7 +8,7 @@ from pipedream import (CHECK_IDS, Asm, BetaPolynomial, BpdGrid, GuardExceeded,
                        UnknownCheck, checks, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, layered, maxima_table,
                        nu, pattern_count, query, run_check)
-from pipedream import enumeration
+from pipedream import store
 from pipedream.checks import MAX_COUNTEREXAMPLES, MaximaRow
 from pipedream.cli import main
 from pipedream.enumeration import QUERY_KINDS
@@ -46,7 +46,7 @@ class TestRunCheck:
 
         expected = {cid: outcome(cid) for cid in CHECK_IDS}
         clear_caches()
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
         assert {cid: outcome(cid, guard=4) for cid in CHECK_IDS} == expected
 
     def test_report_text_and_json(self):
@@ -265,10 +265,21 @@ class TestMaxima:
 
     def test_guard_reaches_the_kernels(self, monkeypatch):
         expected = maxima_table(4, 2)
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
         assert maxima_table(4, 2, guard=4) == expected
         with pytest.raises(GuardExceeded):
             maxima_table(4, 2)
+
+    def test_cli_names_parse_back_from_size_10(self, monkeypatch, capsys):
+        # from size 10 a word's letters are comma-separated, so the words
+        # of an argmax set are joined with semicolons
+        words = (P("1,2,3,4,5,6,7,10,9,8"), P("1,3,2,10,9,8,7,6,5,4"))
+        monkeypatch.setattr(checks, "maxima_table", lambda n, beta_value, guard=None:
+                            MaximaRow(n, beta_value, 1, 1, words, words[1:]))
+        assert main(["--guard", "10", "maxima", "--n", "10"]) == 0
+        fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())
+        assert tuple(map(P, fields["argmax_nu"].split(";"))) == words
+        assert tuple(map(P, fields["argmax_c"].split(";"))) == words[1:]
 
     def test_guard(self):
         with pytest.raises(GuardExceeded):

@@ -7,7 +7,7 @@ from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
                        grothendieck, nu, nu_table, schubert, skew_identities,
                        skew_sum)
-from pipedream import enumeration, store
+from pipedream import store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
                             tiles_from_asm_rows, trace)
@@ -315,7 +315,7 @@ class TestCoefficient:
         w, modes = P("1243"), ("recursive", "ie")
         expected = [coefficient_table(4)] + [coefficient(w, mode) for mode in modes]
         clear_caches()
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
         got = [coefficient_table(4, guard=4)] + [coefficient(w, mode, guard=4)
                                                  for mode in modes]
         assert got == expected
@@ -340,7 +340,7 @@ class TestCoefficient:
 
     def test_values_get_the_callers_guard(self, monkeypatch):
         expected = coefficient_values(4, 2)
-        monkeypatch.setattr(enumeration, "DEFAULT_GUARD", 3)
+        monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
         assert coefficient_values(4, 2, guard=4) == expected
         with pytest.raises(GuardExceeded):
             coefficient_values(4, 2)
