@@ -1,46 +1,26 @@
 """Command-line front end.
 
-Subcommands: enumerate, nu, coeff, poly, render, verify, maxima, cache.
+Subcommands: enumerate, nu, coeff, poly, render, verify, maxima.
 Output is deterministic for fixed inputs; the verify command's text form
-deliberately omits timing so runs are byte-identical.  The on-disk cache
-belongs to this module: ``nu`` answers from it when it holds the word, and
-``coeff`` never reads it, only adds the nu of the patterns of its word,
-which the recursive mode sums from the coefficient table.  Each command
-imports its layers when it runs: ``nu``, ``coeff`` and ``poly`` load no
-grid stream or checks, ``enumerate`` and ``render`` no checks or tables.
+deliberately omits timing so runs are byte-identical.  ``nu`` walks its
+word's lower interval in the right weak order and builds no table;
+``coeff`` and ``poly`` read the table of their word's size.  Nothing is
+kept between runs.  Each command imports its layers when it runs:
+``nu``, ``coeff`` and ``poly`` load no grid stream or checks,
+``enumerate`` and ``render`` no checks or tables.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 
-from .errors import CHECK_IDS, CacheError, PipedreamError
+from .errors import CHECK_IDS, PipedreamError
 
 
 def _perm(text: str):
     from .perms import Permutation
     return Permutation.from_text(text)
-
-
-def _load(path):
-    from .cache import load_cache
-    try:
-        values, skipped = load_cache(path)
-    except OSError as exc:
-        raise CacheError(f"cannot read the cache: {exc}") from None
-    if skipped:
-        print(f"warning: skipped {skipped} unreadable cache line(s)", file=sys.stderr)
-    return values
-
-
-def _store(path, values):
-    from .cache import store_cache
-    try:
-        store_cache(values, path)
-    except OSError as exc:
-        raise CacheError(f"cannot write the cache: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,8 +29,6 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Exact combinatorics of bumpless pipe dreams.")
     parser.add_argument("--guard", type=int, default=None,
                         help="largest permutation size allowed (default 9)")
-    parser.add_argument("--cache-path", default=None,
-                        help="override the on-disk cache location")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the grids of a family")
@@ -89,9 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--beta", type=int, default=1)
 
-    p = sub.add_parser("cache", help="inspect or clear the on-disk cache")
-    p.add_argument("action", choices=["path", "clear"])
-
     return parser
 
 
@@ -126,32 +101,16 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_nu(args) -> int:
-    from .specialization import nu
-    from .store import check_guard
-    values = _load(args.cache_path)
-    w = _perm(args.perm)
-    check_guard(w.size, args.guard)
-    value = values[w] if w in values else nu(w, guard=args.guard)
+    from .specialization import interval_nu
+    value = interval_nu(_perm(args.perm), guard=args.guard)
     print(value(args.at) if args.at is not None else value)
-    _store(args.cache_path, {**values, w: value})
     return 0
 
 
 def _cmd_coeff(args) -> int:
-    from .perms import Permutation, pattern_census
-    from .specialization import coefficient, coefficient_table, nu
-    values = _load(args.cache_path)
-    w = _perm(args.perm)
-    value = coefficient(w, mode=args.mode, guard=args.guard)
+    from .specialization import coefficient
+    value = coefficient(_perm(args.perm), mode=args.mode, guard=args.guard)
     print(value(args.at) if args.at is not None else value)
-    # each mode writes from the tables it read: ie from the nu tables, the
-    # recursive mode from the coefficients, a pattern's nu being their sum
-    c = coefficient_table(w.size, guard=args.guard) if args.mode == "recursive" else None
-    for key in pattern_census(w):
-        u = Permutation(key)
-        values[u] = nu(u, guard=args.guard) if c is None else sum(
-            count * c[v] for v, count in pattern_census(u).items())
-    _store(args.cache_path, values)
     return 0
 
 
@@ -196,22 +155,6 @@ def _cmd_maxima(args) -> int:
     return 0
 
 
-def _cmd_cache(args) -> int:
-    from .cache import default_cache_path
-    path = default_cache_path() if args.cache_path is None else args.cache_path
-    if args.action == "path":
-        print(path)
-        return 0
-    try:
-        os.unlink(path)
-        print(f"cleared {path}")
-    except FileNotFoundError:
-        print(f"nothing to clear at {path}")
-    except OSError as exc:
-        raise CacheError(f"cannot clear the cache: {exc}") from None
-    return 0
-
-
 _COMMANDS = {
     "enumerate": _cmd_enumerate,
     "nu": _cmd_nu,
@@ -220,7 +163,6 @@ _COMMANDS = {
     "render": _cmd_render,
     "verify": _cmd_verify,
     "maxima": _cmd_maxima,
-    "cache": _cmd_cache,
 }
 
 

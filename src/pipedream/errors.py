@@ -76,7 +76,3 @@ class CheckFailed(PipedreamError):
 
 class SubwordMismatch(PipedreamError):
     """The subword, host permutation, and image grid do not fit together."""
-
-
-class CacheError(PipedreamError):
-    """The on-disk cache file cannot be read, written or removed."""

@@ -22,10 +22,12 @@ and at b = 2^S, for a slot width S (``polynomials.kronecker_bits``) that
 bounds every coefficient, the polynomials, each read back once.  The
 tables are kept in the table store (``store.stored``), the one place a
 computed nu is kept, and ``nu`` of a word is read off the table of its
-size.  The minimal grids come from one filter over the grid stream
-(``minimal_sets``), and their counts and weight sums (``minimal_summary``)
-are read off those sets; only they import the grid stream and ``ktheory``,
-when they run, so nu, c and the Grothendieck polynomials load neither.
+size.  ``interval_nu`` runs the same product for one word, kept to the
+word's lower interval in the right weak order, and stores nothing.  The
+minimal grids come from one filter over the grid stream (``minimal_sets``),
+and their counts and weight sums (``minimal_summary``) are read off those
+sets; only they import the grid stream and ``ktheory``, when they run, so
+nu, c and the Grothendieck polynomials load neither.
 """
 
 from __future__ import annotations
@@ -62,22 +64,28 @@ def _nu_values(n: int, beta_value: int) -> list[int]:
     return vec
 
 
-def _hecke_factors(n: int):
-    """The factors (1 + x_i u_j) of the Hecke product, in order, as
-    (i, sources, targets) with the ranks of ``_ascents(n, j - 1)``.
+def _factor_order(n: int):
+    """The (i, j) of the factors (1 + x_i u_j) of the Hecke product, in
+    order: i = 1..n-1 and, within each i, j = n-1 down to i.
 
     Fomin and Kirillov: in the Hecke algebra, where u_v u_j is u_(v s_j)
-    when v has an ascent at j and beta u_v otherwise, the product over
-    i = 1..n-1 and, within each i, j = n-1 down to i, of (1 + x_i u_j)
-    is the sum of G^beta_w(x) u_w over S_n.  The state is the list of
-    the coefficients, aligned with ``all_perms(n)``; a factor leaves the
-    sources as they are and sets each target to
-    vec[t] (1 + beta x_i) + x_i vec[r].
+    when v has an ascent at j and beta u_v otherwise, that product is the
+    sum of G^beta_w(x) u_w over S_n.
+    """
+    return ((i, j) for i in range(1, n) for j in range(n - 1, i - 1, -1))
+
+
+def _hecke_factors(n: int):
+    """The factors of the Hecke product, in ``_factor_order``, as
+    (i, sources, targets) with the ranks of ``_ascents(n, j - 1)``.
+
+    The state is the list of the coefficients, aligned with
+    ``all_perms(n)``; a factor leaves the sources as they are and sets
+    each target to vec[t] (1 + beta x_i) + x_i vec[r].
     """
     ascents = [_ascents(n, p) for p in range(n - 1)]
-    for i in range(1, n):
-        for j in range(n - 1, i - 1, -1):
-            yield (i, *ascents[j - 1])
+    for i, j in _factor_order(n):
+        yield (i, *ascents[j - 1])
 
 
 def _ascents(n: int, p: int) -> tuple[array, array]:
@@ -106,6 +114,40 @@ def nu(w: Permutation, guard=None) -> BetaPolynomial:
     Its constant term counts the reduced grids with permutation w.
     """
     return nu_table(w.size, guard=guard)[w]
+
+
+def interval_nu(w: Permutation, guard=None) -> BetaPolynomial:
+    """``nu(w)`` from the Hecke product over the lower interval of w in
+    the right weak order, at b = 2^S, decoded once; no table is built."""
+    check_guard(w.size, guard)
+    bits = kronecker_bits(w.size)
+    return BetaPolynomial.from_kronecker(_interval_value(w, 1 << bits), bits)
+
+
+def _interval_value(w: Permutation, beta_value: int) -> int:
+    """nu of w at b = ``beta_value``, from the Hecke product with every x
+    at 1, keeping only the terms u_v with v below w in the right weak
+    order (Björner and Brenti).
+
+    A factor takes c u_v to c (1 + b) u_v when v has a descent at j, and
+    otherwise to c u_v + c u_(v s_j), which adds the inversion of the
+    letters v(j+1) > v(j).  No factor lowers a term, so a term outside
+    the interval never reaches u_w, and v s_j is kept only when w also
+    has v(j+1) left of v(j): one lookup in the inverse of w.  A pass
+    costs the size of the interval, not n!.
+    """
+    place = (0, *w.inverse())
+    scale, vec = 1 + beta_value, {tuple(range(1, w.size + 1)): 1}
+    for _, j in _factor_order(w.size):
+        grown = {}
+        for v, c in vec.items():
+            a, d = v[j - 1], v[j]
+            grown[v] = grown.get(v, 0) + (c * scale if a > d else c)
+            if a < d and place[d] < place[a]:
+                t = v[:j - 1] + (d, a) + v[j + 1:]
+                grown[t] = grown.get(t, 0) + c
+        vec = grown
+    return vec[w]
 
 
 # -- grothendieck polynomials -------------------------------------------------

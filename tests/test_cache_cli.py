@@ -23,13 +23,13 @@ def isolated_cache(tmp_path, monkeypatch):
 
 
 HELP = """\
-usage: pipedream [-h] [--guard GUARD] [--cache-path CACHE_PATH]
-                 {enumerate,nu,coeff,poly,render,verify,maxima,cache} ...
+usage: pipedream [-h] [--guard GUARD]
+                 {enumerate,nu,coeff,poly,render,verify,maxima} ...
 
 Exact combinatorics of bumpless pipe dreams.
 
 positional arguments:
-  {enumerate,nu,coeff,poly,render,verify,maxima,cache}
+  {enumerate,nu,coeff,poly,render,verify,maxima}
     enumerate           list the grids of a family
     nu                  principal specialization of a permutation
     coeff               pattern coefficient of a permutation
@@ -37,13 +37,10 @@ positional arguments:
     render              draw one grid of a permutation
     verify              run a named machine check
     maxima              extremes of the evaluated specializations
-    cache               inspect or clear the on-disk cache
 
 options:
   -h, --help            show this help message and exit
   --guard GUARD         largest permutation size allowed (default 9)
-  --cache-path CACHE_PATH
-                        override the on-disk cache location
 """
 
 VERIFY_HELP = """\
@@ -187,23 +184,6 @@ class TestCliCommands:
         out = capsys.readouterr().out.strip()
         assert out == "n=4 beta=1 max_nu=11 max_c=4 argmax_nu=1432 argmax_c=1432"
 
-    def test_cache_path_and_clear(self, capsys, isolated_cache):
-        main(["nu", "--perm", "132"])
-        capsys.readouterr()
-        assert main(["cache", "path"]) == 0
-        assert capsys.readouterr().out.strip() == str(isolated_cache)
-        assert main(["cache", "clear"]) == 0
-        assert not isolated_cache.exists()
-        assert main(["cache", "clear"]) == 0  # idempotent
-
-    @pytest.mark.parametrize("argv", [["nu", "--perm", "132"],
-                                      ["coeff", "--perm", "132"],
-                                      ["cache", "clear"]])
-    def test_cache_path_is_a_directory(self, argv, tmp_path, capsys):
-        assert main(["--cache-path", str(tmp_path)] + argv) == 2
-        assert capsys.readouterr().err.startswith("error:")
-        assert tmp_path.is_dir()
-
     def test_usage_error(self):
         assert main([]) == 2
         assert main(["verify", "no-such-check", "--n", "2"]) == 2
@@ -237,37 +217,34 @@ class TestCliCommands:
         assert main(["enumerate", "--perm", "1243", "--kind", "mBPD",
                      "--subword", "1,2"]) == 2
 
-    def test_nu_persists_to_cache(self, isolated_cache):
-        # nu writes its own word, coeff the nu of every pattern of its word
-        for argv, words in ((["nu", "--perm", "1243"], {"1243"}),
-                            (["coeff", "--perm", "1243"],
-                             {"", "1", "12", "21", "123", "132", "1243"})):
-            isolated_cache.unlink(missing_ok=True)
-            main(argv)
-            loaded, _ = load_cache()
-            assert {w.text() for w in loaded} == words
-            assert loaded[P("1243")] == BetaPolynomial.from_coeffs([3, 3, 1])
-            assert loaded == {w: nu(w) for w in loaded}
-
-    def test_coeff_ignores_a_wrong_cached_nu(self, isolated_cache, capsys):
-        isolated_cache.write_text(json.dumps(
-            {"word": "1243", "nu_coeffs": [1], "schema_version": SCHEMA_VERSION}) + "\n")
-        for word, expected in (("1243", "b^2+b"), ("12543", "b^4+7b^3+16b^2+15b+5")):
-            assert main(["coeff", "--perm", word]) == 0
-            assert capsys.readouterr().out == expected + "\n"
-        loaded, _ = load_cache()
-        assert loaded[P("1243")] == BetaPolynomial.from_coeffs([3, 3, 1])
-
-    def test_nu_answers_from_the_cache(self, isolated_cache, cold_caches, capsys):
-        store_cache({P("12543"): BetaPolynomial.from_coeffs([14, 28, 21, 7, 1])})
-        assert main(["nu", "--perm", "12543"]) == 0
-        assert capsys.readouterr().out == "b^4+7b^3+21b^2+28b+14\n"
-        assert ("nu", 5) not in _TABLES
-
     def test_poly_and_maxima_leave_cache_alone(self, isolated_cache, capsys):
-        assert main(["poly", "--perm", "132"]) == 0
-        assert main(["maxima", "--n", "5"]) == 0
+        # no command reads or writes the json-lines file any more
+        for argv in (["nu", "--perm", "1243"], ["nu", "--perm", "1243", "--at", "1"],
+                     ["coeff", "--perm", "1243"], ["coeff", "--perm", "1243", "--mode", "ie"],
+                     ["poly", "--perm", "132"], ["maxima", "--n", "5"],
+                     ["enumerate", "--perm", "132"], ["render", "--perm", "21", "--index", "0"],
+                     ["verify", "skew", "--n", "3"]):
+            assert main(argv) == 0
         assert not isolated_cache.exists()
+
+    def test_nu_ignores_a_stale_cache_line(self, isolated_cache, capsys):
+        isolated_cache.write_text('{"word":"1243","nu_coeffs":[1],"schema_version":1}\n')
+        before = isolated_cache.read_bytes()
+        assert main(["nu", "--perm", "1243"]) == 0
+        assert capsys.readouterr().out == "b^2+3b+3\n"
+        assert main(["nu", "--perm", "1243", "--at", "1"]) == 0
+        assert capsys.readouterr().out == "7\n"
+        assert isolated_cache.read_bytes() == before
+
+    def test_nu_of_a_size_9_word_builds_no_table(self, cold_caches, capsys):
+        assert main(["nu", "--perm", "143298765", "--at", "1"]) == 0
+        assert capsys.readouterr().out == "190013835\n"
+        assert ("perms", 9) not in _TABLES
+        assert ("nu", 9) not in _TABLES
+
+    def test_nu_of_a_size_10_word_needs_the_guard(self, capsys):
+        assert main(["nu", "--perm", "10,1,2,3,4,5,6,7,8,9"]) == 2
+        assert capsys.readouterr().err.startswith("error: size 10 outside 0..9")
 
 
 class TestDeterminism:

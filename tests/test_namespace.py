@@ -67,7 +67,7 @@ print(" ".join(m.split(".", 1)[1] for m in sys.modules if m.startswith("pipedrea
 
 # the layers a table command (nu, coeff, poly) and a grid command
 # (enumerate, render) have no use for
-UNUSED_BY_TABLES = {"checks", "removal", "enumeration", "grid", "ktheory"}
+UNUSED_BY_TABLES = {"checks", "removal", "enumeration", "grid", "ktheory", "cache"}
 UNUSED_BY_GRIDS = {"checks", "removal", "specialization", "cache"}
 
 

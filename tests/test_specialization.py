@@ -12,10 +12,11 @@ from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
                             tiles_from_asm_rows, trace)
 from pipedream.ktheory import beta_weight, resolve_stats
-from pipedream.perms import all_perms, pattern_census
+from pipedream.perms import all_perms, layered, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
 from pipedream.specialization import (MinimalSummary, _ascents, _deletions,
-                                      coefficient_values, grothendieck_table,
+                                      _interval_value, coefficient_values,
+                                      grothendieck_table, interval_nu,
                                       minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
 
@@ -225,6 +226,31 @@ class TestHeckeProduct:
         nu_table(5)
         grothendieck_table(5)
         assert not {"transitions", "moves", "rows"} & {kind for kind, _ in store._TABLES}
+
+
+class TestIntervalNu:
+    def test_matches_the_tables_up_to_size_6(self):
+        for n in range(7):
+            table = nu_table(n)
+            for w in all_perms(n):
+                assert interval_nu(w) == table[w], w
+                for b in (0, 1, 2):
+                    assert _interval_value(w, b) == table[w](b), (w, b)
+
+    def test_matches_the_tables_on_layered_words_up_to_size_8(self):
+        for n in range(9):
+            table = nu_table(n)
+            for w in layered(n):
+                assert interval_nu(w) == table[w], w
+
+    def test_builds_no_table(self, cold_caches):
+        assert interval_nu(P("143298765"))(1) == 190013835
+        assert not store._TABLES
+
+    def test_guard(self):
+        with pytest.raises(GuardExceeded):
+            interval_nu(Permutation(range(1, 11)))
+        assert interval_nu(Permutation(range(1, 11)), guard=10) == BetaPolynomial.one()
 
 
 def streamed_minimal_summary(n):
