@@ -2,9 +2,9 @@
 
 Subcommands: enumerate, nu, coeff, poly, render, verify, maxima.
 Output is deterministic for fixed inputs; the verify command's text form
-deliberately omits timing so runs are byte-identical.  ``nu`` walks its
-word's lower interval in the right weak order and builds no table;
-``coeff`` and ``poly`` read the table of their word's size.  Nothing is
+deliberately omits timing so runs are byte-identical.  ``nu`` and
+``poly`` walk their word's lower interval in the right weak order and
+build no table; ``coeff`` reads the table of its word's size.  Nothing is
 kept between runs.  Each command imports its layers when it runs:
 ``nu``, ``coeff`` and ``poly`` load no grid stream or checks,
 ``enumerate`` and ``render`` no checks or tables.

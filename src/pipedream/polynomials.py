@@ -34,9 +34,11 @@ def kronecker_bits(n: int) -> int:
     builds the nu table obey the same bound: they are nonnegative, and at
     b = 1 each of its m(m-1)/2 factors at most doubles their total, so no
     coefficient exceeds 2^(m(m-1)/2), nor do the zeta sums' minimal-grid
-    leaves: the minimal reduced grids of w have type w.  A transform state
-    adds at most 2^n leaves, signed for c, so its coefficients lie within
-    2^(S-2) in absolute value; S leaves one sign bit and one spare bit.
+    leaves: the minimal reduced grids of w have type w.  The interval walk
+    of one word holds the same coefficients, those of u_v shifted up by the
+    length of v slots.  A transform state adds at most 2^n leaves, signed
+    for c, so its coefficients lie within 2^(S-2) in absolute value; S
+    leaves one sign bit and one spare bit.
     """
     return n * (n - 1) // 2 + n + 2
 

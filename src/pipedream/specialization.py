@@ -8,22 +8,23 @@ over the flattened subwords w_S of w.  One transform (``_transform``) sums
 over the subwords of every word of S_<=n: signed over nu it gives c (its
 oracle is the direct sum, ``mode="ie"``), plain the bound checks' sums.
 
-The nu and Grothendieck tables of a size come from one Hecke product
-(Fomin and Kirillov), the product of the factors (1 + x_i u_j) over a
-list of coefficients aligned with ``all_perms(n)``, so the tables share
-its keys and iterate in lexicographic order.  No grid is built: the
-per-matrix sums over the grid stream and the divided differences of the
-tests are its oracles.  The coefficient of u_w is the polynomial of w
-itself, not of its inverse and not times a power of b.  The nu product
-(``_nu_values``) and the transform are integer kernels that take b as an
-argument, their states aligned with ``all_perms``: at an integer beta
-they give the values (``coefficient_values``, ``checks.maxima_table``),
-and at b = 2^S, for a slot width S (``polynomials.kronecker_bits``) that
-bounds every coefficient, the polynomials, each read back once.  The
-tables are kept in the table store (``store.stored``), the one place a
-computed nu is kept, and ``nu`` of a word is read off the table of its
-size.  ``interval_nu`` runs the same product for one word, kept to the
-word's lower interval in the right weak order, and stores nothing.  The
+The nu table of a size comes from the Hecke product of Fomin and
+Kirillov, the product of the factors (1 + x_i u_j), over a list aligned
+with ``all_perms(n)``, so the table shares its keys and order.  Every
+other product is one walk (``_walk``) over a word's lower interval in the
+right weak order: ``interval_nu`` and ``grothendieck`` walk their word's
+and store nothing, and the Grothendieck table is the walk at the longest
+word, whose interval is S_n.  No grid is built: the per-matrix sums over
+the grid stream and the divided differences of the tests are the oracles.
+The coefficient of u_w is the polynomial of w itself, not of its inverse
+and not times a power of b.  The nu product (``_nu_values``) and the
+transform are integer kernels that take b as an argument, their states
+aligned with ``all_perms``: at an integer beta they give the values
+(``coefficient_values``, ``checks.maxima_table``), and at b = 2^S, for a
+slot width S (``polynomials.kronecker_bits``) that bounds every
+coefficient, the polynomials, each read back once.  The tables are kept
+in the table store (``store.stored``), the one place a computed nu is
+kept, and ``nu`` of a word is read off the table of its size.  The
 minimal grids come from one filter over the grid stream (``minimal_sets``),
 and their counts and weight sums (``minimal_summary``) are read off those
 sets; only they import the grid stream and ``ktheory``, when they run, so
@@ -58,7 +59,9 @@ def _nu_values(n: int, beta_value: int) -> list[int]:
     ``all_perms(n)``; at b = 2^S the ints hold the polynomials."""
     # every x is 1, so a factor sets each target to vec[t] (1 + b) + vec[r]
     scale, vec = 1 + beta_value, [1] + [0] * (factorial(n) - 1)
-    for _, sources, targets in _hecke_factors(n):
+    ascents = [_ascents(n, p) for p in range(n - 1)]
+    for _, j in _factor_order(n):
+        sources, targets = ascents[j - 1]
         for r, t in zip(sources, targets):
             vec[t] = vec[t] * scale + vec[r]
     return vec
@@ -73,19 +76,6 @@ def _factor_order(n: int):
     sum of G^beta_w(x) u_w over S_n.
     """
     return ((i, j) for i in range(1, n) for j in range(n - 1, i - 1, -1))
-
-
-def _hecke_factors(n: int):
-    """The factors of the Hecke product, in ``_factor_order``, as
-    (i, sources, targets) with the ranks of ``_ascents(n, j - 1)``.
-
-    The state is the list of the coefficients, aligned with
-    ``all_perms(n)``; a factor leaves the sources as they are and sets
-    each target to vec[t] (1 + beta x_i) + x_i vec[r].
-    """
-    ascents = [_ascents(n, p) for p in range(n - 1)]
-    for i, j in _factor_order(n):
-        yield (i, *ascents[j - 1])
 
 
 def _ascents(n: int, p: int) -> tuple[array, array]:
@@ -117,78 +107,85 @@ def nu(w: Permutation, guard=None) -> BetaPolynomial:
 
 
 def interval_nu(w: Permutation, guard=None) -> BetaPolynomial:
-    """``nu(w)`` from the Hecke product over the lower interval of w in
-    the right weak order, at b = 2^S, decoded once; no table is built."""
+    """``nu(w)`` from the walk below w with every x at 2^S: nu(2^S) shifted
+    up length(w) slots, decoded once; no table is built."""
     check_guard(w.size, guard)
     bits = kronecker_bits(w.size)
-    return BetaPolynomial.from_kronecker(_interval_value(w, 1 << bits), bits)
+    value = _walk(w, 1, lambda c, i: c << bits)[w]
+    return BetaPolynomial.from_kronecker(value >> bits * w.length(), bits)
 
 
-def _interval_value(w: Permutation, beta_value: int) -> int:
-    """nu of w at b = ``beta_value``, from the Hecke product with every x
-    at 1, keeping only the terms u_v with v below w in the right weak
-    order (Björner and Brenti).
+def _walk(w: Permutation, one, times_x) -> dict[tuple, object]:
+    """The coefficient of u_v in the Hecke product for every v below w in
+    the right weak order (Björner and Brenti), keyed by the word of v.
 
-    A factor takes c u_v to c (1 + b) u_v when v has a descent at j, and
-    otherwise to c u_v + c u_(v s_j), which adds the inversion of the
-    letters v(j+1) > v(j).  No factor lowers a term, so a term outside
-    the interval never reaches u_w, and v s_j is kept only when w also
-    has v(j+1) left of v(j): one lookup in the inverse of w.  A pass
+    A coefficient needs only ``+``; its b-degree is its x-degree less the
+    length of v.  A factor (1 + x_i u_j) adds ``times_x(c, i)`` to c on a
+    descent of v at j (the term b x_i c); on an ascent it keeps c, which is
+    all u_v gets, and sends x_i c to u_(v s_j) if w has v(j+1) left of v(j)
+    (one lookup in the inverse of w), as no factor lowers a term.  So a pass
     costs the size of the interval, not n!.
     """
     place = (0, *w.inverse())
-    scale, vec = 1 + beta_value, {tuple(range(1, w.size + 1)): 1}
-    for _, j in _factor_order(w.size):
+    vec = {tuple(range(1, w.size + 1)): one}
+    for i, j in _factor_order(w.size):
         grown = {}
         for v, c in vec.items():
             a, d = v[j - 1], v[j]
-            grown[v] = grown.get(v, 0) + (c * scale if a > d else c)
-            if a < d and place[d] < place[a]:
-                t = v[:j - 1] + (d, a) + v[j + 1:]
-                grown[t] = grown.get(t, 0) + c
+            if a > d:
+                t, c = v, c + times_x(c, i)
+            else:
+                grown[v] = c
+                if place[a] < place[d]:
+                    continue
+                t, c = v[:j - 1] + (d, a) + v[j + 1:], times_x(c, i)
+            grown[t] = c + grown[t] if t in grown else c
         vec = grown
-    return vec[w]
+    return vec
 
 
 # -- grothendieck polynomials -------------------------------------------------
 
 
 def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePolynomial]:
+    """The Grothendieck polynomial of every permutation of size n: the walk
+    at the longest word, whose interval is S_n."""
     check_guard(n, guard)
-    return stored("groth", n, _build_grothendieck_table)
-
-
-def _build_grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomial]:
-    # an entry maps x-exponents, the digits of one base-n integer with
-    # x_i (of degree at most n - i) at n^(i-1), to counts; a term's
-    # beta-degree is its x-degree less the length of its word, so beta is
-    # not carried
-    nvars, perms = max(n - 1, 0), all_perms(n)
-    vec = [{} for _ in perms]
-    vec[0][0] = 1
-    for i, sources, targets in _hecke_factors(n):
-        step = n ** (i - 1)
-        for r, t in zip(sources, targets):
-            entry = vec[t]
-            grown = {}
-            for terms in (entry, vec[r]):
-                for key, count in terms.items():
-                    grown[key + step] = grown.get(key + step, 0) + count
-            for key, count in grown.items():
-                entry[key] = entry.get(key, 0) + count
-    table = {}
-    for w, entry in zip(perms, vec):
-        length, terms = w.length(), {}
-        for key, count in entry.items():
-            expo = tuple(key // n ** k % n for k in range(nvars))
-            terms[expo] = BetaPolynomial.monomial(sum(expo) - length, count)
-        table[w] = MultivariatePolynomial(nvars, terms)
-    return table
+    return stored("groth", n, lambda _: _grothendieck_walk(
+        Permutation(range(n, 0, -1)), all_perms(n)))
 
 
 def grothendieck(w: Permutation, guard=None) -> MultivariatePolynomial:
-    """The full weight generating polynomial in x_1..x_{n-1} over b."""
-    return grothendieck_table(w.size, guard=guard)[w]
+    """The full weight generating polynomial in x_1..x_{n-1} over b, from
+    the walk over the lower interval of w; no table is built or read."""
+    check_guard(w.size, guard)
+    return _grothendieck_walk(w, (w,))[w]
+
+
+class _Terms(dict):
+    """A coefficient of ``_grothendieck_walk``, added termwise: counts keyed
+    by x-exponents, base-n digits with x_i (degree <= n - i) at n^(i-1)."""
+
+    def __add__(self, other):
+        out = _Terms(self)
+        out.update({key: self.get(key, 0) + count for key, count in other.items()})
+        return out
+
+
+def _grothendieck_walk(w: Permutation, words) -> dict[Permutation, MultivariatePolynomial]:
+    """The polynomials of ``words``, each below w, from one walk below w."""
+    n, powers = w.size, [w.size ** k for k in range(w.size - 1)]
+    walked = _walk(w, _Terms({0: 1}), lambda c, i: _Terms(
+        {key + powers[i - 1]: count for key, count in c.items()}))
+    # plain dicts of ints, which the garbage collector stops traversing
+    walked = {v: dict(walked[v]) for v in words}
+    for v, counts in walked.items():
+        length, terms = v.length(), {}
+        for key, count in counts.items():
+            expo = tuple(key // p % n for p in powers)
+            terms[expo] = BetaPolynomial.monomial(sum(expo) - length, count)
+        walked[v] = MultivariatePolynomial(len(powers), terms)
+    return walked
 
 
 def schubert(w: Permutation, guard=None) -> MultivariatePolynomial:

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -245,6 +246,19 @@ class TestCliCommands:
     def test_nu_of_a_size_10_word_needs_the_guard(self, capsys):
         assert main(["nu", "--perm", "10,1,2,3,4,5,6,7,8,9"]) == 2
         assert capsys.readouterr().err.startswith("error: size 10 outside 0..9")
+
+    def test_poly_of_a_size_7_word(self, capsys):
+        # the digest of the table route's output, before poly walked its word
+        assert main(["poly", "--perm", "2164753"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == "6402a25b41b011c133bb9cf5976f0d0d004c1ece75d8d51a9a0cad30ecbbe0b2"
+
+    def test_poly_of_a_size_10_word_needs_the_guard(self, capsys):
+        word = ",".join(map(str, range(1, 11)))
+        assert main(["poly", "--perm", word]) == 2
+        assert capsys.readouterr().err == "error: size 10 outside 0..9\n"
+        assert main(["--guard", "10", "poly", "--perm", word]) == 0
+        assert capsys.readouterr().out == "1\n"
 
 
 class TestDeterminism:

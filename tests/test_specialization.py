@@ -15,7 +15,7 @@ from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, layered, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
 from pipedream.specialization import (MinimalSummary, _ascents, _deletions,
-                                      _interval_value, coefficient_values,
+                                      coefficient_values,
                                       grothendieck_table, interval_nu,
                                       minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
@@ -92,6 +92,33 @@ class TestGrothendieck:
         for n in range(5):
             for w in all_perms(n):
                 assert grothendieck(w).all_ones() == nu(w)
+
+    def test_per_word_walk_matches_the_table(self):
+        for n in range(7):
+            table = grothendieck_table(n)
+            for w in all_perms(n):
+                assert grothendieck(w) == table[w], w
+
+    def test_specializes_to_the_array_kernel_on_layered_words(self):
+        # nu_table runs the array product, not the walk
+        for n in range(8):
+            table = nu_table(n)
+            for w in layered(n):
+                assert grothendieck(w).all_ones() == table[w], w
+        w = P("2164753")
+        assert grothendieck(w).all_ones() == nu_table(7)[w]
+
+    @pytest.mark.slow
+    def test_specializes_to_the_array_kernel_on_layered_words_of_size_8(self):
+        # 87654321 walks all of S_8: most of the test's 50-70 s, and a 1.8 GB peak
+        table = nu_table(8)
+        for w in layered(8):
+            assert grothendieck(w).all_ones() == table[w], w
+
+    def test_per_word_walk_builds_no_table(self, cold_caches):
+        # nu at b = 1 of the size-8 maximum that ``maxima --n 8`` reports
+        assert grothendieck(P("13287654")).all_ones()(1) == 1711251
+        assert not {("groth", 8), ("perms", 8)} & set(store._TABLES)
 
     def test_schubert_monomial_positivity(self):
         for w in all_perms(4):
@@ -235,7 +262,7 @@ class TestIntervalNu:
             for w in all_perms(n):
                 assert interval_nu(w) == table[w], w
                 for b in (0, 1, 2):
-                    assert _interval_value(w, b) == table[w](b), (w, b)
+                    assert interval_nu(w)(b) == table[w](b), (w, b)
 
     def test_matches_the_tables_on_layered_words_up_to_size_8(self):
         for n in range(9):
