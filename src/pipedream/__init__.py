@@ -30,7 +30,7 @@ _EXPORTS = {
     "removal": ("insert", "remove"),
     "specialization": ("SkewReport", "coefficient", "coefficient_table", "grothendieck",
                        "nu", "nu_table", "schubert", "skew_identities"),
-    "store": ("DEFAULT_GUARD",),
+    "store": ("DEFAULT_GUARD", "size_guard"),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -72,11 +72,10 @@ class _CapReached(Exception):
 
 
 class _Tally:
-    """The instances a check body covered and the counterexamples it found,
-    and the size guard its table lookups pass on."""
+    """The instances a check body covered and the counterexamples it found;
+    it holds no guard, as the body's lookups read ``store.size_guard``."""
 
-    def __init__(self, guard=None):
-        self.guard = guard
+    def __init__(self):
         self.instances = 0
         self.failures: list[str] = []
 
@@ -90,13 +89,14 @@ def _grid_fixture(grid: BpdGrid) -> str:
     return "/".join("".join(t.char for t in row) for row in grid.rows)
 
 
-def _minimal_sums(n, guard, leaf):
-    """The minimal-grid summaries of sizes 0..n, and the sum of ``leaf`` of
-    them over the subwords of every w in S_<=n (a missing one counts 0)."""
-    summaries = [minimal_summary(m, guard=guard) for m in range(n + 1)]
+def _minimal_sums(n):
+    """The minimal-grid summaries of sizes 0..n, and the sum of their
+    ``weight_reduced`` over the subwords of every w in S_<=n (a missing one
+    counts 0), whose constant term sums ``count_reduced``."""
+    summaries = [minimal_summary(m) for m in range(n + 1)]
     bits = kronecker_bits(n)
-    leaves = [[leaf(summary.get(w, EMPTY_SUMMARY)).to_kronecker(bits) for w in all_perms(m)]
-              for m, summary in enumerate(summaries)]
+    leaves = [[summary.get(w, EMPTY_SUMMARY).weight_reduced.to_kronecker(bits)
+               for w in all_perms(m)] for m, summary in enumerate(summaries)]
     return summaries, _by_word(_transform(n, leaves, sign=1), bits)
 
 
@@ -125,10 +125,10 @@ def _compare_strata(tally, words, strata, predict, describe):
 
 def _check_upper_bound(n, tally):
     """nu is at most the pattern-weighted count of minimal reduced grids."""
-    _, sums = _minimal_sums(n, tally.guard, lambda s: BetaPolynomial.const(s.count_reduced))
+    _, sums = _minimal_sums(n)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
-        lhs = nu(w, guard=tally.guard).constant_term
+        lhs = nu(w).constant_term
         rhs = sums[w].constant_term
         if lhs > rhs:
             tally.fail(f"{w.text()}: nu={lhs} > bound={rhs}")
@@ -137,14 +137,14 @@ def _check_upper_bound(n, tally):
 def _check_thm_1243(n, tally):
     """For 1243-avoiding w the upper bound is an equality and the
     coefficient counts the minimal reduced grids."""
-    summaries, sums = _minimal_sums(n, tally.guard, lambda s: BetaPolynomial.const(s.count_reduced))
+    summaries, sums = _minimal_sums(n)
     for w in all_perms(n):
         if w.contains(PATTERN_1243):
             continue
         tally.instances += 1
-        lhs = nu(w, guard=tally.guard).constant_term
+        lhs = nu(w).constant_term
         rhs = sums[w].constant_term
-        c_w = coefficient(w, guard=tally.guard).constant_term
+        c_w = coefficient(w).constant_term
         mbpd_count = summaries[n].get(w, EMPTY_SUMMARY).count_reduced
         if lhs != rhs:
             tally.fail(f"{w.text()}: nu={lhs} != sum={rhs}")
@@ -225,7 +225,7 @@ def _check_bijection_roundtrip(n, tally):
         if insert(image, v.host, v) != grid:
             tally.fail(f"{_grid_fixture(grid)}: insert(remove(B)) differs")
         strata[v.host, v.indices].add(image)
-    sets = [minimal_sets(m, guard=tally.guard) for m in range(n + 1)]
+    sets = [minimal_sets(m) for m in range(n + 1)]
     _compare_strata(tally, all_perms(n), strata,
                     lambda u: set(sets[len(u)].get(u, ((), ()))[0]),
                     lambda got, want: f"{len(got)} images vs {len(want)} minimal grids")
@@ -248,7 +248,7 @@ def _check_reduced_restriction(n, tally):
         if insert(image, v.host, v) != grid:
             tally.fail(f"{_grid_fixture(grid)}: round trip differs")
         strata[v.host, v.indices].add(image)
-    sets = [minimal_sets(m, guard=tally.guard) for m in range(n + 1)]
+    sets = [minimal_sets(m) for m in range(n + 1)]
     _compare_strata(tally, avoiders, strata,
                     lambda u: set(sets[len(u)].get(u, ((), ()))[1]),
                     lambda got, want: f"image set has {len(got)} grids, minimal "
@@ -274,7 +274,7 @@ def _check_weight_preservation(n, tally):
             tally.fail(f"{_grid_fixture(grid)}: weight {wt_before} -> {wt_after}")
         if tr.perm in avoiding:
             strata[tr.perm, v.indices] += wt_before
-    summaries = [minimal_summary(m, guard=tally.guard) for m in range(n + 1)]
+    summaries = [minimal_summary(m) for m in range(n + 1)]
     _compare_strata(tally, avoiders, strata,
                     lambda u: summaries[len(u)].get(u, EMPTY_SUMMARY).weight_reduced,
                     lambda got, want: f"weight {got} != {want}")
@@ -283,17 +283,17 @@ def _check_weight_preservation(n, tally):
 def _check_groth(n, tally):
     """For vexillary 1243-avoiding w, nu equals the pattern-weighted sum of
     minimal reduced weights and the coefficient is the minimal weight."""
-    summaries, sums = _minimal_sums(n, tally.guard, lambda s: s.weight_reduced)
+    summaries, sums = _minimal_sums(n)
     for w in all_perms(n):
         if w.contains(PATTERN_1243) or w.contains(PATTERN_2143):
             continue
         tally.instances += 1
         total = sums[w]
-        nu_w = nu(w, guard=tally.guard)
+        nu_w = nu(w)
         if nu_w != total:
             tally.fail(f"{w.text()}: nu={nu_w} != weighted sum={total}")
         summary = summaries[n].get(w, EMPTY_SUMMARY)
-        c = coefficient(w, guard=tally.guard)
+        c = coefficient(w)
         if c != summary.weight_reduced:
             tally.fail(f"{w.text()}: c={c} != mbpd weight={summary.weight_reduced}")
         if summary.weight_all != summary.weight_reduced:
@@ -301,7 +301,7 @@ def _check_groth(n, tally):
 
 
 def _check_conj_gao(n, tally):
-    table = coefficient_table(n, guard=tally.guard)
+    table = coefficient_table(n)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if table[w].constant_term < 0:
@@ -309,7 +309,7 @@ def _check_conj_gao(n, tally):
 
 
 def _check_conj_groth(n, tally):
-    table = coefficient_table(n, guard=tally.guard)
+    table = coefficient_table(n)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         if not table[w].is_nonnegative():
@@ -346,7 +346,7 @@ def _check_skew(n, tally):
             u = Permutation(rng.sample(range(1, mu + 1), mu))
             v = Permutation(rng.sample(range(1, mv + 1), mv))
             tally.instances += 1
-            if not skew_identities(u, v, guard=tally.guard).ok:
+            if not skew_identities(u, v).ok:
                 tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
         return
     by_type = [_grids_by_type(m) for m in range(n + 1)]
@@ -356,7 +356,7 @@ def _check_skew(n, tally):
             ku = by_type[mu].get(u, [])
             for v in all_perms(mv):
                 tally.instances += 1
-                if not skew_identities(u, v, guard=tally.guard).ok:
+                if not skew_identities(u, v).ok:
                     tally.fail(f"{u.text()} (-) {v.text()}: identities fail")
                 kv = by_type[mv].get(v, [])
                 pairs = set()
@@ -374,13 +374,13 @@ def _check_skew(n, tally):
 
 def _check_pattern_sum(n, tally):
     """nu counts subwords weighted by the coefficients of their patterns."""
-    table = coefficient_table(n, guard=tally.guard)
+    table = coefficient_table(n)
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
         total = 0
         for key, count in pattern_census(w).items():
             total += count * table[Permutation(key)].constant_term
-        nu_w = nu(w, guard=tally.guard).constant_term
+        nu_w = nu(w).constant_term
         if total != nu_w:
             tally.fail(f"{w.text()}: sum {total} != nu {nu_w}")
 
@@ -389,7 +389,7 @@ def _check_stanley(n, tally):
     """nu equals 2 exactly when the permutation has a unique 132 pattern."""
     tally.instances = len(all_perms(n))
     for w in all_perms(n):
-        nu_w = nu(w, guard=tally.guard).constant_term
+        nu_w = nu(w).constant_term
         p132 = pattern_count(PATTERN_132, w)
         if (nu_w == 2) != (p132 == 1):
             tally.fail(f"{w.text()}: nu={nu_w}, p132={p132}")
@@ -412,12 +412,12 @@ _CHECKS = dict(zip(CHECK_IDS, (
     _check_stanley, _check_bk_order), strict=True))
 
 
-def run_check(check_id: str, n: int, guard=None) -> CheckReport:
+def run_check(check_id: str, n: int) -> CheckReport:
     """Run one named check over everything of size n."""
     if check_id not in _CHECKS:
         raise UnknownCheck(f"no check named {check_id!r}; known: {', '.join(CHECK_IDS)}")
-    check_guard(n, guard)
-    tally = _Tally(guard)
+    check_guard(n)
+    tally = _Tally()
     start = time.perf_counter()
     with suppress(_CapReached):
         _CHECKS[check_id](n, tally)
@@ -437,13 +437,13 @@ class MaximaRow:
     argmax_c: tuple[Permutation, ...]
 
 
-def maxima_table(n: int, beta_value: int, guard=None) -> MaximaRow:
+def maxima_table(n: int, beta_value: int) -> MaximaRow:
     """Maximize the evaluated nu and c over all permutations of size n.
 
     For beta 0 and 1 the winners are checked to be layered, and for beta 1
     the two argmax sets are checked to coincide.
     """
-    check_guard(n, guard)
+    check_guard(n)
     leaves = [_nu_values(m, beta_value) for m in range(n + 1)]
     nu_vals, c_vals = leaves[n], _transform(n, leaves)[n]
     max_nu, max_c = max(nu_vals), max(c_vals)

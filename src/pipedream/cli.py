@@ -16,6 +16,7 @@ import argparse
 import sys
 
 from .errors import CHECK_IDS, PipedreamError
+from .store import DEFAULT_GUARD, size_guard
 
 
 def _perm(text: str):
@@ -28,7 +29,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="pipedream",
         description="Exact combinatorics of bumpless pipe dreams.")
     parser.add_argument("--guard", type=int, default=None,
-                        help="largest permutation size allowed (default 9)")
+                        help=f"largest permutation size allowed (default {DEFAULT_GUARD})")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("enumerate", help="list the grids of a family")
@@ -89,7 +90,7 @@ def _cmd_enumerate(args) -> int:
             print(f"error: bad --subword {args.subword!r}: {exc}", file=sys.stderr)
             return 2
         kind = "BPD_v" if kind == "BPD" else "bpd_v"
-    grids = query(SetQuery(kind, w, v), max_n_guard=args.guard)
+    grids = query(SetQuery(kind, w, v))
     if args.format == "ascii":
         blocks = [render(g, "ascii") for g in grids]
         print("\n\n".join(blocks))
@@ -102,21 +103,21 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_nu(args) -> int:
     from .specialization import interval_nu
-    value = interval_nu(_perm(args.perm), guard=args.guard)
+    value = interval_nu(_perm(args.perm))
     print(value(args.at) if args.at is not None else value)
     return 0
 
 
 def _cmd_coeff(args) -> int:
     from .specialization import coefficient
-    value = coefficient(_perm(args.perm), mode=args.mode, guard=args.guard)
+    value = coefficient(_perm(args.perm), mode=args.mode)
     print(value(args.at) if args.at is not None else value)
     return 0
 
 
 def _cmd_poly(args) -> int:
     from .specialization import grothendieck
-    print(grothendieck(_perm(args.perm), guard=args.guard))
+    print(grothendieck(_perm(args.perm)))
     return 0
 
 
@@ -124,7 +125,7 @@ def _cmd_render(args) -> int:
     from .enumeration import SetQuery, query
     from .grid import render
     w = _perm(args.perm)
-    grids = query(SetQuery("BPD", w), max_n_guard=args.guard)
+    grids = query(SetQuery("BPD", w))
     if not 0 <= args.index < len(grids):
         print(f"index {args.index} out of range; {w.text()} has {len(grids)} grids",
               file=sys.stderr)
@@ -135,7 +136,7 @@ def _cmd_render(args) -> int:
 
 def _cmd_verify(args) -> int:
     from .checks import run_check
-    report = run_check(args.check_id, args.n, guard=args.guard)
+    report = run_check(args.check_id, args.n)
     if args.format == "json":
         print(report.to_json())
     else:
@@ -145,7 +146,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_maxima(args) -> int:
     from .checks import maxima_table
-    row = maxima_table(args.n, args.beta, guard=args.guard)
+    row = maxima_table(args.n, args.beta)
     # from size 10 on a word's own letters are separated by commas
     sep = ";" if row.n >= 10 else ","
     names_nu = sep.join(w.text() or "∅" for w in row.argmax_nu)
@@ -173,7 +174,8 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:
-        return _COMMANDS[args.command](args)
+        with size_guard(args.guard):
+            return _COMMANDS[args.command](args)
     except PipedreamError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

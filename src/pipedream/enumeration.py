@@ -19,10 +19,10 @@ over the grid stream, and ``removable_pipes`` finds the unit rows whose
 records; its report holds the kept indices and builds the subword
 selection only when it is read, and ``removal`` hands the records it
 already holds to the same pass (``_removable``).  Each table is kept per
-size in the table store, whose guard (``store.check_guard``) bounds
-``query``.  The nu and Grothendieck tables do not read these grids:
-``specialization`` builds them from a Hecke product, and loads this
-module only for the minimal grids.
+size in the table store, and ``query`` checks its size against the guard
+in force (``store.size_guard``).  The nu and Grothendieck tables do not
+read these grids: ``specialization`` builds them from a Hecke product,
+and loads this module only for the minimal grids.
 """
 
 from __future__ import annotations
@@ -277,7 +277,7 @@ class SetQuery:
                                   f"for {self.w.text()}")
 
 
-def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:
+def query(q: SetQuery) -> list[BpdGrid]:
     """Materialize a grid family, in the enumeration stream's order.
 
     BPD_K selects grids by type and every other kind by permutation; the
@@ -286,7 +286,7 @@ def query(q: SetQuery, max_n_guard: Optional[int] = None) -> list[BpdGrid]:
     full word or the subword v.
     """
     n = q.w.size
-    check_guard(n, max_n_guard)
+    check_guard(n)
     if q.kind == "BPD_K":
         return [grid for grid in bpd_stream(n) if resolve(grid)[1] == q.w]
     reduced_only = "bpd" in q.kind

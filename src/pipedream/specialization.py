@@ -42,9 +42,9 @@ from .polynomials import BetaPolynomial, MultivariatePolynomial, kronecker_bits
 from .store import check_guard, stored
 
 
-def nu_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
+def nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
     """nu for every permutation of size n, from one Hecke product."""
-    check_guard(n, guard)
+    check_guard(n)
     return stored("nu", n, _build_nu_table)
 
 
@@ -98,18 +98,18 @@ def _ascents(n: int, p: int) -> tuple[array, array]:
                  for starts in zip(*runs))
 
 
-def nu(w: Permutation, guard=None) -> BetaPolynomial:
+def nu(w: Permutation) -> BetaPolynomial:
     """The principal specialization as a polynomial in b.
 
     Its constant term counts the reduced grids with permutation w.
     """
-    return nu_table(w.size, guard=guard)[w]
+    return nu_table(w.size)[w]
 
 
-def interval_nu(w: Permutation, guard=None) -> BetaPolynomial:
+def interval_nu(w: Permutation) -> BetaPolynomial:
     """``nu(w)`` from the walk below w with every x at 2^S: nu(2^S) shifted
     up length(w) slots, decoded once; no table is built."""
-    check_guard(w.size, guard)
+    check_guard(w.size)
     bits = kronecker_bits(w.size)
     value = _walk(w, 1, lambda c, i: c << bits)[w]
     return BetaPolynomial.from_kronecker(value >> bits * w.length(), bits)
@@ -147,18 +147,18 @@ def _walk(w: Permutation, one, times_x) -> dict[tuple, object]:
 # -- grothendieck polynomials -------------------------------------------------
 
 
-def grothendieck_table(n: int, guard=None) -> dict[Permutation, MultivariatePolynomial]:
+def grothendieck_table(n: int) -> dict[Permutation, MultivariatePolynomial]:
     """The Grothendieck polynomial of every permutation of size n: the walk
     at the longest word, whose interval is S_n."""
-    check_guard(n, guard)
+    check_guard(n)
     return stored("groth", n, lambda _: _grothendieck_walk(
         Permutation(range(n, 0, -1)), all_perms(n)))
 
 
-def grothendieck(w: Permutation, guard=None) -> MultivariatePolynomial:
+def grothendieck(w: Permutation) -> MultivariatePolynomial:
     """The full weight generating polynomial in x_1..x_{n-1} over b, from
     the walk over the lower interval of w; no table is built or read."""
-    check_guard(w.size, guard)
+    check_guard(w.size)
     return _grothendieck_walk(w, (w,))[w]
 
 
@@ -188,9 +188,9 @@ def _grothendieck_walk(w: Permutation, words) -> dict[Permutation, MultivariateP
     return walked
 
 
-def schubert(w: Permutation, guard=None) -> MultivariatePolynomial:
+def schubert(w: Permutation) -> MultivariatePolynomial:
     """The b = 0 part of ``grothendieck``."""
-    return grothendieck(w, guard=guard).at_beta(0)
+    return grothendieck(w).at_beta(0)
 
 
 # -- pattern coefficients ------------------------------------------------------
@@ -199,22 +199,22 @@ RECURSIVE = "recursive"
 INCLUSION_EXCLUSION = "inclusion_exclusion"
 
 
-def coefficient(w: Permutation, mode: str = RECURSIVE, guard=None) -> BetaPolynomial:
+def coefficient(w: Permutation, mode: str = RECURSIVE) -> BetaPolynomial:
     """The pattern coefficient of w, seeded by 1 on the empty permutation.
 
     ``recursive`` reads the coefficient table of the size of w, one
     transform over S_<=|w|; ``inclusion_exclusion`` evaluates the signed
     sum of nu over all subwords of w directly.  The two agree.
     """
-    check_guard(w.size, guard)
+    check_guard(w.size)
     if mode not in (RECURSIVE, INCLUSION_EXCLUSION, "ie"):
         raise ValueError(f"unknown coefficient mode {mode!r}")
     if mode == RECURSIVE:
-        return coefficient_table(w.size, guard=guard)[w]
+        return coefficient_table(w.size)[w]
     total = BetaPolynomial.zero()
     for key, count in pattern_census(w).items():
         sign = -1 if (w.size - len(key)) % 2 else 1
-        total = total + sign * count * nu(Permutation(key), guard=guard)
+        total = total + sign * count * nu(Permutation(key))
     return total
 
 
@@ -265,17 +265,17 @@ def _deletions(j: int, n: int):
         yield deletion
 
 
-def coefficient_table(n: int, guard=None) -> dict[Permutation, BetaPolynomial]:
+def coefficient_table(n: int) -> dict[Permutation, BetaPolynomial]:
     """Coefficients of every permutation of size <= n, from one transform."""
-    check_guard(n, guard)
+    check_guard(n)
     bits = kronecker_bits(n)
     return stored("c", n, lambda _: _by_word(
         _transform(n, [_nu_values(m, 1 << bits) for m in range(n + 1)]), bits))
 
 
-def coefficient_values(n: int, beta_value: int, guard=None) -> dict[Permutation, int]:
+def coefficient_values(n: int, beta_value: int) -> dict[Permutation, int]:
     """``coefficient_table(n)`` at an integer beta, from the kernels at it."""
-    check_guard(n, guard)
+    check_guard(n)
     return _by_word(_transform(n, [_nu_values(m, beta_value) for m in range(n + 1)]))
 
 
@@ -312,16 +312,14 @@ class SkewReport:
         return self.nu_ok and self.c_ok
 
 
-def skew_identities(u: Permutation, v: Permutation, guard=None) -> SkewReport:
+def skew_identities(u: Permutation, v: Permutation) -> SkewReport:
     """Compare nu and c of a skew sum against the products of the parts."""
-    check_guard(u.size + v.size, guard)
+    check_guard(u.size + v.size)
     w = skew_sum(u, v)
     return SkewReport(
         u, v,
-        nu_skew=nu(w, guard=guard),
-        nu_product=nu(u, guard=guard) * nu(v, guard=guard),
-        c_skew=coefficient(w, guard=guard),
-        c_product=coefficient(u, guard=guard) * coefficient(v, guard=guard),
+        nu_skew=nu(w), nu_product=nu(u) * nu(v),
+        c_skew=coefficient(w), c_product=coefficient(u) * coefficient(v),
     )
 
 
@@ -341,21 +339,21 @@ class MinimalSummary:
 EMPTY_SUMMARY = MinimalSummary(0, 0, BetaPolynomial.zero(), BetaPolynomial.zero())
 
 
-def minimal_summary(n: int, guard=None) -> dict[Permutation, MinimalSummary]:
+def minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
     """Aggregate the minimal grids of size n by permutation.
 
     Permutations with no minimal grid are simply absent; use
     ``EMPTY_SUMMARY`` as the default when looking up.
     """
-    check_guard(n, guard)
-    return stored("minimal-summary", n, lambda _: _build_minimal_summary(n, guard))
+    check_guard(n)
+    return stored("minimal-summary", n, _build_minimal_summary)
 
 
-def _build_minimal_summary(n: int, guard) -> dict[Permutation, MinimalSummary]:
+def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
     from .ktheory import beta_weight, resolve_stats
     zero = BetaPolynomial.zero()
     summary = {}
-    for w, (grids, reduced) in minimal_sets(n, guard=guard).items():
+    for w, (grids, reduced) in minimal_sets(n).items():
         # a grid is weighted against the length of its type; a reduced
         # grid's type is its permutation, so only the others are resolved
         weight_reduced = sum((beta_weight(g, w.length()) for g in reduced), zero)
@@ -366,13 +364,13 @@ def _build_minimal_summary(n: int, guard) -> dict[Permutation, MinimalSummary]:
     return summary
 
 
-def minimal_sets(n: int, guard=None) -> dict[Permutation, tuple]:
+def minimal_sets(n: int) -> dict[Permutation, tuple]:
     """The actual minimal grids of size n, keyed by permutation.
 
     Values are (all_minimal, reduced_minimal) tuples of grids, in stream
     order.  Meant for the bijection sweeps at small sizes.
     """
-    check_guard(n, guard)
+    check_guard(n)
     return stored("minimal-sets", n, _build_minimal_sets)
 
 

@@ -1,5 +1,6 @@
 """The package's one memo, every per-size table keyed by (kind, size),
-and the size guard that bounds each table a caller asks for.
+and the size guard, one setting per call tree (``size_guard``) that every
+``check_guard`` reads, so no layer passes it on by hand.
 
 The nu, coefficient and grid tables, the table of moves, the members of
 S_n, the scan orders' cells, the row records and the weakly held shared
@@ -7,17 +8,31 @@ traces are all entries here, so ``clear_caches`` drops every one of them.
 """
 
 from collections.abc import Callable
+from contextlib import contextmanager
+from contextvars import ContextVar
 
 from .errors import GuardExceeded
 
 DEFAULT_GUARD = 9
 
+_LIMIT: ContextVar[int | None] = ContextVar("size_guard", default=None)
 _TABLES: dict[tuple[str, int], object] = {}
 
 
-def check_guard(n: int, guard: int | None = None) -> None:
-    """Reject a size below 0 or above the guard (default ``DEFAULT_GUARD``)."""
-    limit = DEFAULT_GUARD if guard is None else guard
+@contextmanager
+def size_guard(limit: int | None):
+    """Bound every size checked in the block by ``limit`` (None: the default)."""
+    token = _LIMIT.set(limit)
+    try:
+        yield
+    finally:
+        _LIMIT.reset(token)
+
+
+def check_guard(n: int) -> None:
+    """Reject a size below 0 or above the guard in force."""
+    limit = _LIMIT.get()
+    limit = DEFAULT_GUARD if limit is None else limit
     if not 0 <= n <= limit:
         raise GuardExceeded(f"size {n} outside 0..{limit}")
 

@@ -7,7 +7,7 @@ from pipedream import (CHECK_IDS, Asm, BetaPolynomial, BpdGrid, GuardExceeded,
                        Permutation, PipedreamError, SetQuery, SubwordSelection,
                        UnknownCheck, checks, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, layered, maxima_table,
-                       nu, pattern_count, query, run_check)
+                       nu, pattern_count, query, run_check, size_guard)
 from pipedream import store
 from pipedream.checks import MAX_COUNTEREXAMPLES, MaximaRow
 from pipedream.cli import main
@@ -34,20 +34,21 @@ class TestRunCheck:
             run_check("not-a-check", 3)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            run_check("thm-1243", 5, guard=4)
+        with size_guard(4), pytest.raises(GuardExceeded):
+            run_check("thm-1243", 5)
 
     def test_guard_reaches_every_table(self, cold_caches, monkeypatch):
         # below the default guard the size-4 tables a check reads can only
-        # be built with the guard given to run_check
-        def outcome(check_id, **kwargs):
-            report = run_check(check_id, 4, **kwargs)
+        # be built under the guard the caller set around run_check
+        def outcome(check_id):
+            report = run_check(check_id, 4)
             return report.passed, report.instances_checked, report.failures
 
         expected = {cid: outcome(cid) for cid in CHECK_IDS}
         clear_caches()
         monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
-        assert {cid: outcome(cid, guard=4) for cid in CHECK_IDS} == expected
+        with size_guard(4):
+            assert {cid: outcome(cid) for cid in CHECK_IDS} == expected
 
     def test_report_text_and_json(self):
         report = run_check("stanley", 3)
@@ -202,17 +203,18 @@ class TestMinimalSums:
     @pytest.mark.parametrize("fault", ["none", "minimal-summary-size3"])
     def test_zeta_sums_match_the_census_form(self, fault, monkeypatch):
         # under the fault every size-3 summary is missing and counts as 0
+        # the sums are of weight_reduced; their constant terms, which the
+        # count bounds read, are the sums of count_reduced
         if fault in FAULTS:
             _inject(monkeypatch, fault)
-        leaves = {"count_reduced": lambda s: BetaPolynomial.const(s.count_reduced),
-                  "weight_reduced": lambda s: s.weight_reduced}
-        for field, leaf in leaves.items():
-            summaries, sums = checks._minimal_sums(6, None, leaf)
-            assert (summaries[3] == {}) == (fault != "none")
-            assert len(sums) == sum(len(all_perms(m)) for m in range(7))
-            for m in range(7):
-                for w in all_perms(m):
-                    assert sums[w] == _census_sum(w, summaries, field), (field, w)
+        summaries, sums = checks._minimal_sums(6)
+        assert (summaries[3] == {}) == (fault != "none")
+        assert len(sums) == sum(len(all_perms(m)) for m in range(7))
+        for m in range(7):
+            for w in all_perms(m):
+                assert sums[w] == _census_sum(w, summaries, "weight_reduced"), w
+                assert BetaPolynomial.const(sums[w].constant_term) == _census_sum(
+                    w, summaries, "count_reduced"), w
 
 
 EXPECTED_MAXIMA = {
@@ -266,7 +268,8 @@ class TestMaxima:
     def test_guard_reaches_the_kernels(self, monkeypatch):
         expected = maxima_table(4, 2)
         monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
-        assert maxima_table(4, 2, guard=4) == expected
+        with size_guard(4):
+            assert maxima_table(4, 2) == expected
         with pytest.raises(GuardExceeded):
             maxima_table(4, 2)
 
@@ -274,7 +277,7 @@ class TestMaxima:
         # from size 10 a word's letters are comma-separated, so the words
         # of an argmax set are joined with semicolons
         words = (P("1,2,3,4,5,6,7,10,9,8"), P("1,3,2,10,9,8,7,6,5,4"))
-        monkeypatch.setattr(checks, "maxima_table", lambda n, beta_value, guard=None:
+        monkeypatch.setattr(checks, "maxima_table", lambda n, beta_value:
                             MaximaRow(n, beta_value, 1, 1, words, words[1:]))
         assert main(["--guard", "10", "maxima", "--n", "10"]) == 0
         fields = dict(part.split("=", 1) for part in capsys.readouterr().out.split())

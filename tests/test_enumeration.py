@@ -3,7 +3,7 @@ import pytest
 from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
                        SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
-                       removable_pipes, remove, trace)
+                       removable_pipes, remove, size_guard, trace)
 from pipedream import enumeration, store
 from pipedream.enumeration import bpd_stream, iter_asm_rows
 from pipedream.grid import Tile, tiles_from_asm_rows
@@ -32,6 +32,8 @@ class TestAsmStream:
             assert count_asms_bruteforce(n) == sum(1 for _ in enumerate_asm(n))
         for n in range(1, 4):
             assert count_asms_literal(n) == count_asms_bruteforce(n)
+        with pytest.raises(GuardExceeded):
+            count_asms_literal(4)
 
     def test_every_permutation_has_a_grid(self):
         for n in range(1, 5):
@@ -166,8 +168,8 @@ class TestQuery:
                 assert set(query(SetQuery("BPD_K", w))) == set(query(SetQuery("bpd", w)))
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            query(SetQuery("BPD", Permutation.identity(5)), max_n_guard=4)
+        with size_guard(4), pytest.raises(GuardExceeded):
+            query(SetQuery("BPD", Permutation.identity(5)))
 
     def test_kind_validation(self):
         with pytest.raises(ValueError):

@@ -132,6 +132,14 @@ class TestAsmBijection:
             Asm.from_rows([[1, 0], [1, -1]])
         with pytest.raises(InconsistentAsm):
             Asm.from_rows([[0, 1], [1, 2]])
+        # the partial sums of the first row run 1, 2
+        with pytest.raises(InconsistentAsm, match="row 1 violates the alternating-sign"):
+            Asm.from_rows([[1, 1, -1], [0, 0, 1], [0, 0, 1]])
+
+    def test_from_asm_takes_plain_rows(self, fig_bpd_1, fig_asm):
+        assert from_asm([list(row) for row in fig_asm.rows]) == fig_bpd_1
+        with pytest.raises(InconsistentAsm):
+            from_asm([[1, 0], [1, 0]])
 
     def test_alternation_mirrors_grid_elbows(self):
         # elbows along each row/column alternate r, j, ..., r exactly when

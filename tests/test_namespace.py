@@ -22,7 +22,8 @@ PUBLIC_NAMES = [
     "insert", "is_valid", "is_vexillary", "layered", "maxima_table",
     "nonreduced_witness", "nu", "nu_table", "pattern_count", "query",
     "removable_pipes", "remove", "render", "resolve", "run_check", "schubert",
-    "skew_identities", "skew_sum", "subwords", "to_asm", "trace", "validate",
+    "size_guard", "skew_identities", "skew_sum", "subwords", "to_asm", "trace",
+    "validate",
 ]
 
 

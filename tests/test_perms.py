@@ -128,6 +128,11 @@ class TestSubwords:
         idx = [s.indices for s in subwords(P("1243"), 2)]
         assert idx == sorted(idx)
 
+    def test_size_out_of_range(self):
+        for m in (-1, 4):
+            with pytest.raises(ValueError, match="out of range"):
+                list(subwords(P("132"), m))
+
     def test_census_totals(self):
         # the patterns of each size add up to the number of index subsets
         from math import comb
@@ -227,6 +232,10 @@ class TestLayered:
     def test_counts(self):
         for n in range(1, 8):
             assert len(layered(n)) == 2 ** (n - 1)
+
+    def test_negative_size(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            layered(-1)
 
     def test_layered_patterns(self):
         # layered words are exactly the {231, 312}-avoiders; note that 1243

@@ -44,6 +44,14 @@ class TestBetaPolynomial:
     def test_foreign_operand_is_not_coerced(self):
         with pytest.raises(TypeError, match="for -:"):
             "x" - BetaPolynomial.one()
+        with pytest.raises(TypeError, match="for \\+:"):
+            BetaPolynomial.one() + "x"
+        with pytest.raises(TypeError, match="for -:"):
+            BetaPolynomial.one() - "x"
+
+    def test_monomial_with_zero_coefficient_is_zero(self):
+        assert BetaPolynomial.monomial(3, 0) == BetaPolynomial.zero()
+        assert BetaPolynomial.monomial(3, 0).coeffs == ()
 
     @given(polys, polys, polys)
     def test_ring_axioms(self, a, b, c):
@@ -154,3 +162,9 @@ class TestMultivariate:
                 op(x1, y1)
         for op in ("__add__", "__sub__", "__mul__", "__rmul__"):
             assert op in MultivariatePolynomial.__dict__
+
+    def test_constructor_rejects_bad_terms(self):
+        with pytest.raises(ValueError, match="arity"):
+            MultivariatePolynomial(2, {(1,): 1})
+        with pytest.raises(TypeError, match="got float"):
+            MultivariatePolynomial(2, {(1, 0): 1.5})

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from math import factorial
 
@@ -5,8 +6,8 @@ import pytest
 
 from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
-                       grothendieck, nu, nu_table, schubert, skew_identities,
-                       skew_sum)
+                       grothendieck, nu, nu_table, schubert, size_guard,
+                       skew_identities, skew_sum)
 from pipedream import store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
@@ -15,7 +16,7 @@ from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, layered, pattern_census
 from pipedream.polynomials import MultivariatePolynomial
 from pipedream.specialization import (MinimalSummary, _ascents, _deletions,
-                                      coefficient_values,
+                                      _nu_values, coefficient_values,
                                       grothendieck_table, interval_nu,
                                       minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
@@ -62,8 +63,8 @@ class TestNu:
             assert total == 2 ** (n * (n - 1) // 2)
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            nu(Permutation.identity(5), guard=4)
+        with size_guard(4), pytest.raises(GuardExceeded):
+            nu(Permutation.identity(5))
 
     def test_negative_size_rejected(self):
         with pytest.raises(GuardExceeded):
@@ -277,7 +278,46 @@ class TestIntervalNu:
     def test_guard(self):
         with pytest.raises(GuardExceeded):
             interval_nu(Permutation(range(1, 11)))
-        assert interval_nu(Permutation(range(1, 11)), guard=10) == BetaPolynomial.one()
+        with size_guard(10):
+            assert interval_nu(Permutation(range(1, 11))) == BetaPolynomial.one()
+
+
+def random_word(rng, n, length):
+    """A word of size n and the given length, from the identity by random
+    adjacent swaps that each add one inversion."""
+    word = list(range(1, n + 1))
+    while Permutation(word).length() < length:
+        j = rng.randrange(n - 1)
+        if word[j] < word[j + 1]:
+            word[j], word[j + 1] = word[j + 1], word[j]
+    return Permutation(word)
+
+
+class TestClosedForms:
+    """Identities of nu and c that hold in closed form at every size."""
+
+    def test_at_beta_minus_one(self):
+        # G^(-1)_w(1, ..., 1) = 1, so nu is 1 and c vanishes off the empty word
+        for n in range(9):
+            assert _nu_values(n, -1) == [1] * factorial(n), n
+        values = coefficient_values(8, -1)
+        assert values.pop(Permutation()) == 1
+        assert set(values.values()) == {0}
+
+    def test_nu_table_is_inverse_symmetric(self):
+        for n in range(8):
+            table = nu_table(n)
+            for w, value in table.items():
+                assert value == table[w.inverse()], w
+
+    def test_walk_is_inverse_symmetric_above_the_default_guard(self):
+        rng = random.Random(26)
+        with size_guard(12):
+            for n in (10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12):
+                w = random_word(rng, n, 14)
+                value = interval_nu(w)
+                assert value == interval_nu(w.inverse()), w.text()
+                assert value(-1) == 1, w.text()
 
 
 def streamed_minimal_summary(n):
@@ -356,21 +396,22 @@ class TestCoefficient:
                 assert table[w] == coefficient(w)
 
     def test_guard(self):
-        for mode in ("recursive", "ie"):
+        with size_guard(4):
+            for mode in ("recursive", "ie"):
+                with pytest.raises(GuardExceeded):
+                    coefficient(P("12345"), mode)
             with pytest.raises(GuardExceeded):
-                coefficient(P("12345"), mode, guard=4)
-        with pytest.raises(GuardExceeded):
-            coefficient_table(5, guard=4)
+                coefficient_table(5)
 
     def test_nu_leaves_get_the_callers_guard(self, cold_caches, monkeypatch):
         # below the default guard a leaf table of size 4 can only be built
-        # with the caller's guard
+        # under the caller's guard
         w, modes = P("1243"), ("recursive", "ie")
         expected = [coefficient_table(4)] + [coefficient(w, mode) for mode in modes]
         clear_caches()
         monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
-        got = [coefficient_table(4, guard=4)] + [coefficient(w, mode, guard=4)
-                                                 for mode in modes]
+        with size_guard(4):
+            got = [coefficient_table(4)] + [coefficient(w, mode) for mode in modes]
         assert got == expected
 
     def test_values_match_polynomial_evaluation(self):
@@ -394,7 +435,8 @@ class TestCoefficient:
     def test_values_get_the_callers_guard(self, monkeypatch):
         expected = coefficient_values(4, 2)
         monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
-        assert coefficient_values(4, 2, guard=4) == expected
+        with size_guard(4):
+            assert coefficient_values(4, 2) == expected
         with pytest.raises(GuardExceeded):
             coefficient_values(4, 2)
 
@@ -430,8 +472,8 @@ class TestSkewIdentities:
                         assert skew_identities(u, v).ok
 
     def test_guard(self):
-        with pytest.raises(GuardExceeded):
-            skew_identities(Permutation.identity(3), Permutation.identity(3), guard=5)
+        with size_guard(5), pytest.raises(GuardExceeded):
+            skew_identities(Permutation.identity(3), Permutation.identity(3))
 
 
 class TestCaches:
