@@ -4,7 +4,8 @@ Subcommands: enumerate, nu, coeff, poly, render, verify, maxima.
 Output is deterministic for fixed inputs; the verify command's text form
 deliberately omits timing so runs are byte-identical.  ``nu`` and
 ``poly`` walk their word's lower interval in the right weak order and
-build no table; ``coeff`` reads the table of its word's size.  Nothing is
+build no table; ``coeff`` reads the table of its word's size, and with
+``--mode ie`` walks each of its word's patterns instead.  Nothing is
 kept between runs.  Each command imports its layers when it runs:
 ``nu``, ``coeff`` and ``poly`` load no grid stream or checks,
 ``enumerate`` and ``render`` no checks or tables.

@@ -77,18 +77,6 @@ _NORTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP})
 _SOUTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP})
 
 
-def east_open(tile) -> bool:
-    return tile in _EAST
-
-
-def north_open(tile) -> bool:
-    return tile in _NORTH
-
-
-def south_open(tile) -> bool:
-    return tile in _SOUTH
-
-
 @dataclass(frozen=True)
 class BpdGrid:
     """An immutable n x n tile grid.

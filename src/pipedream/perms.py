@@ -186,15 +186,6 @@ def occurrences(pattern, w):
             yield values
 
 
-def flatten_word(values) -> Permutation:
-    """The permutation with the same relative order as ``values``.
-
-    >>> flatten_word((2, 5, 3)).text()
-    '132'
-    """
-    return Permutation(ranks(values))
-
-
 def flatten(selection: SubwordSelection) -> Permutation:
     return selection.pattern()
 
@@ -205,11 +196,6 @@ def subwords(w: Permutation, m: int):
         raise ValueError(f"subword size {m} out of range for size {len(w)}")
     for idx in combinations(range(1, len(w) + 1), m):
         yield SubwordSelection(w, idx)
-
-
-def all_subwords(w: Permutation):
-    for m in range(len(w) + 1):
-        yield from subwords(w, m)
 
 
 def pattern_count(u: Permutation, w: Permutation) -> int:
@@ -231,7 +217,6 @@ def pattern_census(w: Permutation) -> dict[tuple[int, ...], int]:
 PATTERN_1243 = Permutation((1, 2, 4, 3))
 PATTERN_2143 = Permutation((2, 1, 4, 3))
 PATTERN_132 = Permutation((1, 3, 2))
-PATTERN_1432 = Permutation((1, 4, 3, 2))
 
 
 def is_vexillary(w: Permutation) -> bool:

@@ -6,7 +6,8 @@ j-elbow tiles (a 1 + beta*x factor per row).  Setting every variable to 1
 gives the principal specialization nu, and c_w sums (-1)^(n-|S|) nu(w_S)
 over the flattened subwords w_S of w.  One transform (``_transform``) sums
 over the subwords of every word of S_<=n: signed over nu it gives c (its
-oracle is the direct sum, ``mode="ie"``), plain the bound checks' sums.
+oracle, ``mode="ie"``, sums over one word's patterns, each walked), plain
+the bound checks' sums.
 
 The nu table of a size comes from the Hecke product of Fomin and
 Kirillov, the product of the factors (1 + x_i u_j), over a list aligned
@@ -204,7 +205,8 @@ def coefficient(w: Permutation, mode: str = RECURSIVE) -> BetaPolynomial:
 
     ``recursive`` reads the coefficient table of the size of w, one
     transform over S_<=|w|; ``inclusion_exclusion`` evaluates the signed
-    sum of nu over all subwords of w directly.  The two agree.
+    sum over the pattern census of w directly, each nu from the walk below
+    its pattern (``interval_nu``), so it builds no table.  The two agree.
     """
     check_guard(w.size)
     if mode not in (RECURSIVE, INCLUSION_EXCLUSION, "ie"):
@@ -214,7 +216,7 @@ def coefficient(w: Permutation, mode: str = RECURSIVE) -> BetaPolynomial:
     total = BetaPolynomial.zero()
     for key, count in pattern_census(w).items():
         sign = -1 if (w.size - len(key)) % 2 else 1
-        total = total + sign * count * nu(Permutation(key))
+        total = total + sign * count * interval_nu(Permutation(key))
     return total
 
 

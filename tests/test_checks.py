@@ -13,7 +13,7 @@ from pipedream.checks import MAX_COUNTEREXAMPLES, MaximaRow
 from pipedream.cli import main
 from pipedream.enumeration import QUERY_KINDS
 from pipedream.grid import COL_MAJOR, Tile
-from pipedream.perms import PATTERN_132, PATTERN_1432, all_perms, pattern_census
+from pipedream.perms import PATTERN_132, all_perms, pattern_census
 from pipedream.specialization import EMPTY_SUMMARY, coefficient_table, nu_table
 from pipedream.store import clear_caches
 
@@ -180,9 +180,10 @@ class TestIntroBounds:
             assert run_check("stanley", n).passed
 
     def test_132_1432_lower_bound(self):
+        pattern_1432 = Permutation((1, 4, 3, 2))
         for n in range(7):
             for w in all_perms(n):
-                bound = 1 + pattern_count(PATTERN_132, w) + pattern_count(PATTERN_1432, w)
+                bound = 1 + pattern_count(PATTERN_132, w) + pattern_count(pattern_1432, w)
                 assert nu(w).constant_term >= bound
 
     def test_pattern_sum_through_size_six(self):

@@ -1,4 +1,4 @@
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -9,8 +9,7 @@ from pipedream import (NotAPermutation, Permutation, SubwordSelection, flatten,
                        subwords)
 from pipedream.ktheory import _first_occurrence
 from pipedream.perms import (PATTERN_132, PATTERN_1243, PATTERN_2143,
-                             all_perms, all_subwords, flatten_word, occurrences,
-                             pattern_census, ranks)
+                             all_perms, occurrences, pattern_census, ranks)
 
 
 def P(text):
@@ -97,18 +96,18 @@ class TestFlatten:
         # only a selection's pattern skips the check, and a selection's host
         # is checked: a word with a repeated letter has repeated ranks
         with pytest.raises(NotAPermutation):
-            flatten_word((2, 2))
+            Permutation(ranks((2, 2)))
         with pytest.raises(NotAPermutation):
             SubwordSelection((2, 2, 1), (1, 2))
         assert SubwordSelection((2, 3, 1), (1, 2)).pattern() == P("12")
 
     def test_pattern_matches_checked_flatten(self):
         for n in range(6):
-            for w in all_perms(n):
-                for sel in all_subwords(w):
+            for w, m in product(all_perms(n), range(n + 1)):
+                for sel in subwords(w, m):
                     pattern = sel.pattern()
                     assert type(pattern) is Permutation
-                    assert pattern == flatten_word(sel.values())
+                    assert pattern == Permutation(ranks(sel.values()))
 
 
 class TestSubwords:
@@ -262,4 +261,4 @@ def test_is_vexillary_avoids_2143():
 
 def test_named_patterns():
     assert PATTERN_132 == P("132")
-    assert flatten_word((4, 1, 9, 7)).text() == "2143"
+    assert Permutation(ranks((4, 1, 9, 7))).text() == "2143"

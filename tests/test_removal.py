@@ -1,5 +1,6 @@
 import time
 from bisect import bisect_left
+from itertools import product
 
 import pytest
 
@@ -9,8 +10,8 @@ from pipedream import (Asm, BpdGrid, BrokenStrand, NotMinimal, Permutation,
                        validate)
 from pipedream import store
 from pipedream.enumeration import bpd_stream
-from pipedream.grid import east_open, north_open, south_open
-from pipedream.perms import all_perms, all_subwords
+from pipedream.grid import _EAST, _NORTH, _SOUTH
+from pipedream.perms import all_perms, subwords
 from pipedream.specialization import minimal_sets
 from conftest import contract_oracle, load_grid
 
@@ -31,7 +32,7 @@ def tile_insert(image, w, v):
             left = bisect_left(t, c)
             if c in t:
                 row.append(irow[left])
-            elif left and east_open(irow[left - 1]):
+            elif left and irow[left - 1] in _EAST:
                 row.append(Tile.HORIZONTAL)
             else:
                 row.append(Tile.BLANK)
@@ -44,9 +45,9 @@ def tile_insert(image, w, v):
         elif m == 0:
             full.append([Tile.BLANK] * n)
         elif above < m:
-            full.append([Tile.VERTICAL if north_open(x) else Tile.BLANK for x in mid[above]])
+            full.append([Tile.VERTICAL if x in _NORTH else Tile.BLANK for x in mid[above]])
         else:
-            full.append([Tile.VERTICAL if south_open(x) else Tile.BLANK for x in mid[m - 1]])
+            full.append([Tile.VERTICAL if x in _SOUTH else Tile.BLANK for x in mid[m - 1]])
     winv = w.inverse()
     for y in range(1, n + 1):
         if y in t:
@@ -191,9 +192,9 @@ class TestInsert:
         # domain on which insert's preconditions hold
         triples = 0
         for n in range(7):
-            for w in all_perms(n):
-                for v in all_subwords(w):
-                    images = minimal_sets(len(v)).get(v.pattern(), ((), ()))[0]
+            for w, m in product(all_perms(n), range(n + 1)):
+                for v in subwords(w, m):
+                    images = minimal_sets(m).get(v.pattern(), ((), ()))[0]
                     for image in images:
                         triples += 1
                         assert insert(image, w, v) == tile_insert(image, w, v)

@@ -15,11 +15,14 @@ from hypothesis import strategies as st
 from pipedream import (BoundaryLeak, BpdGrid, BrokenStrand, GridError,
                        NotBijective, Tile, resolve, trace, validate)
 from pipedream.enumeration import iter_asm_rows
-from pipedream.grid import (COL_MAJOR, ROW_MAJOR, east_open, north_open,
-                            south_open, tiles_from_asm_rows)
+from pipedream.grid import COL_MAJOR, ROW_MAJOR, tiles_from_asm_rows
 from pipedream.ktheory import resolve_stats
 
+# the tiles open on each edge
+_EAST = {Tile.HORIZONTAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP}
 _WEST = {Tile.HORIZONTAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP}
+_NORTH = {Tile.VERTICAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP}
+_SOUTH = {Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP}
 
 
 def oracle_validate(grid, allow_bump=False):
@@ -31,18 +34,18 @@ def oracle_validate(grid, allow_bump=False):
             t = rows[i - 1][j - 1]
             if t == Tile.BUMP and not allow_bump:
                 raise BrokenStrand((i, j), "bump tile in a raw grid")
-            if j < n and east_open(t) != (rows[i - 1][j] in _WEST):
+            if j < n and (t in _EAST) != (rows[i - 1][j] in _WEST):
                 raise BrokenStrand((i, j), "east edge disagrees with neighbour")
-            if i < n and south_open(t) != north_open(rows[i][j - 1]):
+            if i < n and (t in _SOUTH) != (rows[i][j - 1] in _NORTH):
                 raise BrokenStrand((i, j), "south edge disagrees with neighbour")
     for j in range(1, n + 1):
-        if north_open(rows[0][j - 1]):
+        if rows[0][j - 1] in _NORTH:
             raise BoundaryLeak(("N", j))
     for i in range(1, n + 1):
         if rows[i - 1][0] in _WEST:
             raise BoundaryLeak(("W", i))
-    missing_entry = [j for j in range(1, n + 1) if not south_open(rows[n - 1][j - 1])]
-    missing_exit = [i for i in range(1, n + 1) if not east_open(rows[i - 1][n - 1])]
+    missing_entry = [j for j in range(1, n + 1) if rows[n - 1][j - 1] not in _SOUTH]
+    missing_exit = [i for i in range(1, n + 1) if rows[i - 1][n - 1] not in _EAST]
     if missing_entry or missing_exit:
         raise NotBijective(
             f"columns without entry {missing_entry}, rows without exit {missing_exit}")

@@ -1,13 +1,14 @@
 import random
 from collections import Counter
-from math import factorial
+from fractions import Fraction
+from math import comb, factorial
 
 import pytest
 
 from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
-                       grothendieck, nu, nu_table, schubert, size_guard,
-                       skew_identities, skew_sum)
+                       grothendieck, is_vexillary, nu, nu_table, schubert,
+                       size_guard, skew_identities, skew_sum)
 from pipedream import store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
@@ -282,15 +283,55 @@ class TestIntervalNu:
             assert interval_nu(Permutation(range(1, 11))) == BetaPolynomial.one()
 
 
-def random_word(rng, n, length):
+def random_word(rng, n, length, keep=None):
     """A word of size n and the given length, from the identity by random
-    adjacent swaps that each add one inversion."""
+    adjacent swaps that each add one inversion (and, given ``keep``, lead
+    to a word it accepts)."""
     word = list(range(1, n + 1))
     while Permutation(word).length() < length:
         j = rng.randrange(n - 1)
         if word[j] < word[j + 1]:
-            word[j], word[j + 1] = word[j + 1], word[j]
+            step = word[:j] + [word[j + 1], word[j]] + word[j + 2:]
+            if keep is None or keep(Permutation(step)):
+                word = step
     return Permutation(word)
+
+
+def determinant(rows):
+    """The determinant of a square integer matrix, by elimination over the
+    rationals."""
+    a, det = [[Fraction(x) for x in row] for row in rows], Fraction(1)
+    for k in range(len(a)):
+        pivot = next((i for i in range(k, len(a)) if a[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            a[k], a[pivot], det = a[pivot], a[k], -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            ratio = a[i][k] / a[k][k]
+            a[i] = [x - ratio * y for x, y in zip(a[i], a[k])]
+    return int(det)
+
+
+def flagged_jacobi_trudi(w):
+    """nu_w(0) of a 2143-avoiding w by the flagged Jacobi-Trudi determinant
+    of Wachs (1985): the Schubert polynomial of a vexillary w is the flagged
+    Schur polynomial det[h_(lam_r - r + s)(x_1..x_(phi_r))], so at x = 1 it
+    is det[h_(lam_r - r + s)(1^phi_r)] with h_k(1^m) = C(m + k - 1, k).
+    lam is the nonzero letters of the Lehmer code k sorted down; phi takes,
+    for each i with k_i > 0, the last j >= i with k_j >= k_i (from 1),
+    sorted up."""
+    code = [sum(b < a for b in w[i + 1:]) for i, a in enumerate(w)]
+    lam = sorted((k for k in code if k), reverse=True)
+    phi = sorted(max(j for j in range(i, len(code)) if code[j] >= code[i]) + 1
+                 for i, k in enumerate(code) if k)
+
+    def h(k, m):
+        return comb(m + k - 1, k) if k > 0 else int(k == 0)
+
+    return determinant([[h(lam[r] - r + s, phi[r]) for s in range(len(lam))]
+                        for r in range(len(lam))])
 
 
 class TestClosedForms:
@@ -318,6 +359,22 @@ class TestClosedForms:
                 value = interval_nu(w)
                 assert value == interval_nu(w.inverse()), w.text()
                 assert value(-1) == 1, w.text()
+
+    def test_vexillary_nu_is_a_flagged_jacobi_trudi_determinant(self):
+        # every vexillary word through size 7 against the array product,
+        # then seeded ones of sizes 10-12 against the walk
+        vexillary = 0
+        for n in range(8):
+            table = nu_table(n)
+            for w in filter(is_vexillary, all_perms(n)):
+                vexillary += 1
+                assert flagged_jacobi_trudi(w) == table[w].constant_term, w
+        assert vexillary == 3410
+        rng = random.Random(27)
+        with size_guard(12):
+            for n in (10, 10, 10, 10, 11, 11, 11, 11, 12, 12, 12, 12):
+                w = random_word(rng, n, 14, is_vexillary)
+                assert flagged_jacobi_trudi(w) == interval_nu(w).constant_term, w.text()
 
 
 def streamed_minimal_summary(n):
@@ -375,9 +432,32 @@ class TestCoefficient:
         assert coefficient(P("132")) == beta(1, 1)
 
     def test_modes_agree(self):
-        for n in range(6):
+        # the census sum walks each pattern's interval; the table route runs
+        # the array product and the transform
+        for n in range(7):
             for w in all_perms(n):
                 assert coefficient(w, "recursive") == coefficient(w, "inclusion_exclusion")
+
+    def test_census_sum_matches_the_table_on_layered_words_up_to_size_8(self):
+        for n in range(9):
+            table = coefficient_table(n)
+            for w in layered(n):
+                assert coefficient(w, "ie") == table[w], w
+
+    def test_census_sum_builds_no_table(self, cold_caches):
+        assert coefficient(P("143298765"), "ie")(1) == 177205856
+        assert not store._TABLES
+
+    def test_census_sum_at_the_size_10_maxima(self):
+        # the argmax words of c and nu over S_10 at b = 0 and b = 1, which
+        # ``maxima --n 10`` reports; both values through the walks
+        rows = {"1,4,3,2,10,9,8,7,6,5": (0, 3321346, 4424420),
+                "1,2,5,4,3,10,9,8,7,6": (1, 29142336728, 30350452999),
+                "2,1,5,4,3,10,9,8,7,6": (1, 29142336728, 30350452999)}
+        with size_guard(10):
+            for text, (b, c, nu_w) in rows.items():
+                w = P(text)
+                assert (coefficient(w, "ie")(b), interval_nu(w)(b)) == (c, nu_w), text
 
     def test_ie_alias(self):
         assert coefficient(P("1243"), "ie") == coefficient(P("1243"))
