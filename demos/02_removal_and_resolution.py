@@ -9,7 +9,7 @@ crossings of a pipe pair resolve into bumps, which changes the network's
 permutation into its "type".
 """
 
-from pipedream import (BpdGrid, SetQuery, SubwordSelection, insert, query,
+from pipedream import (BpdGrid, SubwordSelection, insert, query,
                        removable_pipes, remove, resolve, trace)
 from pipedream.perms import Permutation
 
@@ -54,7 +54,7 @@ print("type:", kind.text())
 w = Permutation.from_text("1243")
 for values in [(1, 2, 4, 3), (2, 4, 3), (1, 4, 3), ()]:
     sel = SubwordSelection.of_values(w, values)
-    full = query(SetQuery("BPD_v", w, sel))
-    reduced = query(SetQuery("bpd_v", w, sel))
+    full = query("BPD", w, sel)
+    reduced = query("bpd", w, sel)
     label = "".join(map(str, values)) or "(empty)"
     print(f"stratum {label}: {len(full)} grid(s), {len(reduced)} reduced")

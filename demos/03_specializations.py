@@ -36,7 +36,7 @@ for text in ("", "1", "132", "1432", "1243"):
 # Both definitions of c agree: the transform over the patterns of w and the
 # signed subword sum.
 w = P("21543")
-assert coefficient(w, "recursive") == coefficient(w, "inclusion_exclusion")
+assert coefficient(w, "recursive") == coefficient(w, "ie")
 print("c(21543) =", coefficient(w))
 
 # Skew sums multiply: stacking 132 above-left of 21 gives 35421, and both

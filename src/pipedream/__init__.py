@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # home module -> the public names it gives the package
 _EXPORTS = {
     "checks": ("CheckReport", "MaximaRow", "maxima_table", "run_check"),
-    "enumeration": ("RemovablePipeReport", "SetQuery", "count_asms_bruteforce",
-                    "count_asms_literal", "enumerate_asm", "query", "removable_pipes"),
+    "enumeration": ("RemovablePipeReport", "count_asms_bruteforce", "count_asms_literal",
+                    "enumerate_asm", "query", "removable_pipes"),
     "errors": ("BoundaryLeak", "BrokenStrand", "CHECK_IDS", "CheckFailed", "GridError",
                "GuardExceeded", "InconsistentAsm", "NegativeExponent", "NotAPermutation",
                "NotBijective", "NotMinimal", "PipedreamError", "SubwordMismatch",
@@ -24,8 +24,8 @@ _EXPORTS = {
     "grid": ("Asm", "BpdGrid", "PipeTrace", "Tile", "from_asm", "from_json", "is_valid",
              "render", "to_asm", "trace", "validate"),
     "ktheory": ("NonreducedWitness", "beta_weight", "nonreduced_witness", "resolve"),
-    "perms": ("Permutation", "SubwordSelection", "all_perms", "flatten", "is_vexillary",
-              "layered", "pattern_count", "skew_sum", "subwords"),
+    "perms": ("Permutation", "SubwordSelection", "all_perms", "is_vexillary", "layered",
+              "pattern_count", "skew_sum", "subwords"),
     "polynomials": ("BetaPolynomial", "MultivariatePolynomial"),
     "removal": ("insert", "remove"),
     "specialization": ("SkewReport", "coefficient", "coefficient_table", "grothendieck",

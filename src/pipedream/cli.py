@@ -73,14 +73,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import SetQuery, query
+    from .enumeration import query
     from .grid import render
     from .perms import SubwordSelection
     w = _perm(args.perm)
-    kind = args.kind
     v = None
     if args.subword is not None:
-        if kind not in ("BPD", "bpd"):
+        if args.kind not in ("BPD", "bpd"):
             print("--subword only applies to kinds BPD and bpd", file=sys.stderr)
             return 2
         try:
@@ -90,8 +89,7 @@ def _cmd_enumerate(args) -> int:
         except ValueError as exc:
             print(f"error: bad --subword {args.subword!r}: {exc}", file=sys.stderr)
             return 2
-        kind = "BPD_v" if kind == "BPD" else "bpd_v"
-    grids = query(SetQuery(kind, w, v))
+    grids = query(args.kind, w, v)
     if args.format == "ascii":
         blocks = [render(g, "ascii") for g in grids]
         print("\n\n".join(blocks))
@@ -123,10 +121,10 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .enumeration import SetQuery, query
+    from .enumeration import query
     from .grid import render
     w = _perm(args.perm)
-    grids = query(SetQuery("BPD", w))
+    grids = query("BPD", w)
     if not 0 <= args.index < len(grids):
         print(f"index {args.index} out of range; {w.text()} has {len(grids)} grids",
               file=sys.stderr)

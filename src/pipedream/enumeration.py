@@ -12,22 +12,22 @@ rows, building each grid once out of the table's own rows with
 table is filled lazily: ``table_tiles`` turns any matrix into its tile
 rows by building only the moves it takes, so removal, which builds its
 grids that way, costs time in the rows it touches at any size and shares
-the table's rows with the stream.  Grid families (all grids with a given
-permutation, the reduced ones, the minimal ones, and so on) are filters
-over the grid stream, and ``removable_pipes`` finds the unit rows whose
-+1 is alone in its column with two passes over the +1 masks of the rows'
-records; its report holds the kept indices and builds the subword
-selection only when it is read, and ``removal`` hands the records it
-already holds to the same pass (``_removable``).  Each table is kept per
-size in the table store, and ``query`` checks its size against the guard
-in force (``store.size_guard``).  The nu and Grothendieck tables do not
+the table's rows with the stream.  Grid families (all grids of a
+permutation, the reduced ones, the minimal ones, the strata of a subword)
+are filters over the grid stream, each one call, ``query(kind, w, v)``.
+``removable_pipes`` finds the unit rows whose +1 is alone in its column
+with two passes over the +1 masks of the rows' records, and ``query``
+compares its report's kept indices with the rows a family keeps;
+``removal`` hands the records it already holds to the same pass
+(``_removable``).  Each table is kept per size in the table store, and
+``query`` checks its size against the guard in force
+(``store.size_guard``).  The nu and Grothendieck tables do not
 read these grids: ``specialization`` builds them from a Hecke product,
 and loads this module only for the minimal grids.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Optional
 
@@ -199,25 +199,20 @@ class RemovablePipeReport:
     A pipe y->x is removable when the r-elbow at (x, y) is the only one in
     its row and column; such a pipe is always hook-shaped.  The subword
     keeps the entries of the permutation other than the removed values, at
-    ``indices``; it is built only when read, since removal's own checks
-    need only ``trace.perm``, its host.  A plain slotted class, so reports
-    have no value equality.
+    ``indices``, built when read.  A plain slotted class, so reports have
+    no value equality.
     """
 
-    __slots__ = ("pipes", "indices", "trace", "_subword")
+    __slots__ = ("pipes", "indices", "trace")
 
     def __init__(self, pipes, indices, trace):
         self.pipes = pipes        # (y, x), sorted by y
         self.indices = indices    # the rows of the kept pipes
         self.trace = trace        # the trace the permutation was read from
-        self._subword = None
 
     @property
     def subword(self) -> SubwordSelection:
-        sel = self._subword
-        if sel is None:
-            sel = self._subword = SubwordSelection(self.trace.perm, self.indices)
-        return sel
+        return SubwordSelection(self.trace.perm, self.indices)
 
     @property
     def minimal(self) -> bool:
@@ -250,52 +245,40 @@ def _removable(grid: BpdGrid, records) -> RemovablePipeReport:
     return RemovablePipeReport(tuple(pipes), tuple(indices), tr)
 
 
-QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd", "BPD_v", "bpd_v")
+QUERY_KINDS = ("BPD", "bpd", "BPD_K", "mBPD", "mbpd")
 
 
-@dataclass(frozen=True)
-class SetQuery:
-    """A named grid family: permutation/type filters over the full stream.
-
-    The subword kinds take a selection ``v`` of w itself; a selection of
-    another host raises ``SubwordMismatch``.
-    """
-
-    kind: str
-    w: Permutation
-    v: Optional[SubwordSelection] = None
-
-    def __post_init__(self):
-        if self.kind not in QUERY_KINDS:
-            raise ValueError(f"unknown query kind {self.kind!r}")
-        needs_v = self.kind in ("BPD_v", "bpd_v")
-        if needs_v != (self.v is not None):
-            raise ValueError(f"kind {self.kind} {'requires' if needs_v else 'forbids'} a subword")
-        if needs_v and self.v.host != self.w:
-            # a grid's removable pipes select a subword of its own permutation
-            raise SubwordMismatch(f"subword of {self.v.host.text()} queried "
-                                  f"for {self.w.text()}")
-
-
-def query(q: SetQuery) -> list[BpdGrid]:
+def query(kind: str, w: Permutation, v: Optional[SubwordSelection] = None) -> list[BpdGrid]:
     """Materialize a grid family, in the enumeration stream's order.
 
     BPD_K selects grids by type and every other kind by permutation; the
-    lowercase kinds keep only reduced grids, and the minimal (m*) and
-    subword (*_v) kinds keep the grids whose removable pipes leave the
-    full word or the subword v.
+    lowercase kinds keep only reduced grids, the minimal (m*) kinds the
+    grids with no removable pipe, and BPD and bpd with a subword v of w
+    the grids whose removable pipes leave v.  A subword of another host,
+    or with any other kind, is rejected.
     """
-    n = q.w.size
+    if kind not in QUERY_KINDS:
+        raise ValueError(f"unknown query kind {kind!r}")
+    if v is not None:
+        if kind not in ("BPD", "bpd"):
+            raise ValueError(f"kind {kind} forbids a subword")
+        if v.host != w:
+            # a grid's removable pipes select a subword of its own permutation
+            raise SubwordMismatch(f"subword of {v.host.text()} queried for {w.text()}")
+    n = w.size
     check_guard(n)
-    if q.kind == "BPD_K":
-        return [grid for grid in bpd_stream(n) if resolve(grid)[1] == q.w]
-    reduced_only = "bpd" in q.kind
-    leaves = SubwordSelection.full(q.w) if q.kind[0] == "m" else q.v
+    if kind == "BPD_K":
+        return [grid for grid in bpd_stream(n) if resolve(grid)[1] == w]
+    reduced_only = "bpd" in kind
+    if kind[0] == "m":
+        kept = tuple(range(1, n + 1))
+    else:
+        kept = None if v is None else v.indices
     out = []
     for grid in bpd_stream(n):
         tr = trace(grid)
-        if tr.perm != q.w or (reduced_only and not tr.is_reduced):
+        if tr.perm != w or (reduced_only and not tr.is_reduced):
             continue
-        if leaves is None or removable_pipes(grid).subword == leaves:
+        if kept is None or removable_pipes(grid).indices == kept:
             out.append(grid)
     return out

@@ -186,10 +186,6 @@ def occurrences(pattern, w):
             yield values
 
 
-def flatten(selection: SubwordSelection) -> Permutation:
-    return selection.pattern()
-
-
 def subwords(w: Permutation, m: int):
     """All size-m index selections of w, in lexicographic index order."""
     if not 0 <= m <= len(w):

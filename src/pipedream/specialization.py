@@ -196,22 +196,19 @@ def schubert(w: Permutation) -> MultivariatePolynomial:
 
 # -- pattern coefficients ------------------------------------------------------
 
-RECURSIVE = "recursive"
-INCLUSION_EXCLUSION = "inclusion_exclusion"
-
-
-def coefficient(w: Permutation, mode: str = RECURSIVE) -> BetaPolynomial:
+def coefficient(w: Permutation, mode: str = "recursive") -> BetaPolynomial:
     """The pattern coefficient of w, seeded by 1 on the empty permutation.
 
-    ``recursive`` reads the coefficient table of the size of w, one
-    transform over S_<=|w|; ``inclusion_exclusion`` evaluates the signed
-    sum over the pattern census of w directly, each nu from the walk below
-    its pattern (``interval_nu``), so it builds no table.  The two agree.
+    ``"recursive"`` reads the coefficient table of the size of w, one
+    transform over S_<=|w|; ``"ie"`` (inclusion-exclusion) evaluates the
+    signed sum over the pattern census of w directly, each nu from the
+    walk below its pattern (``interval_nu``), so it builds no table.  The
+    two agree.
     """
     check_guard(w.size)
-    if mode not in (RECURSIVE, INCLUSION_EXCLUSION, "ie"):
+    if mode not in ("recursive", "ie"):
         raise ValueError(f"unknown coefficient mode {mode!r}")
-    if mode == RECURSIVE:
+    if mode == "recursive":
         return coefficient_table(w.size)[w]
     total = BetaPolynomial.zero()
     for key, count in pattern_census(w).items():

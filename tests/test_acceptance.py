@@ -10,7 +10,7 @@ import hashlib
 
 import pytest
 
-from pipedream import (BetaPolynomial, Permutation, SetQuery, coefficient,
+from pipedream import (BetaPolynomial, Permutation, coefficient,
                        count_asms_bruteforce, grothendieck, maxima_table, nu,
                        query, remove, removable_pipes, resolve, run_check,
                        to_asm, trace)
@@ -72,7 +72,7 @@ def test_criterion_1_figure_fixtures():
     assert image == load_grid("fig_phi_image")
 
     red = [load_grid(f"fig_red_bpd_{k}") for k in (1, 2, 3, 4)]
-    family = query(SetQuery("BPD", P("1243")))
+    family = query("BPD", P("1243"))
     assert len(family) == 4
     assert set(family) == set(red)
     assert sum(1 for g in family if trace(g).is_reduced) == 3
@@ -175,7 +175,7 @@ def test_criterion_6_oracle_equivalences():
 
     for n in range(7):
         for w in all_perms(n):
-            assert coefficient(w, "recursive") == coefficient(w, "inclusion_exclusion")
+            assert coefficient(w, "recursive") == coefficient(w, "ie")
 
     for n in range(1, 6):
         for grid in bpd_stream(n):
@@ -194,7 +194,7 @@ def test_criterion_7_identity_chain():
         table = nu_table(n)
         for w in all_perms(n):
             via_weights = table[w]
-            via_count = len(query(SetQuery("bpd", w)))
+            via_count = len(query("bpd", w))
             via_poly = grothendieck(w).all_ones()
             assert via_weights == via_poly, w
             assert via_weights.constant_term == via_count, w

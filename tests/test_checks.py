@@ -4,7 +4,7 @@ import json
 import pytest
 
 from pipedream import (CHECK_IDS, Asm, BetaPolynomial, BpdGrid, GuardExceeded,
-                       Permutation, PipedreamError, SetQuery, SubwordSelection,
+                       Permutation, PipedreamError, SubwordSelection,
                        UnknownCheck, checks, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, layered, maxima_table,
                        nu, pattern_count, query, run_check, size_guard)
@@ -89,8 +89,9 @@ class TestRunCheck:
         assert count_asms_bruteforce(0) == count_asms_literal(0) == 1
         empty = Permutation()
         for kind in QUERY_KINDS:
-            v = SubwordSelection(empty, ()) if kind.endswith("_v") else None
-            assert query(SetQuery(kind, empty, v)) == [BpdGrid(())]
+            assert query(kind, empty) == [BpdGrid(())]
+        for kind in ("BPD", "bpd"):
+            assert query(kind, empty, SubwordSelection(empty, ())) == [BpdGrid(())]
 
 
 def _odd(grid):

@@ -1,13 +1,15 @@
+from collections import defaultdict
 from itertools import chain
 
 import pytest
 
-from pipedream import (BpdGrid, GuardExceeded, Permutation, SetQuery,
+from pipedream import (BpdGrid, GuardExceeded, Permutation,
                        SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
-                       removable_pipes, remove, size_guard, subwords, trace)
+                       removable_pipes, remove, resolve, size_guard, subwords,
+                       trace)
 from pipedream import enumeration, store
-from pipedream.enumeration import bpd_stream, iter_asm_rows
+from pipedream.enumeration import QUERY_KINDS, bpd_stream, iter_asm_rows
 from pipedream.grid import Tile, tiles_from_asm_rows
 from pipedream.perms import all_perms
 from pipedream.store import stored
@@ -135,8 +137,8 @@ class TestRemovablePipes:
 class TestQuery:
     def test_red_bpd_family(self, red_bpds):
         w = P("1243")
-        full = query(SetQuery("BPD", w))
-        reduced = query(SetQuery("bpd", w))
+        full = query("BPD", w)
+        reduced = query("bpd", w)
         assert len(full) == 4
         assert len(reduced) == 3
         assert set(full) == set(red_bpds)
@@ -144,48 +146,89 @@ class TestQuery:
 
     def test_minimal_families(self, red_bpds):
         w = P("1243")
-        assert query(SetQuery("mbpd", w)) == [red_bpds[2]]
-        assert query(SetQuery("mBPD", w)) == [red_bpds[2]]
+        assert query("mbpd", w) == [red_bpds[2]]
+        assert query("mBPD", w) == [red_bpds[2]]
 
     def test_bpd_k_family(self, red_bpds):
-        assert set(query(SetQuery("BPD_K", P("1243")))) == set(red_bpds[:3])
+        assert set(query("BPD_K", P("1243"))) == set(red_bpds[:3])
         # the blue nonreduced grid has permutation 1243 but type 2143, and
         # sits alongside the honestly-reduced grids of 2143
-        type_2143 = set(query(SetQuery("BPD_K", P("2143"))))
+        type_2143 = set(query("BPD_K", P("2143")))
         assert red_bpds[3] in type_2143
-        assert set(query(SetQuery("bpd", P("2143")))) < type_2143
+        assert set(query("bpd", P("2143"))) < type_2143
 
     def test_subword_strata(self, red_bpds):
         w = P("1243")
         v_243 = SubwordSelection.of_values(w, (2, 4, 3))
         v_143 = SubwordSelection.of_values(w, (1, 4, 3))
-        assert query(SetQuery("bpd_v", w, v_243)) == [red_bpds[1]]
-        assert query(SetQuery("bpd_v", w, v_143)) == []
+        assert query("bpd", w, v_243) == [red_bpds[1]]
+        assert query("bpd", w, v_143) == []
 
     def test_vexillary_type_equals_reduced(self):
         for n in range(1, 6):
             for w in all_perms(n):
                 if not w.avoids(P("2143")):
                     continue
-                assert set(query(SetQuery("BPD_K", w))) == set(query(SetQuery("bpd", w)))
+                assert set(query("BPD_K", w)) == set(query("bpd", w))
 
     def test_guard(self):
         with size_guard(4), pytest.raises(GuardExceeded):
-            query(SetQuery("BPD", Permutation.identity(5)))
+            query("BPD", Permutation.identity(5))
 
     def test_kind_validation(self):
+        # only BPD and bpd take a subword
+        for kind in ("BPD_K", "mBPD", "mbpd"):
+            for v in (SubwordSelection(P("123"), (1,)), SubwordSelection.full(P("123"))):
+                with pytest.raises(ValueError):
+                    query(kind, P("123"), v)
         with pytest.raises(ValueError):
-            SetQuery("BPD", P("123"), SubwordSelection(P("123"), (1,)))
-        with pytest.raises(ValueError):
-            SetQuery("nope", P("123"))
+            query("nope", P("123"))
 
     def test_subword_of_another_host_rejected(self):
         # the same indices of 2143 would silently match no grid of 1243
         w = P("1243")
-        assert len(query(SetQuery("bpd_v", w, SubwordSelection(w, (2, 3, 4))))) == 1
-        for kind in ("BPD_v", "bpd_v"):
+        assert len(query("bpd", w, SubwordSelection(w, (2, 3, 4)))) == 1
+        for kind in ("BPD", "bpd"):
             with pytest.raises(SubwordMismatch):
-                SetQuery(kind, w, SubwordSelection(P("2143"), (2, 3, 4)))
+                query(kind, w, SubwordSelection(P("2143"), (2, 3, 4)))
+
+
+def _stream_families(n):
+    """The families ``query`` serves at size n, from one filter over the
+    grid stream: {(kind, w): grids} in stream order, selected by type for
+    BPD_K and by permutation otherwise, by reducedness for the lowercase
+    kinds and by ``removable_pipes(g).minimal`` for the m-kinds."""
+    families = defaultdict(list)
+    for grid in bpd_stream(n):
+        families["BPD_K", resolve(grid)[1]].append(grid)
+        tr = trace(grid)
+        minimal = removable_pipes(grid).minimal
+        for kind in ("BPD", "bpd") if tr.is_reduced else ("BPD",):
+            families[kind, tr.perm].append(grid)
+            if minimal:
+                families["m" + kind, tr.perm].append(grid)
+    return families
+
+
+class TestQueryOracle:
+    # the stream filter a faster walk serving the same families must match
+
+    def test_every_kind_up_to_size_5(self):
+        for n in range(6):
+            families = _stream_families(n)
+            for w in all_perms(n):
+                for kind in QUERY_KINDS:
+                    assert query(kind, w) == families[kind, w], (kind, w)
+
+    def test_every_subword_up_to_size_4(self):
+        for n in range(5):
+            families = _stream_families(n)
+            for w in all_perms(n):
+                for v in chain.from_iterable(subwords(w, m) for m in range(n + 1)):
+                    for kind in ("BPD", "bpd"):
+                        expected = [g for g in families[kind, w]
+                                    if removable_pipes(g).indices == v.indices]
+                        assert query(kind, w, v) == expected, (kind, w, v)
 
 
 class TestPartitionLaws:
@@ -215,13 +258,13 @@ class TestPartitionLaws:
         # the grouped pass above agrees with literal per-stratum queries
         for n in range(1, 5):
             for w in all_perms(n):
-                full = query(SetQuery("BPD", w))
-                reduced = query(SetQuery("bpd", w))
+                full = query("BPD", w)
+                reduced = query("bpd", w)
                 by_strata = []
                 by_strata_reduced = []
                 for sel in chain.from_iterable(subwords(w, m) for m in range(n + 1)):
-                    by_strata.extend(query(SetQuery("BPD_v", w, sel)))
-                    by_strata_reduced.extend(query(SetQuery("bpd_v", w, sel)))
+                    by_strata.extend(query("BPD", w, sel))
+                    by_strata_reduced.extend(query("bpd", w, sel))
                 assert sorted(map(hash, by_strata)) == sorted(map(hash, full))
                 assert sorted(map(hash, by_strata_reduced)) == sorted(map(hash, reduced))
 
@@ -229,12 +272,12 @@ class TestPartitionLaws:
         for n in range(1, 5):
             for w in all_perms(n):
                 sel = SubwordSelection.full(w)
-                assert (query(SetQuery("BPD_v", w, sel))
-                        == query(SetQuery("mBPD", w)))
-                assert (query(SetQuery("bpd_v", w, sel))
-                        == query(SetQuery("mbpd", w)))
+                assert (query("BPD", w, sel)
+                        == query("mBPD", w))
+                assert (query("bpd", w, sel)
+                        == query("mbpd", w))
 
     def test_grid_counts_sum_to_asm_count(self):
         for n in range(1, 6):
-            total = sum(len(query(SetQuery("BPD", w))) for w in all_perms(n))
+            total = sum(len(query("BPD", w)) for w in all_perms(n))
             assert total == sum(1 for _ in enumerate_asm(n))

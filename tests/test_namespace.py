@@ -14,11 +14,11 @@ PUBLIC_NAMES = [
     "GuardExceeded", "InconsistentAsm", "MaximaRow", "MultivariatePolynomial",
     "NegativeExponent", "NonreducedWitness", "NotAPermutation", "NotBijective",
     "NotMinimal", "Permutation", "PipeTrace", "PipedreamError",
-    "RemovablePipeReport", "SetQuery", "SkewReport",
+    "RemovablePipeReport", "SkewReport",
     "SubwordMismatch", "SubwordSelection", "Tile", "UnknownCheck",
     "WitnessNotFound", "all_perms", "beta_weight", "coefficient",
     "coefficient_table", "count_asms_bruteforce", "count_asms_literal",
-    "enumerate_asm", "flatten", "from_asm", "from_json", "grothendieck",
+    "enumerate_asm", "from_asm", "from_json", "grothendieck",
     "insert", "is_valid", "is_vexillary", "layered", "maxima_table",
     "nonreduced_witness", "nu", "nu_table", "pattern_count", "query",
     "removable_pipes", "remove", "render", "resolve", "run_check", "schubert",

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pipedream import (NotAPermutation, Permutation, SubwordSelection, flatten,
+from pipedream import (NotAPermutation, Permutation, SubwordSelection,
                        is_vexillary, layered, pattern_count, skew_sum,
                        subwords)
 from pipedream.ktheory import _first_occurrence
@@ -77,16 +77,16 @@ class TestFlatten:
         host = P("12453")
         sel = SubwordSelection.of_values(host, (2, 5, 3))
         assert sel.values() == (2, 5, 3)
-        assert flatten(sel) == P("132")
+        assert sel.pattern() == P("132")
 
     def test_full_word_is_identity_selection(self):
         w = P("2164753")
-        assert flatten(SubwordSelection.full(w)) == w
+        assert SubwordSelection.full(w).pattern() == w
 
     def test_subword_21753(self):
         sel = SubwordSelection.of_values(P("2164753"), (2, 1, 7, 5, 3))
         assert sel.indices == (1, 2, 5, 6, 7)
-        assert flatten(sel) == P("21543")
+        assert sel.pattern() == P("21543")
 
     def test_bad_indices(self):
         with pytest.raises(ValueError):

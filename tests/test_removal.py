@@ -5,7 +5,7 @@ from itertools import product
 import pytest
 
 from pipedream import (Asm, BpdGrid, BrokenStrand, NotMinimal, Permutation,
-                       SetQuery, SubwordMismatch, SubwordSelection, Tile,
+                       SubwordMismatch, SubwordSelection, Tile,
                        from_asm, insert, query, remove, removable_pipes, trace,
                        validate)
 from pipedream import store
@@ -216,5 +216,5 @@ class TestReducedBehaviour:
         w = P("1243")
         v = SubwordSelection.of_values(w, (1, 4, 3))
         assert v.pattern() == P("132")
-        assert query(SetQuery("bpd_v", w, v)) == []
-        assert query(SetQuery("mbpd", P("132"))) != []
+        assert query("bpd", w, v) == []
+        assert query("mbpd", P("132")) != []
