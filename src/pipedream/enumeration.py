@@ -7,14 +7,20 @@ holding the row's entries, its tiles and the column sums below it.  The
 walk yields every matrix as its path of moves, and at size 0 the one
 empty path, so the empty grid is an ordinary member of the stream.  The
 matrix stream reads the entries off a path and the grid stream its tile
-rows, building each grid once out of the table's own rows with
+rows, building each grid out of the table's own rows with
 ``BpdGrid._of_table_rows``, which skips the per-tile coercion.  The
 table is filled lazily: ``table_tiles`` turns any matrix into its tile
 rows by building only the moves it takes, so removal, which builds its
 grids that way, costs time in the rows it touches at any size and shares
-the table's rows with the stream.  Grid families (all grids of a
-permutation, the reduced ones, the minimal ones, the strata of a subword)
-are filters over the grid stream, each one call, ``query(kind, w, v)``.
+the table's rows with the stream.  Up to ``_MEMO_MAX_N`` every grid
+read off the table is ``table_grid`` of its rows, the one grid per tuple
+of tile rows kept in the store: the stream's grids, removal's images and
+insertion's expansions are then the same objects, and the trace, removal
+and resolution kept on a grid serve every check that reads it.  Above
+that size each grid is built anew and dropped with the stream.  Grid
+families (all grids of a permutation, the reduced ones, the minimal
+ones, the strata of a subword) are filters over the grid stream, each
+one call, ``query(kind, w, v)``.
 ``removable_pipes`` finds the unit rows whose +1 is alone in its column
 with two passes over the +1 masks of the rows' records, and ``query``
 compares its report's kept indices with the rows a family keeps;
@@ -37,7 +43,8 @@ from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .store import check_guard, stored
 
-# grid lists are memoized up to this size; larger sizes stream uncached
+# grid lists and grid objects are kept up to this size; larger sizes
+# stream uncached
 _MEMO_MAX_N = 6
 
 
@@ -117,6 +124,28 @@ def table_tiles(rows, n: int) -> tuple:
     return tuple(out)
 
 
+def _no_grids(n: int) -> dict:
+    return {}
+
+
+def table_grid(tiles) -> BpdGrid:
+    """The grid of tile rows read off the table of moves.
+
+    Up to size ``_MEMO_MAX_N`` it is the one grid of those rows in the
+    process, kept in the store, so the results kept on it (its trace, its
+    removal, its resolution) are shared by every caller; above that size
+    each call builds a new grid, so large streams leave nothing behind.
+    """
+    n = len(tiles)
+    if n > _MEMO_MAX_N:
+        return BpdGrid._of_table_rows(tiles)
+    grids = stored("grids", n, _no_grids)
+    grid = grids.get(tiles)
+    if grid is None:
+        grid = grids[tiles] = BpdGrid._of_table_rows(tiles)
+    return grid
+
+
 def _paths(n: int) -> Iterator[tuple]:
     """Yield each alternating sign matrix of size n as its path of moves,
     the records of its tile rows, through the transition table.
@@ -186,11 +215,16 @@ def bpd_stream(n: int) -> Iterator[BpdGrid]:
     """Every grid of size n, in the ASM stream's order.
 
     Each grid is built from the tile rows of its path, so all grids share
-    the transition table's row tuples.
+    the transition table's row tuples.  Up to ``_MEMO_MAX_N`` the list is
+    kept and each grid is ``table_grid`` of its rows, the same object that
+    removal and insertion return; above it each grid is built fresh.
     """
-    grids = (BpdGrid._of_table_rows(tuple(move.tiles for move in path))
-             for path in _paths(n))
-    yield from stored("bpd", n, lambda _: tuple(grids)) if n <= _MEMO_MAX_N else grids
+    if n > _MEMO_MAX_N:
+        for path in _paths(n):
+            yield BpdGrid._of_table_rows(tuple(move.tiles for move in path))
+        return
+    yield from stored("bpd", n, lambda _: tuple(
+        table_grid(tuple(move.tiles for move in path)) for path in _paths(n)))
 
 
 class RemovablePipeReport:

@@ -24,7 +24,13 @@ per size, so streamed grids leave nothing behind.
 ``BpdGrid(rows)`` coerces every tile to a ``Tile`` and checks the grid is
 square.  Grids whose rows come from the table of moves, which are
 already tuples of ``Tile`` members (the stream's and removal's), are
-built by ``BpdGrid._of_table_rows``, which skips both.
+built by ``BpdGrid._of_table_rows``, which skips both; up to size 6
+``enumeration.table_grid`` keeps one such grid per tuple of rows, so a
+removal image or an insertion is the stream's own grid.  A grid keeps
+what is read off it in slots beside its rows, unseen by equality and
+hashing: its trace, its removal (``removal.remove``) and its
+column-major resolution (``ktheory.resolve``), so each is computed once
+per grid however many callers ask.
 
 ``scan`` is the one pass over a grid's tiles: it labels every edge with
 the entry column of the pipe on it, and so checks the grid, reads its
@@ -39,7 +45,7 @@ from __future__ import annotations
 import json
 import operator
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import IntEnum
 from functools import cached_property
 from itertools import chain, combinations
@@ -77,19 +83,24 @@ _NORTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.J_ELBOW, Tile.BUMP})
 _SOUTH = frozenset({Tile.VERTICAL, Tile.CROSS, Tile.R_ELBOW, Tile.BUMP})
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BpdGrid:
     """An immutable n x n tile grid.
 
     ``rows[i][j]`` holds the tile at matrix position (i+1, j+1).  Grids are
     plain value types: cheap to hash, compare, and stick in sets.  Equality
-    and hashing see only ``rows``; the trace is cached beside them.
+    and hashing see only ``rows``; the results kept beside them are slots,
+    so a grid has no instance dict.
     """
 
     rows: tuple[tuple[Tile, ...], ...]
-    # set by ``trace`` on first use; a class attribute, so not a field and
-    # unseen by equality and hashing
-    _trace = None
+    # kept on first use, each set once and never changed: the trace
+    # (``trace``), the removal image and subword when the image is another
+    # grid (``removal.remove``), and the column-major resolved diagram and
+    # type when the diagram is another grid (``ktheory.resolve``)
+    _trace: PipeTrace | None = field(default=None, init=False, compare=False, repr=False)
+    _removal: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _resolution: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
@@ -102,12 +113,16 @@ class BpdGrid:
 
     @classmethod
     def _of_table_rows(cls, rows) -> "BpdGrid":
-        """A grid of ``rows`` as the table of moves builds them: a tuple of
-        n tuples of n ``Tile`` members.  Skips the coercion and the square
-        check of ``BpdGrid(rows)``, which the stream and removal would pay
-        on every grid they build."""
+        """A grid of ``rows`` as the table of moves and the resolving scan
+        build them: a tuple of n tuples of n ``Tile`` members.  Skips the
+        coercion and the square check of ``BpdGrid(rows)``, which the
+        stream, removal and resolution would pay on every grid they build.
+        Sets every slot, as ``__init__`` would."""
         grid = object.__new__(cls)
-        object.__setattr__(grid, "rows", rows)
+        _set_rows(grid, rows)
+        _set_trace(grid, None)
+        _set_removal(grid, None)
+        _set_resolution(grid, None)
         return grid
 
     @property
@@ -139,10 +154,17 @@ class BpdGrid:
         return "\n".join("".join(t.char for t in row) for row in self.rows)
 
     def count(self, kind: Tile) -> int:
-        return sum(row.count(kind) for row in self.rows)
+        # a list, not a generator: this runs twice per weighed grid
+        return sum([row.count(kind) for row in self.rows])
 
     def __str__(self):
         return self.to_ascii()
+
+
+# the setters of a grid's slots, which skip the frozen dataclass's
+# __setattr__ and cost less per call than ``object.__setattr__``
+_set_rows, _set_trace, _set_removal, _set_resolution = (
+    getattr(BpdGrid, name).__set__ for name in BpdGrid.__slots__)
 
 
 @dataclass(frozen=True)
@@ -481,8 +503,7 @@ def trace(grid: BpdGrid) -> PipeTrace:
                 p, q = word[a - 1], word[b - 1]
                 crossings[(p, q) if p < q else (q, p)] = count
             tr = PipeTrace(perm, crossings)
-        # the instance attribute skips the frozen dataclass's __setattr__
-        object.__setattr__(grid, "_trace", tr)
+        _set_trace(grid, tr)
     return tr
 
 

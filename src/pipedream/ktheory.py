@@ -8,7 +8,9 @@ earlier retained cross becomes a bump, after which the two pipes carry
 on along each other's tails.  The permutation of the resolved network is
 the grid's type.  The resolved diagram is a plain ``BpdGrid``; when no
 cross became a bump, which is exactly when the grid is reduced, it is the
-source grid itself.
+source grid itself.  A reduced grid that holds its trace resolves
+without a scan, and a nonreduced grid keeps its column-major diagram and
+type, so each grid is scanned in that order at most once.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from math import comb
 
 from .errors import NegativeExponent, WitnessNotFound
 # the scan orders live in grid and are re-exported here
-from .grid import COL_MAJOR, ROW_MAJOR, BpdGrid, Tile, scan, trace
+from .grid import COL_MAJOR, ROW_MAJOR, BpdGrid, Tile, _set_resolution, scan, trace
 from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, occurrences
 from .polynomials import BetaPolynomial
 
@@ -30,14 +32,24 @@ def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation
     equals its permutation.  Bump tiles in the input are faults.  A grid
     that already holds a reduced trace and no bump tile is returned
     without a scan: no pair crosses twice, so no cross can become a bump
-    in either order.
+    in either order.  A nonreduced grid keeps its column-major result and
+    returns it again on later calls; the row-major one is scanned each
+    time.
     """
+    if order == COL_MAJOR and grid._resolution is not None:
+        return grid._resolution
     tr = grid._trace
     if (tr is not None and tr.is_reduced and order in (COL_MAJOR, ROW_MAJOR)
             and not any(Tile.BUMP in row for row in grid.rows)):
         return grid, tr.perm
     word, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
-    return grid if tiles is grid.rows else BpdGrid(tiles), Permutation(word)
+    if tiles is grid.rows:
+        return grid, Permutation(word)
+    # the scan's tile rows are tuples of Tile members, square as the grid
+    resolved = BpdGrid._of_table_rows(tiles), Permutation(word)
+    if order == COL_MAJOR:
+        _set_resolution(grid, resolved)
+    return resolved
 
 
 def resolve_stats(rows, n):

@@ -11,25 +11,26 @@ code small.  The entries and bump flags of the input come from its row
 records (``grid.row_records``).  The tiles of the new matrix are read off
 the table of moves (``enumeration.table_tiles``), which builds only the
 moves the matrix takes and rejects a row that may not follow the rows
-above it, so the cost stays in the rows touched at any size, and images
-and their expansions share the table's row tuples, as the grids of the
-stream do; since those rows are already tuples of tiles, the new grid
-skips the public constructor's per-tile coercion
-(``BpdGrid._of_table_rows``).  Each call reads its input's row records
-once and makes one removability pass over them
-(``enumeration._removable``), which traces the input; the trace stays on
-the grid for later callers.  Neither call builds a subword selection it
-does not return: ``insert`` compares the image's permutation, not its
-report's subword, with the flattened subword.
+above it, so the cost stays in the rows touched at any size.  The new
+grid comes from ``enumeration.table_grid``: up to size 6 it is the
+stream's own grid of those rows, traced at most once, so
+``insert(*remove(B))`` of a streamed grid B is B itself; above it a new
+grid that skips the public constructor's per-tile coercion.  Each call
+reads its input's row records once and makes one removability pass over
+them (``enumeration._removable``), which traces the input; the trace
+stays on the grid for later callers, and so does the (image, subword)
+of ``remove`` when the image is another grid.  Neither call builds a
+subword selection it does not return: ``insert`` compares the image's
+permutation, not its report's subword, with the flattened subword.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .enumeration import _removable, table_tiles
+from .enumeration import _removable, table_grid, table_tiles
 from .errors import NotMinimal, SubwordMismatch
-from .grid import BpdGrid, row_records, validate
+from .grid import BpdGrid, _set_removal, row_records, validate
 from .perms import Permutation, SubwordSelection
 
 
@@ -38,8 +39,13 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
 
     The result is a minimal grid whose permutation is the flattening of
     the returned subword.  Grids that are already minimal come back
-    unchanged with the full-word selection.  Bump tiles are faults.
+    unchanged with the full-word selection.  Bump tiles are faults.  The
+    result is kept on a grid that is not minimal and returned again on
+    later calls.
     """
+    kept = grid._removal
+    if kept is not None:
+        return kept
     records = row_records(grid.rows)
     if any(record.bump for record in records):
         validate(grid)
@@ -52,7 +58,9 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
     # deleting unit rows and columns leaves a matrix, so the table of
     # moves takes every row
     sub = [tuple(compress(records[x - 1].entries, keep)) for x in report.indices]
-    return BpdGrid._of_table_rows(table_tiles(sub, len(sub))), report.subword
+    kept = table_grid(table_tiles(sub, len(sub))), report.subword
+    _set_removal(grid, kept)
+    return kept
 
 
 def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
@@ -94,4 +102,4 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
             rows.append((0,) * (y - 1) + (1,) + (0,) * (n - y))
     # each column holds the image's column or one unit +1, so the rows form
     # a matrix, and the tiles of a matrix make a well-formed grid
-    return BpdGrid._of_table_rows(table_tiles(rows, n))
+    return table_grid(table_tiles(rows, n))

@@ -34,7 +34,9 @@ nu, c and the Grothendieck polynomials load neither.
 
 from __future__ import annotations
 
+import gc
 from array import array
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import factorial
 
@@ -51,8 +53,25 @@ def nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
 
 def _build_nu_table(n: int) -> dict[Permutation, BetaPolynomial]:
     bits = kronecker_bits(n)
-    return {w: BetaPolynomial.from_kronecker(value, bits)
-            for w, value in zip(all_perms(n), _nu_values(n, 1 << bits))}
+    values = _nu_values(n, 1 << bits)
+    with _collector_paused():
+        return {w: BetaPolynomial.from_kronecker(value, bits)
+                for w, value in zip(all_perms(n), values)}
+
+
+@contextmanager
+def _collector_paused():
+    """Pause the cyclic garbage collector in the block, then restore its
+    prior state.  A decode allocates one polynomial per word, none in a
+    cycle, and the collector would otherwise walk the young objects again
+    every few hundred of them."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _nu_values(n: int, beta_value: int) -> list[int]:
@@ -280,8 +299,9 @@ def coefficient_values(n: int, beta_value: int) -> dict[Permutation, int]:
 
 def _by_word(rows: list[list[int]], bits=None) -> dict[Permutation, object]:
     """The transform's rows keyed by word, read at b = 2^bits if given."""
-    return {w: value if bits is None else BetaPolynomial.from_kronecker(value, bits)
-            for m, row in enumerate(rows) for w, value in zip(all_perms(m), row)}
+    with _collector_paused():
+        return {w: value if bits is None else BetaPolynomial.from_kronecker(value, bits)
+                for m, row in enumerate(rows) for w, value in zip(all_perms(m), row)}
 
 
 # -- skew sums -----------------------------------------------------------------

@@ -22,6 +22,15 @@ def P(text):
     return Permutation.from_text(text)
 
 
+# the six grid checks at size 6 in the benchmark's order, with its pinned
+# instance counts: every 6x6 ASM, the reduced grids of the 1243-avoiders
+# of S_6 and of all of S_6, the nonreduced grids, the vexillary words of
+# S_6, and every 6x6 ASM again
+GRID_CHECKS_N6 = {"bijection-roundtrip": 7436, "reduced-restriction": 2964,
+                  "weight-preservation": 6080, "nonreduced-pattern": 1356,
+                  "vexillary-K": 513, "bk-order": 7436}
+
+
 class TestRunCheck:
     @pytest.mark.parametrize("check_id", CHECK_IDS)
     def test_every_check_passes_at_n4(self, check_id):
@@ -49,6 +58,15 @@ class TestRunCheck:
         monkeypatch.setattr(store, "DEFAULT_GUARD", 3)
         with size_guard(4):
             assert {cid: outcome(cid) for cid in CHECK_IDS} == expected
+
+    def test_grid_checks_n6_in_either_order_in_one_store(self, cold_caches):
+        # the six grid checks share the grids of one store and the removals
+        # and resolutions kept on them, so each must pass whichever ran
+        # first: the benchmark's order, then reversed
+        for check_id in list(GRID_CHECKS_N6) + list(GRID_CHECKS_N6)[::-1]:
+            report = run_check(check_id, 6)
+            assert report.passed, (check_id, report.failures)
+            assert report.instances_checked == GRID_CHECKS_N6[check_id], check_id
 
     def test_report_text_and_json(self):
         report = run_check("stanley", 3)

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,17 +8,18 @@ import pytest
 
 from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
-                       grothendieck, is_vexillary, nu, nu_table, schubert,
-                       size_guard, skew_identities, skew_sum)
+                       grothendieck, is_vexillary, nu, nu_table, remove,
+                       schubert, size_guard, skew_identities, skew_sum)
 from pipedream import store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
                             tiles_from_asm_rows, trace)
 from pipedream.ktheory import beta_weight, resolve_stats
 from pipedream.perms import all_perms, layered, pattern_census
-from pipedream.polynomials import MultivariatePolynomial
-from pipedream.specialization import (MinimalSummary, _ascents, _deletions,
-                                      _nu_values, coefficient_values,
+from pipedream.polynomials import MultivariatePolynomial, kronecker_bits
+from pipedream.specialization import (MinimalSummary, _ascents, _build_nu_table,
+                                      _by_word, _deletions, _nu_values,
+                                      _transform, coefficient_values,
                                       grothendieck_table, interval_nu,
                                       minimal_sets, minimal_summary)
 from pipedream.store import clear_caches
@@ -549,6 +551,42 @@ class TestSkewIdentities:
             skew_identities(Permutation.identity(3), Permutation.identity(3))
 
 
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_decodes_restore_the_collector(self, enabled, monkeypatch):
+        real = BetaPolynomial.from_kronecker.__func__
+        seen = []
+
+        def spy(cls, value, bits):
+            seen.append(gc.isenabled())
+            return real(cls, value, bits)
+
+        def fail(cls, value, bits):
+            raise ZeroDivisionError
+
+        bits = kronecker_bits(3)
+        rows = _transform(3, [_nu_values(m, 1 << bits) for m in range(4)])
+        nu_3, c_3 = nu_table(3), coefficient_table(3)
+        prior = gc.isenabled()
+        try:
+            (gc.enable if enabled else gc.disable)()
+            monkeypatch.setattr(BetaPolynomial, "from_kronecker", classmethod(spy))
+            assert _build_nu_table(3) == nu_3
+            assert gc.isenabled() is enabled
+            assert _by_word(rows, bits) == c_3
+            assert gc.isenabled() is enabled
+            # a decode that raises restores it too
+            monkeypatch.setattr(BetaPolynomial, "from_kronecker", classmethod(fail))
+            with pytest.raises(ZeroDivisionError):
+                _by_word(rows, bits)
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if prior else gc.disable)()
+        # the 6 words of S_3 and the 10 of S_<=3, each decoded with the
+        # collector paused
+        assert len(seen) == 6 + 10 and not any(seen)
+
+
 class TestCaches:
     def test_clear_caches_drops_every_memo(self, cold_caches):
         w = P("1243")
@@ -565,9 +603,14 @@ class TestCaches:
                     lambda: minimal_sets(3), lambda: next(bpd_stream(3)),
                     lambda: all_perms(3), lambda: row_record(row),
                     # the shared trace of a fresh reduced grid of size 5
-                    lambda: trace(BpdGrid.identity(5))]
+                    lambda: trace(BpdGrid.identity(5)),
+                    # the interned removal image of a fresh grid: pipe 4
+                    # comes off 4132 and leaves the grid of 132
+                    lambda: remove(BpdGrid.from_ascii("...r\n.r-+\nrjr+\n|r++"))[0]]
         before = [build() for build in builders]
         assert [build() for build in builders] == before
+        # a second removal of a fresh twin returns the same interned image
+        assert builders[-1]() is before[-1]
         clear_caches()
         assert not store._TABLES
         after = [build() for build in builders]

@@ -50,7 +50,7 @@ def tile_count_pipes(grid):
 def derived_grids():
     """For every grid with n <= 6: its resolved grids in both scan orders
     (with bump rows where it is nonreduced), its removal image and the
-    insertion of that image, each a fresh object with no trace kept."""
+    insertion of that image."""
     for n in range(7):
         for grid in bpd_stream(n):
             for order in (COL_MAJOR, ROW_MAJOR):
@@ -61,6 +61,11 @@ def derived_grids():
             if image is not grid:
                 yield image
             yield insert(image, v.host, v)
+
+
+def interned(grid):
+    """Whether the store holds this very object as the grid of its rows."""
+    return store._TABLES.get(("grids", grid.n), {}).get(grid.rows) is grid
 
 
 def table_rows(n):
@@ -87,10 +92,26 @@ def test_trace_equals_a_fresh_scan(memo_max_n, cold_caches, monkeypatch):
             assert twin == grid and hash(twin) == hash(grid)
 
 
-def test_trace_and_validate_equal_a_fresh_scan_on_derived_grids():
-    bumped = 0
+def test_trace_and_validate_equal_a_fresh_scan_on_derived_grids(cold_caches, monkeypatch):
+    # with the memo capped at 2, the images and insertions of sizes 3..6
+    # are built fresh instead of being the stream's own grids
+    for memo_max_n in (enumeration._MEMO_MAX_N, 2):
+        clear_caches()
+        monkeypatch.setattr(enumeration, "_MEMO_MAX_N", memo_max_n)
+        check_derived_grids(memo_max_n)
+
+
+def check_derived_grids(memo_max_n):
+    """Trace and validate every derived grid against a fresh scan, under a
+    memo capped at ``memo_max_n``."""
+    bumped = fresh = 0
     for grid in derived_grids():
-        assert grid._trace is None
+        if interned(grid):
+            assert grid.n <= memo_max_n
+        else:
+            # a grid no other caller can reach was never traced
+            assert grid._trace is None
+            fresh += 1
         tr = trace(grid)
         assert tr == scanned(grid)
         for allow_bump in (False, True):
@@ -99,6 +120,44 @@ def test_trace_and_validate_equal_a_fresh_scan_on_derived_grids():
         bumped += grid.count(Tile.BUMP) > 0
     # the nonreduced grids of sizes 4..6 resolve with bumps in both orders
     assert bumped > 0
+    # resolved diagrams are never interned, and neither, with the memo
+    # capped, are the removal images and insertions above the cap
+    assert fresh >= bumped
+    if memo_max_n == 2:
+        assert fresh > bumped
+
+
+def test_kept_removal_and_resolution_equal_a_fresh_twin(cold_caches):
+    def values(g):
+        image, v = remove(g)
+        resolved, typ = resolve(g, COL_MAJOR)
+        return image.rows, v.host, v.indices, resolved.rows, typ
+
+    grids = [grid for n in range(7) for grid in bpd_stream(n)]
+    kept = []
+    for grid in grids:
+        image, v = remove(grid)
+        resolved, typ = resolve(grid, COL_MAJOR)
+        kept.append((image.rows, v.host, v.indices, resolved.rows, typ))
+        # a second call returns the same objects
+        again, w = remove(grid)
+        assert again is image
+        assert w is v or image is grid
+        diagram, typ2 = resolve(grid, COL_MAJOR)
+        assert diagram is resolved
+        assert typ2 is typ or resolved is grid
+        # the expansion of the image is the stream's grid itself
+        assert insert(image, v.host, v) is grid
+        assert (grid._removal is not None) is (image is not grid)
+        assert (grid._resolution is not None) is (resolved is not grid)
+    # the same values on fresh twins, from a store that holds none of the
+    # kept results
+    clear_caches()
+    assert [values(BpdGrid(grid.rows)) for grid in grids] == kept
+    # only the nonreduced grids keep a resolution: 1 of size 4, 36 of size
+    # 5 and 1356 of size 6
+    assert sum(grid._resolution is not None for grid in grids) == sum(
+        not trace(grid).is_reduced for grid in grids) == 1 + 36 + 1356
 
 
 def test_removable_pipes_equal_the_tile_count_rule():
@@ -190,7 +249,8 @@ def removal_grids():
 
 def test_table_built_grids_equal_the_coerced_grids():
     for triple in removal_grids():
-        for grid in triple:
+        # the column-major diagram is built from the scan's rows the same way
+        for grid in triple + (resolve(triple[0])[0],):
             n = grid.n
             assert type(grid.rows) is tuple
             assert all(type(row) is tuple and len(row) == n for row in grid.rows)
