@@ -6,9 +6,11 @@ deliberately omits timing so runs are byte-identical.  ``nu`` and
 ``poly`` walk their word's lower interval in the right weak order and
 build no table; ``coeff`` reads the table of its word's size, and with
 ``--mode ie`` walks each of its word's patterns instead.  Nothing is
-kept between runs.  Each command imports its layers when it runs:
-``nu``, ``coeff`` and ``poly`` load no grid stream or checks,
-``enumerate`` and ``render`` no checks or tables.
+kept between runs.  ``enumerate`` and ``render`` read the grids of their
+word alone (``enumeration.query``), and ``render`` stops at the grid it
+draws.  Each command imports its layers when it runs: ``nu``, ``coeff``
+and ``poly`` load no grid stream or checks, ``enumerate`` and ``render``
+no checks or tables.
 """
 
 from __future__ import annotations
@@ -121,16 +123,18 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    from .enumeration import query
+    from .enumeration import iter_query
     from .grid import render
     w = _perm(args.perm)
-    grids = query("BPD", w)
-    if not 0 <= args.index < len(grids):
-        print(f"index {args.index} out of range; {w.text()} has {len(grids)} grids",
-              file=sys.stderr)
-        return 2
-    print(render(grids[args.index], args.format))
-    return 0
+    count = 0
+    for grid in iter_query("BPD", w):
+        if count == args.index:
+            print(render(grid, args.format))
+            return 0
+        count += 1
+    print(f"index {args.index} out of range; {w.text()} has {count} grids",
+          file=sys.stderr)
+    return 2
 
 
 def _cmd_verify(args) -> int:

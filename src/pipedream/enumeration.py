@@ -19,17 +19,25 @@ insertion's expansions are then the same objects, and the trace, removal
 and resolution kept on a grid serve every check that reads it.  Above
 that size each grid is built anew and dropped with the stream.  Grid
 families (all grids of a permutation, the reduced ones, the minimal
-ones, the strata of a subword) are filters over the grid stream, each
-one call, ``query(kind, w, v)``.
+ones, the strata of a subword, the grids of a type) are each one call,
+``query(kind, w, v)``.  The grids of a type are a filter over the grid
+stream.  Every other family is read off a walk over the grids of w
+alone (``_word_paths``): the same depth-first walk, carrying each
+pipe's exit row on the partial path and cutting a branch as soon as a
+pipe sits east of where it may go, or, for the reduced kinds, two pipes
+cross that may not; it never streams the grids of other words.  It
+completes only the states of the table of moves it visits
+(``_state_moves``), and its grids are ``table_grid`` of their rows, so
+up to ``_MEMO_MAX_N`` they are the stream's own grids.
 ``removable_pipes`` finds the unit rows whose +1 is alone in its column
 with two passes over the +1 masks of the rows' records, and ``query``
-compares its report's kept indices with the rows a family keeps;
-``removal`` hands the records it already holds to the same pass
-(``_removable``).  Each table is kept per size in the table store, and
-``query`` checks its size against the guard in force
-(``store.size_guard``).  The nu and Grothendieck tables do not
-read these grids: ``specialization`` builds them from a Hecke product,
-and loads this module only for the minimal grids.
+compares its report's kept indices with the rows a minimal kind or a
+subword stratum keeps; ``removal`` hands the records it already holds to
+the same pass (``_removable``).  Each table is kept per size in the
+table store, and ``query`` checks its size against the guard in force
+(``store.size_guard``).  The nu and Grothendieck tables do not read
+these grids: ``specialization`` builds them from a Hecke product, and
+loads this module only for the minimal grids.
 """
 
 from __future__ import annotations
@@ -38,7 +46,8 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
-from .grid import Asm, BpdGrid, row_record, row_records, tile_row, trace
+from .grid import (_J_ELBOW, _R_ELBOW, Asm, BpdGrid, row_record, row_records, tile_row,
+                   trace)
 from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .store import check_guard, stored
@@ -79,21 +88,36 @@ def _no_moves(n: int) -> dict:
     return {}
 
 
-def _transitions(n: int) -> dict:
-    """The size-n table of moves, {state: {entries: move}}, completed: for
-    each column-sum state, every legal row in lexicographic entry order.
+def _no_states(n: int) -> set:
+    return set()
+
+
+def _state_moves(n: int, state: int) -> dict:
+    """The moves from one column-sum state of the size-n table of moves,
+    completed: every legal row, in lexicographic entry order.
 
     A move is the record of its tile row, from state ``north`` to state
-    ``south``.  ``table_tiles`` fills the table one row at a time; records
-    are kept by their tile row, so its moves come back as the same objects.
+    ``south``.  ``table_tiles`` fills a state one row at a time, in any
+    order, so a state is rebuilt in order the first time it is asked for
+    here; records are kept by their tile row, so the moves
+    ``table_tiles`` made come back as the same objects.
     """
     moves = stored("moves", n, _no_moves)
-    rows = _valid_rows(n)
-    for state in range(1 << n):
+    complete = stored("complete states", n, _no_states)
+    if state not in complete:
         moves[state] = {entries: row_record(tile_row(state, entries))
-                        for entries, plus, minus in rows
+                        for entries, plus, minus in stored("valid rows", n, _valid_rows)
                         if not (state & plus or minus & ~state)}
-    return moves
+        complete.add(state)
+    return moves[state]
+
+
+def _transitions(n: int) -> dict:
+    """The size-n table of moves, {state: {entries: move}}, with every
+    state completed (``_state_moves``)."""
+    for state in range(1 << n):
+        _state_moves(n, state)
+    return stored("moves", n, _no_moves)
 
 
 def table_tiles(rows, n: int) -> tuple:
@@ -253,6 +277,21 @@ class RemovablePipeReport:
         return not self.pipes
 
 
+def _lone_plus(records) -> int:
+    """The columns holding exactly one +1 among the rows of these records.
+
+    Pipe y -> x is removable when row x is the unit row with its +1 in
+    column y = w(x), alone in its column: ``p & lone and p == 1 << y - 1``
+    for the row's +1 mask p.  Without bumps a unit row with a lone +1 is
+    always such a row.
+    """
+    seen = twice = 0  # the columns holding a +1, and those holding two
+    for record in records:
+        twice |= seen & record.plus
+        seen |= record.plus
+    return seen & ~twice
+
+
 def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
     return _removable(grid, row_records(grid.rows))
 
@@ -260,14 +299,7 @@ def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
 def _removable(grid: BpdGrid, records) -> RemovablePipeReport:
     """``removable_pipes`` of a grid whose row records the caller holds."""
     tr = trace(grid)
-    seen = twice = 0  # the columns holding a +1, and those holding two
-    for record in records:
-        twice |= seen & record.plus
-        seen |= record.plus
-    lone = seen & ~twice
-    # pipe y -> x is removable when row x is the unit row with its +1 in
-    # column y = w(x), alone in its column; without bumps a unit row with
-    # a lone +1 is always such a row
+    lone = _lone_plus(records)
     pipes, indices = [], []
     for x, (record, y) in enumerate(zip(records, tr.perm), start=1):
         p = record.plus
@@ -289,8 +321,18 @@ def query(kind: str, w: Permutation, v: Optional[SubwordSelection] = None) -> li
     lowercase kinds keep only reduced grids, the minimal (m*) kinds the
     grids with no removable pipe, and BPD and bpd with a subword v of w
     the grids whose removable pipes leave v.  A subword of another host,
-    or with any other kind, is rejected.
+    or with any other kind, is rejected.  BPD_K filters the grid stream
+    of size |w|; every other kind reads the walk over the grids of w
+    alone (``_word_paths``).  ``iter_query`` yields the same grids one
+    at a time.
     """
+    return list(iter_query(kind, w, v))
+
+
+def iter_query(kind: str, w: Permutation,
+               v: Optional[SubwordSelection] = None) -> Iterator[BpdGrid]:
+    """The grids of ``query(kind, w, v)``, in order, read as they are
+    found; the arguments and the size guard are checked on the call."""
     if kind not in QUERY_KINDS:
         raise ValueError(f"unknown query kind {kind!r}")
     if v is not None:
@@ -302,17 +344,66 @@ def query(kind: str, w: Permutation, v: Optional[SubwordSelection] = None) -> li
     n = w.size
     check_guard(n)
     if kind == "BPD_K":
-        return [grid for grid in bpd_stream(n) if resolve(grid)[1] == w]
-    reduced_only = "bpd" in kind
+        return (grid for grid in bpd_stream(n) if resolve(grid)[1] == w)
+    grids = (table_grid(tuple(move.tiles for move in path))
+             for path in _word_paths(w, "bpd" in kind))
     if kind[0] == "m":
         kept = tuple(range(1, n + 1))
+    elif v is not None:
+        kept = v.indices
     else:
-        kept = None if v is None else v.indices
-    out = []
-    for grid in bpd_stream(n):
-        tr = trace(grid)
-        if tr.perm != w or (reduced_only and not tr.is_reduced):
+        return grids
+    return (grid for grid in grids if removable_pipes(grid).indices == kept)
+
+
+def _word_paths(w: Permutation, reduced: bool) -> Iterator[tuple]:
+    """Yield the paths of ``_paths(n)`` whose grids have permutation w, and
+    with ``reduced`` are reduced, in the same order, cutting a partial
+    path as soon as it breaks one of the rules below.  A path that keeps
+    them may still find no way to finish, so the walk can cost far more
+    than its grids (the identity, whose pipes may not cross, most of all).
+
+    A partial path carries ``labels[j]``, the exit row of the pipe in
+    column j below its last row (0 for none), as ``grid._exit_labels``
+    finds them: each move's program runs east to west with h = the row
+    index.  Pipes move only west as they go down, so an r-elbow in
+    column j may send pipe h down only when w(h) <= j + 1; a j-elbow
+    takes h from its column.  With ``reduced`` the pipes of a cross must
+    be an inversion of w that has not crossed yet.  A full path needs no
+    check: its n pipes sit in distinct columns c_a with c_a + 1 >= w(a),
+    and both sides sum to n(n+1)/2, so c_a + 1 = w(a) for every pipe a.
+    """
+    n = w.size
+    word = (0, *w)
+    # the bit of each inverted pair of exit rows, either way round; 0 for
+    # a pair that may not cross in a reduced grid
+    inversion = [[0] * (n + 1) for _ in range(n + 1)]
+    for a in range(1, n + 1):
+        for b in range(a + 1, n + 1):
+            if word[a] > word[b]:
+                inversion[a][b] = inversion[b][a] = 1 << a * (n + 1) + b
+    work = [((), 0, [0] * n, 0)]
+    while work:
+        path, state, labels, crossed = work.pop()
+        x = len(path) + 1
+        if x > n:
+            yield path
             continue
-        if kept is None or removable_pipes(grid).indices == kept:
-            out.append(grid)
-    return out
+        for move in reversed(_state_moves(n, state).values()):
+            below = labels[:]
+            h, crosses = x, crossed
+            for j, t in move.program if reduced else move.turns:
+                if t is _R_ELBOW:
+                    if word[h] > j + 1:
+                        break
+                    below[j] = h
+                elif t is _J_ELBOW:
+                    h = below[j]
+                    below[j] = 0
+                else:
+                    bit = inversion[below[j]][h]
+                    if not bit or crosses & bit:
+                        break
+                    crosses |= bit
+            else:
+                work.append((path + (move,), move.south, below, crosses))

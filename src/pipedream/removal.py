@@ -16,21 +16,23 @@ grid comes from ``enumeration.table_grid``: up to size 6 it is the
 stream's own grid of those rows, traced at most once, so
 ``insert(*remove(B))`` of a streamed grid B is B itself; above it a new
 grid that skips the public constructor's per-tile coercion.  Each call
-reads its input's row records once and makes one removability pass over
-them (``enumeration._removable``), which traces the input; the trace
-stays on the grid for later callers, and so does the (image, subword)
-of ``remove`` when the image is another grid.  Neither call builds a
-subword selection it does not return: ``insert`` compares the image's
-permutation, not its report's subword, with the flattened subword.
+reads its input's row records once and traces the input; the trace stays
+on the grid for later callers, and so does the (image, subword) of
+``remove`` when the image is another grid.  ``remove`` makes one
+removability pass over the records (``enumeration._removable``).
+``insert`` needs only to know that its image has no removable pipe, so
+it compares the image's permutation with the flattened subword and then
+asks the +1 masks of the records whether any pipe is removable
+(``enumeration._lone_plus``), building no report.
 """
 
 from __future__ import annotations
 
 from itertools import compress
 
-from .enumeration import _removable, table_grid, table_tiles
+from .enumeration import _lone_plus, _removable, table_grid, table_tiles
 from .errors import NotMinimal, SubwordMismatch
-from .grid import BpdGrid, _set_removal, row_records, validate
+from .grid import BpdGrid, _set_removal, row_records, trace, validate
 from .perms import Permutation, SubwordSelection
 
 
@@ -78,11 +80,13 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     m = image.n
     if m != len(v):
         raise SubwordMismatch(f"image size {m} != subword size {len(v)}")
-    records = row_records(image.rows)
-    report = _removable(image, records)
-    if report.trace.perm != v.pattern():
+    perm = trace(image).perm
+    if perm != v.pattern():
         raise SubwordMismatch("image permutation differs from the flattened subword")
-    if not report.minimal:
+    records = row_records(image.rows)
+    lone = _lone_plus(records)
+    if any(record.plus & lone and record.plus == 1 << y - 1
+           for record, y in zip(records, perm)):
         raise NotMinimal("image still has removable pipes")
     if any(record.bump for record in records):
         validate(image)

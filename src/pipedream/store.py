@@ -2,8 +2,9 @@
 and the size guard, one setting per call tree (``size_guard``) that every
 ``check_guard`` reads, so no layer passes it on by hand.
 
-The nu, coefficient and grid tables, the table of moves, the members of
-S_n, the scan orders' cells, the row records, the grids of each size up
+The nu, coefficient and grid tables, the table of moves with the set of
+its completed states and the legal matrix rows, the members of S_n, the
+scan orders' cells, the row records, the grids of each size up
 to 6 (one per tuple of tile rows, with the results kept on them) and the
 weakly held shared traces are all entries here, so ``clear_caches``
 drops every one of them.

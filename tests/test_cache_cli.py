@@ -167,6 +167,13 @@ class TestCliCommands:
 
     def test_render_index_out_of_range(self, capsys):
         assert main(["render", "--perm", "21", "--index", "5"]) == 2
+        assert capsys.readouterr().err == "index 5 out of range; 21 has 1 grids\n"
+
+    def test_render_stops_at_its_grid(self, capsys):
+        # the first grid of a size-10 word, whose full list takes minutes
+        assert main(["--guard", "10", "render", "--perm", "1,2,5,4,3,10,9,8,7,6",
+                     "--index", "0", "--format", "json"]) == 0
+        assert json.loads(capsys.readouterr().out)["perm"] == [1, 2, 5, 4, 3, 10, 9, 8, 7, 6]
 
     def test_verify_pass(self, capsys):
         assert main(["verify", "thm-1243", "--n", "3"]) == 0

@@ -1,17 +1,22 @@
+import hashlib
+import random
 from collections import defaultdict
 from itertools import chain
+from math import factorial
 
 import pytest
 
 from pipedream import (BpdGrid, GuardExceeded, Permutation,
                        SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
-                       removable_pipes, remove, resolve, size_guard, subwords,
+                       nu, removable_pipes, remove, resolve, size_guard, subwords,
                        trace)
 from pipedream import enumeration, store
-from pipedream.enumeration import QUERY_KINDS, bpd_stream, iter_asm_rows
+from pipedream.enumeration import (QUERY_KINDS, bpd_stream, iter_asm_rows, iter_query,
+                                   table_tiles)
 from pipedream.grid import Tile, tiles_from_asm_rows
 from pipedream.perms import all_perms
+from pipedream.specialization import interval_nu
 from pipedream.store import stored
 from conftest import load_grid
 
@@ -193,15 +198,19 @@ class TestQuery:
                 query(kind, w, SubwordSelection(P("2143"), (2, 3, 4)))
 
 
-def _stream_families(n):
+def _stream_families(n, words=None):
     """The families ``query`` serves at size n, from one filter over the
     grid stream: {(kind, w): grids} in stream order, selected by type for
     BPD_K and by permutation otherwise, by reducedness for the lowercase
-    kinds and by ``removable_pipes(g).minimal`` for the m-kinds."""
+    kinds and by ``removable_pipes(g).minimal`` for the m-kinds.  With
+    ``words``, only the families of those words, and no BPD_K."""
     families = defaultdict(list)
     for grid in bpd_stream(n):
-        families["BPD_K", resolve(grid)[1]].append(grid)
         tr = trace(grid)
+        if words is None:
+            families["BPD_K", resolve(grid)[1]].append(grid)
+        elif tr.perm not in words:
+            continue
         minimal = removable_pipes(grid).minimal
         for kind in ("BPD", "bpd") if tr.is_reduced else ("BPD",):
             families[kind, tr.perm].append(grid)
@@ -210,15 +219,60 @@ def _stream_families(n):
     return families
 
 
+def _assert_oracle(n, kinds, words=None):
+    """``query`` gives the stream filter's list for each kind and word of
+    size n, and up to ``_MEMO_MAX_N`` the same grid objects."""
+    families = _stream_families(n, words)
+    for w in all_perms(n) if words is None else words:
+        for kind in kinds:
+            got, expected = query(kind, w), families[kind, w]
+            assert got == expected, (kind, w)
+            if n <= enumeration._MEMO_MAX_N:
+                assert all(a is b for a, b in zip(got, expected)), (kind, w)
+
+
+# the kinds ``query`` reads off the walk over one word's grids; BPD_K is
+# the stream filter itself, and costs about 20 ms a word at size 6
+WALKED_KINDS = ("BPD", "bpd", "mBPD", "mbpd")
+
+# sha256 of each grid's ascii followed by a blank line, over bpd_stream(n)
+STREAM_DIGESTS = {
+    0: "75a11da44c802486bc6f65640aa48a730f0f684c5c07a42ba3cd1735eb3fb070",
+    1: "da0da532cbeb52cebe0bf1c10243a5ceff82eb2c3510e50fa81a3651f6a6f48e",
+    2: "8e1c91d1e7db4b6dc6c468f1725377f81bfe0803fa9dfefb99474abb0f568073",
+    3: "cff708c8e5ec4cf8e1290938e749584546bdfceb5bf3b7489b29cbe7c179fd97",
+    4: "51b2b7e23bb0164fd81af82adb3a295d7c62b8d9bd46d82cdf2653c8fdcdd30e",
+    5: "29787cde3ec5ef2a3c521a476327821a3a066fd74731d834f607fa2ea10741b1",
+    6: "c873df19ed68119f837c9298f9fc40b117a2aec2cae26b95a9ca70df82b3aee2",
+}
+
+
+def _stream_digest(n):
+    text = "".join(grid.to_ascii() + "\n\n" for grid in bpd_stream(n))
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 class TestQueryOracle:
-    # the stream filter a faster walk serving the same families must match
+    # the stream filter the walk over one word's grids must match
 
     def test_every_kind_up_to_size_5(self):
         for n in range(6):
-            families = _stream_families(n)
-            for w in all_perms(n):
-                for kind in QUERY_KINDS:
-                    assert query(kind, w) == families[kind, w], (kind, w)
+            _assert_oracle(n, QUERY_KINDS)
+
+    def test_walked_kinds_at_size_6(self):
+        _assert_oracle(6, WALKED_KINDS)
+
+    def test_seeded_sample_at_size_7(self):
+        words = set(random.Random(7).sample(all_perms(7), 100))
+        _assert_oracle(7, WALKED_KINDS, words)
+
+    def test_streamed_grids(self, cold_caches, monkeypatch):
+        # above the memo size the walk builds each grid anew, as the stream does
+        monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
+        for n in range(5):
+            _assert_oracle(n, QUERY_KINDS)
+        for n in (5, 6):
+            _assert_oracle(n, WALKED_KINDS)
 
     def test_every_subword_up_to_size_4(self):
         for n in range(5):
@@ -229,6 +283,61 @@ class TestQueryOracle:
                         expected = [g for g in families[kind, w]
                                     if removable_pipes(g).indices == v.indices]
                         assert query(kind, w, v) == expected, (kind, w, v)
+
+    def test_reduced_count_is_nu_at_zero(self):
+        for n in range(7):
+            for w in all_perms(n):
+                assert len(query("bpd", w)) == nu(w)(0), w
+
+    def test_after_a_partial_table_of_moves(self, cold_caches):
+        # removal and table_tiles fill the states they pass through one row
+        # at a time, out of the walk's order
+        for n in (4, 5, 6):
+            expected = _stream_families(n)
+            matrices = list(iter_asm_rows(n))
+            grids = [BpdGrid(tiles_from_asm_rows(rows, n)) for rows in matrices]
+            store.clear_caches()
+            for rows in reversed(matrices[::7]):
+                table_tiles(rows, n)
+            for grid in grids[::5]:
+                remove(grid)
+            moves = store._TABLES["moves", n]
+            assert moves and ("transitions", n) not in store._TABLES
+            made = [(state, entries, move) for state, by_entries in moves.items()
+                    for entries, move in by_entries.items()]
+            found = {(kind, w): query(kind, w) for w in all_perms(n) for kind in WALKED_KINDS}
+            families = _stream_families(n)
+            for (kind, w), got in found.items():
+                assert got == expected[kind, w], (kind, w)
+                assert all(a is b for a, b in zip(got, families[kind, w])), (kind, w)
+            assert _stream_digest(n) == STREAM_DIGESTS[n]
+            # the completed table hands out the moves made before it
+            assert all(moves[state][entries] is move for state, entries, move in made)
+
+    def test_stream_unchanged_after_query(self, cold_caches):
+        for n in range(7):
+            for w in random.Random(n).sample(all_perms(n), min(5, factorial(n))):
+                for kind in WALKED_KINDS:
+                    query(kind, w)
+            assert _stream_digest(n) == STREAM_DIGESTS[n], n
+
+    def test_arguments_checked_on_the_call(self):
+        with size_guard(4), pytest.raises(GuardExceeded):
+            iter_query("BPD", Permutation.identity(5))
+        with pytest.raises(ValueError):
+            iter_query("mbpd", P("12"), SubwordSelection.full(P("12")))
+
+
+@pytest.mark.slow
+class TestQueryReach:
+    def test_reduced_count_is_nu_at_zero_size_7(self):
+        for w in all_perms(7):
+            assert len(query("bpd", w)) == nu(w)(0), w
+
+    def test_size_9_word(self):
+        w = P("143298765")
+        with size_guard(9):
+            assert len(query("bpd", w)) == 130130 == interval_nu(w)(0)
 
 
 class TestPartitionLaws:
