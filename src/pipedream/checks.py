@@ -117,9 +117,9 @@ def _compare_strata(tally, words, strata, predict, describe):
         for m in range(len(w) + 1):
             for indices, values in zip(combinations(positions, m), combinations(w, m)):
                 got = strata.get((w, indices), empty)
-                if values not in predicted:
-                    predicted[values] = predict(ranks(values))
-                want = predicted[values]
+                want = predicted.get(values)
+                if want is None:
+                    want = predicted[values] = predict(ranks(values))
                 if got != want:
                     tally.fail(f"stratum w={w.text()} indices={indices}: {describe(got, want)}")
 

@@ -7,8 +7,9 @@ deliberately omits timing so runs are byte-identical.  ``nu`` and
 build no table; ``coeff`` reads the table of its word's size, and with
 ``--mode ie`` walks each of its word's patterns instead.  Nothing is
 kept between runs.  ``enumerate`` and ``render`` read the grids of their
-word alone (``enumeration.query``), and ``render`` stops at the grid it
-draws.  Each command imports its layers when it runs: ``nu``, ``coeff``
+word alone as they are found (``enumeration.iter_query``): ``enumerate``
+prints each grid then and holds none, and ``render`` stops at the grid
+it draws.  Each command imports its layers when it runs: ``nu``, ``coeff``
 and ``poly`` load no grid stream or checks, ``enumerate`` and ``render``
 no checks or tables.
 """
@@ -75,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_enumerate(args) -> int:
-    from .enumeration import query
+    from .enumeration import iter_query
     from .grid import render
     from .perms import SubwordSelection
     w = _perm(args.perm)
@@ -91,14 +92,22 @@ def _cmd_enumerate(args) -> int:
         except ValueError as exc:
             print(f"error: bad --subword {args.subword!r}: {exc}", file=sys.stderr)
             return 2
-    grids = query(args.kind, w, v)
-    if args.format == "ascii":
-        blocks = [render(g, "ascii") for g in grids]
-        print("\n\n".join(blocks))
-        print(f"# {len(grids)} grid(s)")
-    else:
+    grids = iter_query(args.kind, w, v)
+    if args.format == "json":
         for g in grids:
             print(render(g, "json"))
+        return 0
+    # each block as its grid is found, a blank line between two blocks; an
+    # empty family prints one empty line before the count
+    count = 0
+    for g in grids:
+        if count:
+            print()
+        print(render(g, "ascii"))
+        count += 1
+    if not count:
+        print()
+    print(f"# {count} grid(s)")
     return 0
 
 

@@ -9,13 +9,14 @@ empty path, so the empty grid is an ordinary member of the stream.  The
 matrix stream reads the entries off a path and the grid stream its tile
 rows, building each grid out of the table's own rows with
 ``BpdGrid._of_table_rows``, which skips the per-tile coercion.  The
-table is filled lazily: ``table_tiles`` turns any matrix into its tile
-rows by building only the moves it takes, so removal, which builds its
+table is filled lazily: ``table_path`` turns any matrix into its path of
+moves by building only the moves it takes, so removal, which builds its
 grids that way, costs time in the rows it touches at any size and shares
 the table's rows with the stream.  Up to ``_MEMO_MAX_N`` every grid
-read off the table is ``table_grid`` of its rows, the one grid per tuple
-of tile rows kept in the store: the stream's grids, removal's images and
-insertion's expansions are then the same objects, and the trace, removal
+read off the table is ``table_grid`` of its path of moves, the one grid
+per tuple of tile rows kept in the store, which keeps the path as its
+row records: the stream's grids, removal's images and insertion's
+expansions are then the same objects, and the records, trace, removal
 and resolution kept on a grid serve every check that reads it.  Above
 that size each grid is built anew and dropped with the stream.  Grid
 families (all grids of a permutation, the reduced ones, the minimal
@@ -27,7 +28,7 @@ pipe's exit row on the partial path and cutting a branch as soon as a
 pipe sits east of where it may go, or, for the reduced kinds, two pipes
 cross that may not; it never streams the grids of other words.  It
 completes only the states of the table of moves it visits
-(``_state_moves``), and its grids are ``table_grid`` of their rows, so
+(``_state_moves``), and its grids are ``table_grid`` of their paths, so
 up to ``_MEMO_MAX_N`` they are the stream's own grids.
 ``removable_pipes`` finds the unit rows whose +1 is alone in its column
 with two passes over the +1 masks of the rows' records, and ``query``
@@ -46,9 +47,8 @@ from itertools import product
 from typing import Iterator, Optional
 
 from .errors import GuardExceeded, InconsistentAsm, SubwordMismatch
-from .grid import (_J_ELBOW, _R_ELBOW, Asm, BpdGrid, row_record, row_records, tile_row,
+from .grid import (_J_ELBOW, _R_ELBOW, Asm, BpdGrid, grid_records, row_record, tile_row,
                    trace)
-from .ktheory import resolve
 from .perms import Permutation, SubwordSelection
 from .store import check_guard, stored
 
@@ -97,10 +97,10 @@ def _state_moves(n: int, state: int) -> dict:
     completed: every legal row, in lexicographic entry order.
 
     A move is the record of its tile row, from state ``north`` to state
-    ``south``.  ``table_tiles`` fills a state one row at a time, in any
+    ``south``.  ``table_path`` fills a state one row at a time, in any
     order, so a state is rebuilt in order the first time it is asked for
     here; records are kept by their tile row, so the moves
-    ``table_tiles`` made come back as the same objects.
+    ``table_path`` made come back as the same objects.
     """
     moves = stored("moves", n, _no_moves)
     complete = stored("complete states", n, _no_states)
@@ -120,13 +120,14 @@ def _transitions(n: int) -> dict:
     return stored("moves", n, _no_moves)
 
 
-def table_tiles(rows, n: int) -> tuple:
-    """The tile rows of an alternating sign matrix of size n, read off the
-    table of moves, so they are the table's own row tuples.
+def table_path(rows, n: int) -> list:
+    """The path of moves an alternating sign matrix of size n takes through
+    the table of moves: the records of its tile rows, whose tiles are the
+    table's own row tuples.
 
     Only the moves the matrix takes are built, so the cost grows with the
     rows, not with the table; a row that cannot follow the rows above it
-    raises ``InconsistentAsm``.  Gives the same tiles as
+    raises ``InconsistentAsm``.  The tiles are those of
     ``grid.tiles_from_asm_rows``.
     """
     moves = stored("moves", n, _no_moves)
@@ -144,29 +145,32 @@ def table_tiles(rows, n: int) -> tuple:
                 raise InconsistentAsm(f"row {entries} cannot follow column sums {state:b}")
             move = by_entries[entries] = row_record(tile_row(state, entries))
         state = move.south
-        out.append(move.tiles)
-    return tuple(out)
+        out.append(move)
+    return out
 
 
 def _no_grids(n: int) -> dict:
     return {}
 
 
-def table_grid(tiles) -> BpdGrid:
-    """The grid of tile rows read off the table of moves.
+def table_grid(path) -> BpdGrid:
+    """The grid of a path of moves through the table of moves.
 
-    Up to size ``_MEMO_MAX_N`` it is the one grid of those rows in the
-    process, kept in the store, so the results kept on it (its trace, its
-    removal, its resolution) are shared by every caller; above that size
-    each call builds a new grid, so large streams leave nothing behind.
+    Up to size ``_MEMO_MAX_N`` it is the one grid of the path's tile rows
+    in the process, kept in the store, so the results kept on it (its
+    trace, its removal, its resolution) are shared by every caller, and it
+    keeps the path as its row records (``grid.grid_records``); above that
+    size each call builds a new grid that keeps nothing, so large streams
+    leave nothing behind.
     """
+    tiles = tuple([move.tiles for move in path])
     n = len(tiles)
     if n > _MEMO_MAX_N:
         return BpdGrid._of_table_rows(tiles)
     grids = stored("grids", n, _no_grids)
     grid = grids.get(tiles)
     if grid is None:
-        grid = grids[tiles] = BpdGrid._of_table_rows(tiles)
+        grid = grids[tiles] = BpdGrid._of_table_rows(tiles, tuple(path))
     return grid
 
 
@@ -240,15 +244,13 @@ def bpd_stream(n: int) -> Iterator[BpdGrid]:
 
     Each grid is built from the tile rows of its path, so all grids share
     the transition table's row tuples.  Up to ``_MEMO_MAX_N`` the list is
-    kept and each grid is ``table_grid`` of its rows, the same object that
+    kept and each grid is ``table_grid`` of its path, the same object that
     removal and insertion return; above it each grid is built fresh.
     """
     if n > _MEMO_MAX_N:
-        for path in _paths(n):
-            yield BpdGrid._of_table_rows(tuple(move.tiles for move in path))
+        yield from map(table_grid, _paths(n))
         return
-    yield from stored("bpd", n, lambda _: tuple(
-        table_grid(tuple(move.tiles for move in path)) for path in _paths(n)))
+    yield from stored("bpd", n, lambda _: tuple(map(table_grid, _paths(n))))
 
 
 class RemovablePipeReport:
@@ -257,8 +259,9 @@ class RemovablePipeReport:
     A pipe y->x is removable when the r-elbow at (x, y) is the only one in
     its row and column; such a pipe is always hook-shaped.  The subword
     keeps the entries of the permutation other than the removed values, at
-    ``indices``, built when read.  A plain slotted class, so reports have
-    no value equality.
+    ``indices``, built when read and not checked again: the indices are
+    increasing and the host is the trace's permutation.  A plain slotted
+    class, so reports have no value equality.
     """
 
     __slots__ = ("pipes", "indices", "trace")
@@ -270,7 +273,7 @@ class RemovablePipeReport:
 
     @property
     def subword(self) -> SubwordSelection:
-        return SubwordSelection(self.trace.perm, self.indices)
+        return SubwordSelection._trusted(self.trace.perm, self.indices)
 
     @property
     def minimal(self) -> bool:
@@ -293,7 +296,7 @@ def _lone_plus(records) -> int:
 
 
 def removable_pipes(grid: BpdGrid) -> RemovablePipeReport:
-    return _removable(grid, row_records(grid.rows))
+    return _removable(grid, grid_records(grid))
 
 
 def _removable(grid: BpdGrid, records) -> RemovablePipeReport:
@@ -344,9 +347,10 @@ def iter_query(kind: str, w: Permutation,
     n = w.size
     check_guard(n)
     if kind == "BPD_K":
+        # imported here: ktheory builds on grid, which reads this module
+        from .ktheory import resolve
         return (grid for grid in bpd_stream(n) if resolve(grid)[1] == w)
-    grids = (table_grid(tuple(move.tiles for move in path))
-             for path in _word_paths(w, "bpd" in kind))
+    grids = map(table_grid, _word_paths(w, "bpd" in kind))
     if kind[0] == "m":
         kept = tuple(range(1, n + 1))
     elif v is not None:

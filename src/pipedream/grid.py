@@ -6,13 +6,19 @@ and leaves through the east edge of row x, travelling weakly northeast.
 The elbow tiles are in bijection with the nonzero entries of an
 alternating sign matrix: r-elbows are the +1s and j-elbows the -1s.
 
-Checking a grid and reading its permutation are row-local, so both read
-one record per tile row (``row_record``), kept per size in the table
-store: its tiles and entries, its +1 mask, the columns it opens north and
-south, whether its neighbouring tiles agree, and its label program
-(crosses, elbows and bumps, east to west).  Each move of the transition
-table is the record of its row, so grids of the stream and of removal
-share the records' row tuples.  ``trace`` reads the permutation by running
+Checking a grid, reading its permutation and weighing it are row-local,
+so all three read one record per tile row (``row_record``), kept per
+size in the table store: its tiles and entries, its +1 mask, the columns
+it opens north and south, whether its neighbouring tiles agree, its label
+program (crosses, elbows and bumps, east to west), whether it holds a
+bump, and its counts of crosses, blanks and j-elbows, which a grid's
+counts are the sums of.  Each move of the transition table is the record
+of its row, so grids of the stream and of removal share the records' row
+tuples.  ``grid_records`` gives a grid's records: a grid read off the
+table of moves keeps the path of moves it was read off, any other grid up
+to the size grids are interned at keeps its records on first read, and
+a larger grid keeps none, so a sweep above that size holds no more than
+its grids.  ``trace`` reads the permutation by running
 the rows' turns top-down (``_exit_labels``) and keeps the result on the
 grid (``BpdGrid._trace``).  A grid is reduced exactly when its crosses
 number the inversions of its permutation, and all reduced grids of one
@@ -28,16 +34,16 @@ built by ``BpdGrid._of_table_rows``, which skips both; up to size 6
 ``enumeration.table_grid`` keeps one such grid per tuple of rows, so a
 removal image or an insertion is the stream's own grid.  A grid keeps
 what is read off it in slots beside its rows, unseen by equality and
-hashing: its trace, its removal (``removal.remove``) and its
-column-major resolution (``ktheory.resolve``), so each is computed once
-per grid however many callers ask.
+hashing: its trace, its removal (``removal.remove``), its column-major
+resolution (``ktheory.resolve``) and its row records, so each is
+computed once per grid however many callers ask.
 
 ``scan`` is the one pass over a grid's tiles: it labels every edge with
 the entry column of the pipe on it, and so checks the grid, reads its
 permutation and crossing counts, and (with ``resolve``) turns repeated
 crossings into bumps.  ``ktheory.resolve`` calls it, and ``validate`` and
 ``trace`` call it on a malformed grid to raise the fault a full check
-reports first.  Tile counts are read off the rows with ``BpdGrid.count``.
+reports first.  ``BpdGrid.count`` counts one kind of tile over the rows.
 """
 
 from __future__ import annotations
@@ -96,11 +102,13 @@ class BpdGrid:
     rows: tuple[tuple[Tile, ...], ...]
     # kept on first use, each set once and never changed: the trace
     # (``trace``), the removal image and subword when the image is another
-    # grid (``removal.remove``), and the column-major resolved diagram and
-    # type when the diagram is another grid (``ktheory.resolve``)
+    # grid (``removal.remove``), the column-major resolved diagram and type
+    # when the diagram is another grid (``ktheory.resolve``), and the row
+    # records up to the size grids are interned (``grid_records``)
     _trace: PipeTrace | None = field(default=None, init=False, compare=False, repr=False)
     _removal: tuple | None = field(default=None, init=False, compare=False, repr=False)
     _resolution: tuple | None = field(default=None, init=False, compare=False, repr=False)
+    _records: tuple | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         rows = tuple(map(tuple, self.rows))
@@ -112,10 +120,11 @@ class BpdGrid:
             raise ValueError("grid must be square")
 
     @classmethod
-    def _of_table_rows(cls, rows) -> "BpdGrid":
+    def _of_table_rows(cls, rows, records=None) -> "BpdGrid":
         """A grid of ``rows`` as the table of moves and the resolving scan
-        build them: a tuple of n tuples of n ``Tile`` members.  Skips the
-        coercion and the square check of ``BpdGrid(rows)``, which the
+        build them: a tuple of n tuples of n ``Tile`` members, with the
+        tuple of their row records to keep, if the caller holds it.  Skips
+        the coercion and the square check of ``BpdGrid(rows)``, which the
         stream, removal and resolution would pay on every grid they build.
         Sets every slot, as ``__init__`` would."""
         grid = object.__new__(cls)
@@ -123,6 +132,7 @@ class BpdGrid:
         _set_trace(grid, None)
         _set_removal(grid, None)
         _set_resolution(grid, None)
+        _set_records(grid, records)
         return grid
 
     @property
@@ -154,7 +164,6 @@ class BpdGrid:
         return "\n".join("".join(t.char for t in row) for row in self.rows)
 
     def count(self, kind: Tile) -> int:
-        # a list, not a generator: this runs twice per weighed grid
         return sum([row.count(kind) for row in self.rows])
 
     def __str__(self):
@@ -163,7 +172,7 @@ class BpdGrid:
 
 # the setters of a grid's slots, which skip the frozen dataclass's
 # __setattr__ and cost less per call than ``object.__setattr__``
-_set_rows, _set_trace, _set_removal, _set_resolution = (
+_set_rows, _set_trace, _set_removal, _set_resolution, _set_records = (
     getattr(BpdGrid, name).__set__ for name in BpdGrid.__slots__)
 
 
@@ -327,15 +336,18 @@ class RowRecord:
     ``south`` are the column-sum states above and below the row, so each
     move of the transition table is its row's record.  ``program`` lists
     the row's crosses, elbows and bumps from east to west as (column index,
-    tile) steps, and ``turns`` is the same without the crosses.  Records
-    are shared by every grid holding the row and are never changed; a plain
-    slotted class is cheaper to define and to build than a frozen dataclass.
+    tile) steps, and ``turns`` is the same without the crosses.  The tile
+    counts a grid is weighed and traced by (crosses, blanks, j-elbows) are
+    summed over its records.  Records are shared by every grid holding the
+    row and are never changed; a plain slotted class is cheaper to define
+    and to build than a frozen dataclass.
     """
 
     __slots__ = ("tiles", "entries", "plus", "north", "south", "across", "program",
-                 "turns", "crosses", "bump")
+                 "turns", "crosses", "blanks", "jelbows", "bump")
 
-    def __init__(self, tiles, entries, plus, north, south, across, program, turns, crosses, bump):
+    def __init__(self, tiles, entries, plus, north, south, across, program, turns,
+                 crosses, blanks, jelbows, bump):
         self.tiles = tiles        # the row itself, a tuple of Tile members
         self.entries = entries    # +1 at r-elbows, -1 at j-elbows
         self.plus = plus          # the columns of the +1 entries
@@ -345,6 +357,8 @@ class RowRecord:
         self.program = program
         self.turns = turns
         self.crosses = crosses
+        self.blanks = blanks
+        self.jelbows = jelbows
         self.bump = bump
 
 
@@ -382,13 +396,26 @@ def _new_record(row) -> RowRecord:
     program = tuple(reversed(program))
     return RowRecord(row, asm_row(row), plus, north, south, across, program,
                      tuple(step for step in program if step[1] is not _CROSS),
-                     row.count(_CROSS), Tile.BUMP in row)
+                     row.count(_CROSS), row.count(_BLANK), row.count(_J_ELBOW),
+                     Tile.BUMP in row)
 
 
-def row_records(rows) -> list[RowRecord]:
-    """The record of each of the tile rows of a square grid."""
-    get = stored("rows", len(rows), _no_records).get
-    return [get(row) or row_record(row) for row in rows]
+def grid_records(grid: BpdGrid) -> tuple[RowRecord, ...]:
+    """The record of each of a grid's rows, the objects ``row_record``
+    gives.
+
+    A grid read off the table of moves keeps the path it was read off
+    (``enumeration.table_grid``); any other grid up to the size grids are
+    interned at (``enumeration._MEMO_MAX_N``) keeps its records on first
+    read, and a larger grid looks its rows up on every call.
+    """
+    records = grid._records
+    if records is None:
+        get = stored("rows", grid.n, _no_records).get
+        records = tuple([get(row) or row_record(row) for row in grid.rows])
+        if grid.n <= enumeration._MEMO_MAX_N:
+            _set_records(grid, records)
+    return records
 
 
 def _well_formed(records, n: int) -> bool:
@@ -405,6 +432,14 @@ def _well_formed(records, n: int) -> bool:
             return False
         above = record.south
     return above == (1 << n) - 1
+
+
+def bumped(records) -> bool:
+    """Whether any of these row records holds a bump tile."""
+    for record in records:
+        if record.bump:
+            return True
+    return False
 
 
 def _exit_labels(records, n: int, pairs=None) -> list[int]:
@@ -444,8 +479,8 @@ def validate(grid: BpdGrid, allow_bump: bool = False) -> None:
     its fault.  Bump tiles are faults unless ``allow_bump``; see ``scan``
     for the order in which faults are reported.
     """
-    records = row_records(grid.rows)
-    if not _well_formed(records, grid.n) or not allow_bump and any(r.bump for r in records):
+    records = grid_records(grid)
+    if not _well_formed(records, grid.n) or not allow_bump and bumped(records):
         scan(grid.rows, grid.n, allow_bump=allow_bump)
 
 
@@ -473,11 +508,11 @@ def trace(grid: BpdGrid) -> PipeTrace:
     """
     tr = grid._trace
     if tr is None:
-        rows, n = grid.rows, grid.n
-        records = row_records(rows)
+        n = grid.n
+        records = grid_records(grid)
         if not _well_formed(records, n):
             # a fault caches nothing, so a malformed grid raises on every call
-            scan(rows, n)
+            scan(grid.rows, n)
         word = [0] * n
         for y, x in enumerate(_exit_labels(records, n), start=1):
             word[x - 1] = y
@@ -630,3 +665,8 @@ def from_json(text: str) -> BpdGrid:
     if grid.n != payload.get("n"):
         raise ValueError("tile rows disagree with declared size")
     return grid
+
+
+# last, as enumeration builds on this module: ``grid_records`` reads the
+# size grids are interned at when it is called
+from . import enumeration  # noqa: E402

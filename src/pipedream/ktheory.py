@@ -20,9 +20,11 @@ from math import comb
 
 from .errors import NegativeExponent, WitnessNotFound
 # the scan orders live in grid and are re-exported here
-from .grid import COL_MAJOR, ROW_MAJOR, BpdGrid, Tile, _set_resolution, scan, trace
+from .grid import (COL_MAJOR, ROW_MAJOR, BpdGrid, Tile, _set_resolution, bumped,
+                   grid_records, scan, trace)
 from .perms import PATTERN_1243, PATTERN_2143, Permutation, SubwordSelection, occurrences
 from .polynomials import BetaPolynomial
+from .store import stored
 
 
 def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation]:
@@ -40,7 +42,7 @@ def resolve(grid: BpdGrid, order: str = COL_MAJOR) -> tuple[BpdGrid, Permutation
         return grid._resolution
     tr = grid._trace
     if (tr is not None and tr.is_reduced and order in (COL_MAJOR, ROW_MAJOR)
-            and not any(Tile.BUMP in row for row in grid.rows)):
+            and not bumped(grid_records(grid))):
         return grid, tr.perm
     word, _, tiles = scan(grid.rows, grid.n, order, resolve=True, allow_bump=False)
     if tiles is grid.rows:
@@ -68,20 +70,34 @@ def resolve_stats(rows, n):
             sum(row.count(Tile.BUMP) for row in tiles))
 
 
+def _no_weights(n: int) -> dict:
+    return {}
+
+
 def beta_weight(grid: BpdGrid, reference_length: int) -> BetaPolynomial:
     """b^(blanks - reference_length) * (1+b)^jelbows.
 
     The caller chooses the reference: the length of the grid's type for
-    weight sums, which makes every weight a genuine polynomial.
+    weight sums, which makes every weight a genuine polynomial.  The tile
+    counts are summed over the grid's row records, and each size keeps one
+    polynomial per (blanks - reference_length, jelbows) in the table
+    store, so equal weights of one size are one object.
     """
-    blanks = grid.count(Tile.BLANK)
-    jelbows = grid.count(Tile.J_ELBOW)
+    blanks = jelbows = 0
+    for record in grid_records(grid):
+        blanks += record.blanks
+        jelbows += record.jelbows
     if blanks < reference_length:
         raise NegativeExponent(
             f"{blanks} blanks cannot support reference length {reference_length}")
-    # the binomial row of (1+b)^jelbows, shifted up by the b power
-    return BetaPolynomial((0,) * (blanks - reference_length)
-                          + tuple(comb(jelbows, k) for k in range(jelbows + 1)))
+    key = blanks - reference_length, jelbows
+    weights = stored("weights", grid.n, _no_weights)
+    weight = weights.get(key)
+    if weight is None:
+        # the binomial row of (1+b)^jelbows, shifted up by the b power
+        weight = weights[key] = BetaPolynomial(
+            (0,) * key[0] + tuple(comb(jelbows, k) for k in range(jelbows + 1)))
+    return weight
 
 
 @dataclass(frozen=True)

@@ -5,15 +5,17 @@ value and seeds every recursion in this package.  ``Permutation(word)``
 checks its word; ``all_perms`` (kept in the table store) and the pattern
 of a subword selection, permutations by construction, are built
 unchecked.  ``length`` counts inversions with one bitmask of the letters
-seen, n steps instead of n(n-1)/2 pairs.  Pattern counting is a
-brute-force scan over index subsets, each compared along the pattern's
-value order (``occurrences``); the census serves the oracles: the
-direct sum of ``coefficient(w, "ie")`` and the ``pattern-sum`` check.
+seen, n steps instead of n(n-1)/2 pairs, and ``ranks`` flattens a
+subword with one bitmask of its letters instead of a sort.  Pattern
+counting is a brute-force scan over index subsets, each compared along
+the pattern's value order (``occurrences``); the census serves the
+oracles: the direct sum of ``coefficient(w, "ie")`` and the
+``pattern-sum`` check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations, permutations
 
 from .errors import NotAPermutation
@@ -101,16 +103,22 @@ class Permutation(tuple):
         return not self.contains(pattern)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SubwordSelection:
     """A subword of ``host`` given by strictly increasing 1-based indices.
 
     A host that is not a ``Permutation`` is converted to one, and so
     checked: ``pattern`` relies on the host's letters being distinct.
+    Equality and hashing see the host and the indices; the pattern kept
+    beside them is a slot, so a selection has no instance dict.
     """
 
     host: Permutation
     indices: tuple[int, ...]
+    # set by ``pattern`` on first use; removal's callers flatten the same
+    # selection twice
+    _pattern: Permutation | None = field(default=None, init=False, compare=False,
+                                         repr=False)
 
     def __post_init__(self):
         if not isinstance(self.host, Permutation):
@@ -124,20 +132,27 @@ class SubwordSelection:
     def __len__(self):
         return len(self.indices)
 
-    def values(self) -> tuple[int, ...]:
-        return tuple(self.host[i - 1] for i in self.indices)
+    @classmethod
+    def _trusted(cls, host: Permutation, indices: tuple[int, ...]) -> "SubwordSelection":
+        """The selection of ``indices``, already increasing and in range, in
+        ``host``, already a ``Permutation`` (a removal report's).  Skips the
+        checks of ``__post_init__``."""
+        selection = object.__new__(cls)
+        _set_host(selection, host)
+        _set_indices(selection, indices)
+        _set_pattern(selection, None)
+        return selection
 
-    # set by ``pattern`` on first use; a class attribute, so not a field and
-    # unseen by equality and hashing
-    _pattern = None
+    def values(self) -> tuple[int, ...]:
+        host = self.host
+        return tuple([host[i - 1] for i in self.indices])
 
     def pattern(self) -> Permutation:
-        # kept on the selection: removal's callers flatten the same one twice;
         # the ranks of distinct letters are a permutation, so unchecked
         p = self._pattern
         if p is None:
             p = Permutation._trusted(ranks(self.values()))
-            object.__setattr__(self, "_pattern", p)
+            _set_pattern(self, p)
         return p
 
     @classmethod
@@ -151,14 +166,24 @@ class SubwordSelection:
         return cls(host, tuple(i for i, v in enumerate(host, start=1) if v in wanted))
 
 
+# the setters of a selection's slots, which skip the frozen dataclass's
+# __setattr__
+_set_host, _set_indices, _set_pattern = (
+    getattr(SubwordSelection, name).__set__ for name in SubwordSelection.__slots__)
+
+
 def ranks(values) -> tuple[int, ...]:
-    """The rank of each of the distinct ``values`` among them, from 1.
+    """The rank of each of the distinct positive integers ``values`` among
+    them, from 1: one plus the number of smaller values, read off a bitmask
+    of the values (bit v for the value v), with no sort.
 
     >>> ranks((2, 5, 3))
     (1, 3, 2)
     """
-    rank = {v: r for r, v in enumerate(sorted(values), start=1)}
-    return tuple(rank[v] for v in values)
+    seen = 0
+    for v in values:
+        seen |= 1 << v
+    return tuple([(seen & (1 << v) - 1).bit_count() + 1 for v in values])
 
 
 def occurrences(pattern, w):

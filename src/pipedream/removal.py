@@ -8,17 +8,22 @@ at (x, y), alone in its row and its column, so removal deletes those rows
 and columns from the matrix, and insertion puts them back as unit rows and
 columns.  This equals the stepwise contraction of the hooks and keeps the
 code small.  The entries and bump flags of the input come from its row
-records (``grid.row_records``).  The tiles of the new matrix are read off
-the table of moves (``enumeration.table_tiles``), which builds only the
-moves the matrix takes and rejects a row that may not follow the rows
-above it, so the cost stays in the rows touched at any size.  The new
-grid comes from ``enumeration.table_grid``: up to size 6 it is the
-stream's own grid of those rows, traced at most once, so
+records (``grid.grid_records``), kept on a grid up to size 6.  Each new
+row is a lookup in a table kept per size in the table store: ``remove``
+contracts a kept row through the table of its removed columns (entries
+to contracted entries), and ``insert`` takes each removed pipe's unit
+row from the one tuple of its size and spreads each image row through
+the table of the image's columns.  The new matrix's path of moves is
+read off the table of moves (``enumeration.table_path``), which builds
+only the moves the matrix takes and rejects a row that may not follow
+the rows above it, so the cost stays in the rows touched at any size.
+The new grid comes from ``enumeration.table_grid``: up to size 6 it is
+the stream's own grid of those rows, traced at most once, so
 ``insert(*remove(B))`` of a streamed grid B is B itself; above it a new
 grid that skips the public constructor's per-tile coercion.  Each call
-reads its input's row records once and traces the input; the trace stays
-on the grid for later callers, and so does the (image, subword) of
-``remove`` when the image is another grid.  ``remove`` makes one
+reads its input's row records once and traces the input; the trace
+stays on the grid for later callers, and so does the (image, subword)
+of ``remove`` when the image is another grid.  ``remove`` makes one
 removability pass over the records (``enumeration._removable``).
 ``insert`` needs only to know that its image has no removable pipe, so
 it compares the image's permutation with the flattened subword and then
@@ -28,12 +33,20 @@ asks the +1 masks of the records whether any pipe is removable
 
 from __future__ import annotations
 
-from itertools import compress
-
-from .enumeration import _lone_plus, _removable, table_grid, table_tiles
+from .enumeration import _lone_plus, _removable, table_grid, table_path
 from .errors import NotMinimal, SubwordMismatch
-from .grid import BpdGrid, _set_removal, row_records, trace, validate
+from .grid import BpdGrid, _set_removal, bumped, grid_records, trace, validate
 from .perms import Permutation, SubwordSelection
+from .store import stored
+
+
+def _no_tables(n: int) -> dict:
+    return {}
+
+
+def _unit_rows(n: int) -> tuple:
+    """The unit rows of size n, the one with its 1 in column y at y - 1."""
+    return tuple((0,) * (y - 1) + (1,) + (0,) * (n - y) for y in range(1, n + 1))
 
 
 def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
@@ -48,19 +61,32 @@ def remove(grid: BpdGrid) -> tuple[BpdGrid, SubwordSelection]:
     kept = grid._removal
     if kept is not None:
         return kept
-    records = row_records(grid.rows)
-    if any(record.bump for record in records):
+    records = grid_records(grid)
+    if bumped(records):
         validate(grid)
     report = _removable(grid, records)
     if not report.pipes:
         return grid, report.subword
-    keep = [True] * grid.n
+    n = grid.n
+    removed = 0
     for y, _ in report.pipes:
-        keep[y - 1] = False
+        removed |= 1 << y - 1
+    # the kept rows' entries with the removed columns deleted
+    contractions = stored("contractions", n, _no_tables)
+    contract = contractions.get(removed)
+    if contract is None:
+        contract = contractions[removed] = {}
+    sub = []
+    for x in report.indices:
+        entries = records[x - 1].entries
+        row = contract.get(entries)
+        if row is None:
+            row = contract[entries] = tuple(
+                [e for j, e in enumerate(entries) if not removed >> j & 1])
+        sub.append(row)
     # deleting unit rows and columns leaves a matrix, so the table of
     # moves takes every row
-    sub = [tuple(compress(records[x - 1].entries, keep)) for x in report.indices]
-    kept = table_grid(table_tiles(sub, len(sub))), report.subword
+    kept = table_grid(table_path(sub, len(sub))), report.subword
     _set_removal(grid, kept)
     return kept
 
@@ -83,27 +109,35 @@ def insert(image: BpdGrid, w: Permutation, v: SubwordSelection) -> BpdGrid:
     perm = trace(image).perm
     if perm != v.pattern():
         raise SubwordMismatch("image permutation differs from the flattened subword")
-    records = row_records(image.rows)
+    records = grid_records(image)
     lone = _lone_plus(records)
-    if any(record.plus & lone and record.plus == 1 << y - 1
-           for record, y in zip(records, perm)):
-        raise NotMinimal("image still has removable pipes")
-    if any(record.bump for record in records):
+    for record, y in zip(records, perm):
+        if record.plus & lone and record.plus == 1 << y - 1:
+            raise NotMinimal("image still has removable pipes")
+    if bumped(records):
         validate(image)
 
     n = w.size
-    kept = frozenset(v.indices)
-    cols = sorted(v.values())          # the columns the image occupies
-    image_rows = iter(records)
-    rows = []
-    for x, y in enumerate(w, start=1):
-        if x in kept:
+    values = v.values()
+    cols = 0  # the columns the image occupies
+    for c in values:
+        cols |= 1 << c - 1
+    # the image rows' entries spread over those columns
+    spreads = stored("spreads", n, _no_tables)
+    spread = spreads.get(cols)
+    if spread is None:
+        spread = spreads[cols] = {}
+    units = stored("unit rows", n, _unit_rows)
+    rows = [units[y - 1] for y in w]
+    for x, record in zip(v.indices, records):
+        entries = record.entries
+        row = spread.get(entries)
+        if row is None:
             row = [0] * n
-            for c, e in zip(cols, next(image_rows).entries):
+            for c, e in zip(sorted(values), entries):
                 row[c - 1] = e
-            rows.append(tuple(row))
-        else:
-            rows.append((0,) * (y - 1) + (1,) + (0,) * (n - y))
+            row = spread[entries] = tuple(row)
+        rows[x - 1] = row
     # each column holds the image's column or one unit +1, so the rows form
     # a matrix, and the tiles of a matrix make a well-formed grid
-    return table_grid(table_tiles(rows, n))
+    return table_grid(table_path(rows, n))

@@ -397,6 +397,9 @@ def _build_minimal_sets(n: int) -> dict[Permutation, tuple]:
     from .enumeration import bpd_stream, removable_pipes
     acc: dict[Permutation, tuple[list, list]] = {}
     for grid in bpd_stream(n):
+        # a grid holding a kept removal has a removable pipe
+        if grid._removal is not None:
+            continue
         report = removable_pipes(grid)
         if not report.minimal:
             continue

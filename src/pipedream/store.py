@@ -5,9 +5,10 @@ and the size guard, one setting per call tree (``size_guard``) that every
 The nu, coefficient and grid tables, the table of moves with the set of
 its completed states and the legal matrix rows, the members of S_n, the
 scan orders' cells, the row records, the grids of each size up
-to 6 (one per tuple of tile rows, with the results kept on them) and the
-weakly held shared traces are all entries here, so ``clear_caches``
-drops every one of them.
+to 6 (one per tuple of tile rows, with the results kept on them), the
+weakly held shared traces, the shared weights, and removal's tables of
+contracted rows, spread rows and unit rows are all entries here, so
+``clear_caches`` drops every one of them.
 """
 
 from collections.abc import Callable

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pipedream import BetaPolynomial, Permutation, nu
+from pipedream import BetaPolynomial, Permutation, enumeration, nu, query, render
 from pipedream.cache import SCHEMA_VERSION, default_cache_path, load_cache, store_cache
 from pipedream.cli import main
 from pipedream.store import _TABLES
@@ -149,6 +149,40 @@ class TestCliCommands:
         assert len(lines) == 4
         for line in lines:
             assert json.loads(line)["perm"] == [1, 2, 4, 3]
+
+    @pytest.mark.parametrize("perm, kind", [("1243", "bpd"), ("1234", "mbpd")])
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_enumerate_output_of_a_family(self, perm, kind, fmt, capsys):
+        # 1234 has no minimal reduced grid: the empty family
+        grids = query(kind, P(perm))
+        assert len(grids) == (3 if kind == "bpd" else 0)
+        assert main(["enumerate", "--perm", perm, "--kind", kind, "--format", fmt]) == 0
+        if fmt == "ascii":
+            # blocks split by one blank line, and an empty family prints one
+            # empty line, then the count
+            want = "\n\n".join(render(g, "ascii") for g in grids) + "\n"
+            want += f"# {len(grids)} grid(s)\n"
+        else:
+            want = "".join(render(g, "json") + "\n" for g in grids)
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["ascii", "json"])
+    def test_enumerate_prints_each_grid_as_found(self, fmt, capsys, monkeypatch):
+        grids = query("BPD", P("1243"))
+        real = enumeration.iter_query
+        printed = []
+
+        def watched(*args):
+            for grid in real(*args):
+                yield grid
+                # the grid is out before the next one is read
+                printed.append(capsys.readouterr().out)
+
+        monkeypatch.setattr(enumeration, "iter_query", watched)
+        assert main(["enumerate", "--perm", "1243", "--format", fmt]) == 0
+        assert len(printed) == len(grids) == 4
+        for got, grid in zip(printed, grids):
+            assert render(grid, fmt) in got
 
     def test_enumerate_subword_stratum(self, capsys):
         assert main(["enumerate", "--perm", "1243", "--kind", "bpd",

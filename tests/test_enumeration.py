@@ -13,7 +13,7 @@ from pipedream import (BpdGrid, GuardExceeded, Permutation,
                        trace)
 from pipedream import enumeration, store
 from pipedream.enumeration import (QUERY_KINDS, bpd_stream, iter_asm_rows, iter_query,
-                                   table_tiles)
+                                   table_path)
 from pipedream.grid import Tile, tiles_from_asm_rows
 from pipedream.perms import all_perms
 from pipedream.specialization import interval_nu
@@ -290,7 +290,7 @@ class TestQueryOracle:
                 assert len(query("bpd", w)) == nu(w)(0), w
 
     def test_after_a_partial_table_of_moves(self, cold_caches):
-        # removal and table_tiles fill the states they pass through one row
+        # removal and table_path fill the states they pass through one row
         # at a time, out of the walk's order
         for n in (4, 5, 6):
             expected = _stream_families(n)
@@ -298,7 +298,7 @@ class TestQueryOracle:
             grids = [BpdGrid(tiles_from_asm_rows(rows, n)) for rows in matrices]
             store.clear_caches()
             for rows in reversed(matrices[::7]):
-                table_tiles(rows, n)
+                table_path(rows, n)
             for grid in grids[::5]:
                 remove(grid)
             moves = store._TABLES["moves", n]

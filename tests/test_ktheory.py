@@ -146,13 +146,21 @@ class TestBetaWeight:
             assert wt(1) == 2 ** g.count(Tile.J_ELBOW)
 
     def test_equals_the_product_of_monomial_and_binomial_power(self):
-        for n in range(6):
+        # the weight read off the row records' counts against the closed
+        # form from the tile counts, for every reference up to the blanks
+        shared = {}  # (blanks - ref, jelbows) -> the weight first returned
+        for n in range(7):
             for grid in bpd_stream(n):
                 blanks, jelbows = grid.count(Tile.BLANK), grid.count(Tile.J_ELBOW)
                 power = (1 + BetaPolynomial.beta()) ** jelbows
                 for ref in range(blanks + 1):
-                    assert beta_weight(grid, ref) == (
-                        BetaPolynomial.monomial(blanks - ref) * power)
+                    weight = beta_weight(grid, ref)
+                    assert weight == BetaPolynomial.monomial(blanks - ref) * power
+                    # equal exponents of one size give one object
+                    assert shared.setdefault((n, blanks - ref, jelbows), weight) is weight
+                with pytest.raises(NegativeExponent):
+                    beta_weight(grid, blanks + 1)
+        assert len(shared) > 100
 
     def test_negative_exponent(self, red_bpds):
         with pytest.raises(NegativeExponent):

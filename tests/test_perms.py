@@ -101,6 +101,13 @@ class TestFlatten:
             SubwordSelection((2, 2, 1), (1, 2))
         assert SubwordSelection((2, 3, 1), (1, 2)).pattern() == P("12")
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.integers(1, 200), unique=True, max_size=12).map(tuple))
+    def test_ranks_equal_a_sorted_oracle(self, values):
+        # values above 64 included: the bitmask of the letters is a Python int
+        rank = {v: r for r, v in enumerate(sorted(values), start=1)}
+        assert ranks(values) == tuple(rank[v] for v in values)
+
     def test_pattern_matches_checked_flatten(self):
         for n in range(6):
             for w, m in product(all_perms(n), range(n + 1)):

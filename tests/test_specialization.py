@@ -8,8 +8,8 @@ import pytest
 
 from pipedream import (BetaPolynomial, GuardExceeded,
                        Permutation, coefficient, coefficient_table,
-                       grothendieck, is_vexillary, nu, nu_table, remove,
-                       schubert, size_guard, skew_identities, skew_sum)
+                       grothendieck, insert, is_vexillary, nu, nu_table,
+                       remove, schubert, size_guard, skew_identities, skew_sum)
 from pipedream import store
 from pipedream.enumeration import bpd_stream, iter_asm_rows, removable_pipes
 from pipedream.grid import (BpdGrid, RowRecord, Tile, row_record, scan,
@@ -592,6 +592,13 @@ class TestCaches:
         w = P("1243")
         row = BpdGrid.identity(3).rows[1]
 
+        def removed():
+            return remove(BpdGrid.from_ascii("...r\n.r-+\nrjr+\n|r++"))
+
+        def reinserted():
+            image, v = removed()
+            return insert(image, v.host, v)
+
         def value(obj):
             # a row record has no value equality: compare its slots
             if isinstance(obj, RowRecord):
@@ -604,13 +611,21 @@ class TestCaches:
                     lambda: all_perms(3), lambda: row_record(row),
                     # the shared trace of a fresh reduced grid of size 5
                     lambda: trace(BpdGrid.identity(5)),
+                    # the shared weight of a fresh grid's counts
+                    lambda: beta_weight(BpdGrid.identity(5), 0),
                     # the interned removal image of a fresh grid: pipe 4
                     # comes off 4132 and leaves the grid of 132
-                    lambda: remove(BpdGrid.from_ascii("...r\n.r-+\nrjr+\n|r++"))[0]]
+                    lambda: removed()[0],
+                    # the tables that removal contracts by, and that
+                    # insertion spreads and takes unit rows from
+                    lambda: store._TABLES["contractions", 4],
+                    reinserted,
+                    lambda: store._TABLES["spreads", 4],
+                    lambda: store._TABLES["unit rows", 4]]
         before = [build() for build in builders]
         assert [build() for build in builders] == before
         # a second removal of a fresh twin returns the same interned image
-        assert builders[-1]() is before[-1]
+        assert builders[-5]() is before[-5]
         clear_caches()
         assert not store._TABLES
         after = [build() for build in builders]

@@ -11,8 +11,9 @@ from pipedream import (BpdGrid, BrokenStrand, GridError, InconsistentAsm,
                        removable_pipes, resolve, trace, validate)
 from pipedream import enumeration, store
 from pipedream import grid as grid_module
-from pipedream.enumeration import bpd_stream, iter_asm_rows, table_tiles
-from pipedream.grid import COL_MAJOR, ROW_MAJOR, Tile, scan, tiles_from_asm_rows
+from pipedream.enumeration import bpd_stream, iter_asm_rows, table_path
+from pipedream.grid import (COL_MAJOR, ROW_MAJOR, Tile, grid_records, row_record, scan,
+                            tiles_from_asm_rows)
 from pipedream.store import clear_caches, stored
 
 
@@ -160,6 +161,31 @@ def test_kept_removal_and_resolution_equal_a_fresh_twin(cold_caches):
         not trace(grid).is_reduced for grid in grids) == 1 + 36 + 1356
 
 
+@pytest.mark.parametrize("memo_max_n", [enumeration._MEMO_MAX_N, 2])
+def test_kept_records_are_the_row_records(memo_max_n, cold_caches, monkeypatch):
+    # with the memo capped at 2, the grids of sizes 3..6 are above the cap
+    monkeypatch.setattr(enumeration, "_MEMO_MAX_N", memo_max_n)
+    grids = [grid for n in range(7) for grid in bpd_stream(n)]
+    # a grid read off the table of moves keeps its path from the start
+    assert all((grid._records is not None) is (grid.n <= memo_max_n) for grid in grids)
+    twins = [BpdGrid(grid.rows) for grid in grids]
+    for grid in grids + twins + list(derived_grids()):
+        records = grid_records(grid)
+        assert type(records) is tuple
+        assert len(records) == grid.n
+        assert all(a is row_record(row) for a, row in zip(records, grid.rows))
+        if grid.n <= memo_max_n:
+            assert grid._records is records
+            assert grid_records(grid) is records
+        else:
+            assert grid._records is None
+    # above the cap nothing is kept, read by any caller
+    big = BpdGrid.identity(enumeration._MEMO_MAX_N + 1)
+    for read in (grid_records, trace, validate, removable_pipes, remove, resolve):
+        read(big)
+    assert big._records is None
+
+
 def test_removable_pipes_equal_the_tile_count_rule():
     images = 0
     for n in range(7):
@@ -265,8 +291,11 @@ def test_reports_build_their_subword_when_read():
         for g in (grid, image):
             report = removable_pipes(g)
             sel = report.subword
-            assert sel == SubwordSelection(report.trace.perm, report.indices)
-            assert sel.host == report.trace.perm
+            # built without the checks, it is the checked selection
+            checked = SubwordSelection(report.trace.perm, report.indices)
+            assert sel == checked and hash(sel) == hash(checked)
+            assert sel.host is report.trace.perm
+            assert sel.pattern() == checked.pattern()
             assert sorted(report.indices + tuple(x for _, x in report.pipes)) == list(
                 range(1, g.n + 1))
 
@@ -275,7 +304,9 @@ def test_table_tiles_match_the_matrix_rebuild():
     for n in range(7):
         own = table_rows(n)
         for rows in iter_asm_rows(n):
-            tiles = table_tiles(rows, n)
+            path = table_path(rows, n)
+            assert tuple(move.entries for move in path) == rows
+            tiles = tuple(move.tiles for move in path)
             assert tiles == tiles_from_asm_rows(rows, n)
             assert all(id(row) in own for row in tiles)
 
@@ -295,7 +326,7 @@ def test_moves_built_first_are_kept_by_the_full_table(cold_caches):
     n = 5
     matrices = list(iter_asm_rows(n))
     clear_caches()
-    early = [table_tiles(rows, n) for rows in matrices[::7]]
+    early = [[move.tiles for move in table_path(rows, n)] for rows in matrices[::7]]
     assert ("transitions", n) not in store._TABLES
     # completing the table keeps the moves made so far and the entry order
     assert list(iter_asm_rows(n)) == matrices
@@ -306,8 +337,8 @@ def test_moves_built_first_are_kept_by_the_full_table(cold_caches):
 def test_illegal_row_raises_and_is_not_kept(cold_caches):
     counts = {n: len(list(iter_asm_rows(n))) for n in (2, 3)}
     with pytest.raises(InconsistentAsm):
-        table_tiles(((1, 0), (1, 0)), 2)   # column 1 would sum to 2
+        table_path(((1, 0), (1, 0)), 2)   # column 1 would sum to 2
     with pytest.raises(InconsistentAsm):
-        table_tiles(((0, 1, 0), (0, 0, 0), (1, 0, 0)), 3)  # a row summing to 0
+        table_path(((0, 1, 0), (0, 0, 0), (1, 0, 0)), 3)  # a row summing to 0
     # the completed tables still walk exactly the matrices
     assert {n: len(list(iter_asm_rows(n))) for n in (2, 3)} == counts == {2: 2, 3: 7}
