@@ -21,24 +21,24 @@ and resolution kept on a grid serve every check that reads it.  Above
 that size each grid is built anew and dropped with the stream.  Grid
 families (all grids of a permutation, the reduced ones, the minimal
 ones, the strata of a subword, the grids of a type) are each one call,
-``query(kind, w, v)``.  The grids of a type are a filter over the grid
-stream.  Every other family is read off a walk over the grids of w
-alone (``_word_paths``): the same depth-first walk, carrying each
-pipe's exit row on the partial path and cutting a branch as soon as a
-pipe sits east of where it may go, or, for the reduced kinds, two pipes
-cross that may not; it never streams the grids of other words.  It
-completes only the states of the table of moves it visits
-(``_state_moves``), and its grids are ``table_grid`` of their paths, so
-up to ``_MEMO_MAX_N`` they are the stream's own grids.
+``query(kind, w, v)``, read off one walk over the grids of w alone
+(``_word_paths``): the same depth-first walk, carrying each pipe's exit
+row on the partial path and cutting a branch on the row where a pipe
+sits east of where it may go, two pipes cross that may not, or, for the
+minimal kinds and the strata, a pipe is removable that must stay or
+stays that must go.  For the grids of a type the walk resolves as it
+goes, turning a repeated cross into a bump.  It never streams the grids
+of other words, completes only the states of the table of moves it
+visits (``_state_moves``), and its grids are ``table_grid`` of their
+paths, so up to ``_MEMO_MAX_N`` they are the stream's own grids.
 ``removable_pipes`` finds the unit rows whose +1 is alone in its column
-with two passes over the +1 masks of the rows' records, and ``query``
-compares its report's kept indices with the rows a minimal kind or a
-subword stratum keeps; ``removal`` hands the records it already holds to
-the same pass (``_removable``).  Each table is kept per size in the
-table store, and ``query`` checks its size against the guard in force
-(``store.size_guard``).  The nu and Grothendieck tables do not read
-these grids: ``specialization`` builds them from a Hecke product, and
-loads this module only for the minimal grids.
+with two passes over the +1 masks of the rows' records; ``removal``
+hands the records it already holds to the same pass (``_removable``).
+Each table is kept per size in the table store, and ``query`` checks
+its size against the guard in force (``store.size_guard``).  The nu and
+Grothendieck tables do not read these grids: ``specialization`` builds
+them from a Hecke product, and loads this module only for the minimal
+grids.
 """
 
 from __future__ import annotations
@@ -84,7 +84,7 @@ def _alternating_line(entries) -> bool:
     return running == 1
 
 
-def _no_moves(n: int) -> dict:
+def _no_table(n: int) -> dict:
     return {}
 
 
@@ -102,7 +102,7 @@ def _state_moves(n: int, state: int) -> dict:
     here; records are kept by their tile row, so the moves
     ``table_path`` made come back as the same objects.
     """
-    moves = stored("moves", n, _no_moves)
+    moves = stored("moves", n, _no_table)
     complete = stored("complete states", n, _no_states)
     if state not in complete:
         moves[state] = {entries: row_record(tile_row(state, entries))
@@ -117,7 +117,7 @@ def _transitions(n: int) -> dict:
     state completed (``_state_moves``)."""
     for state in range(1 << n):
         _state_moves(n, state)
-    return stored("moves", n, _no_moves)
+    return stored("moves", n, _no_table)
 
 
 def table_path(rows, n: int) -> list:
@@ -130,7 +130,7 @@ def table_path(rows, n: int) -> list:
     raises ``InconsistentAsm``.  The tiles are those of
     ``grid.tiles_from_asm_rows``.
     """
-    moves = stored("moves", n, _no_moves)
+    moves = stored("moves", n, _no_table)
     state = 0
     out = []
     for entries in rows:
@@ -149,10 +149,6 @@ def table_path(rows, n: int) -> list:
     return out
 
 
-def _no_grids(n: int) -> dict:
-    return {}
-
-
 def table_grid(path) -> BpdGrid:
     """The grid of a path of moves through the table of moves.
 
@@ -167,7 +163,7 @@ def table_grid(path) -> BpdGrid:
     n = len(tiles)
     if n > _MEMO_MAX_N:
         return BpdGrid._of_table_rows(tiles)
-    grids = stored("grids", n, _no_grids)
+    grids = stored("grids", n, _no_table)
     grid = grids.get(tiles)
     if grid is None:
         grid = grids[tiles] = BpdGrid._of_table_rows(tiles, tuple(path))
@@ -324,10 +320,9 @@ def query(kind: str, w: Permutation, v: Optional[SubwordSelection] = None) -> li
     lowercase kinds keep only reduced grids, the minimal (m*) kinds the
     grids with no removable pipe, and BPD and bpd with a subword v of w
     the grids whose removable pipes leave v.  A subword of another host,
-    or with any other kind, is rejected.  BPD_K filters the grid stream
-    of size |w|; every other kind reads the walk over the grids of w
-    alone (``_word_paths``).  ``iter_query`` yields the same grids one
-    at a time.
+    or with any other kind, is rejected.  Every kind reads one walk over
+    the grids of w alone (``_word_paths``), cut on the row that breaks
+    its rules; ``iter_query`` yields the grids one at a time.
     """
     return list(iter_query(kind, w, v))
 
@@ -346,24 +341,15 @@ def iter_query(kind: str, w: Permutation,
             raise SubwordMismatch(f"subword of {v.host.text()} queried for {w.text()}")
     n = w.size
     check_guard(n)
-    if kind == "BPD_K":
-        # imported here: ktheory builds on grid, which reads this module
-        from .ktheory import resolve
-        return (grid for grid in bpd_stream(n) if resolve(grid)[1] == w)
-    grids = map(table_grid, _word_paths(w, "bpd" in kind))
-    if kind[0] == "m":
-        kept = tuple(range(1, n + 1))
-    elif v is not None:
-        kept = v.indices
-    else:
-        return grids
-    return (grid for grid in grids if removable_pipes(grid).indices == kept)
+    kept = range(1, n + 1) if kind[0] == "m" else None if v is None else v.indices
+    return map(table_grid, _word_paths(w, kind.lstrip("m"), kept))
 
 
-def _word_paths(w: Permutation, reduced: bool) -> Iterator[tuple]:
-    """Yield the paths of ``_paths(n)`` whose grids have permutation w, and
-    with ``reduced`` are reduced, in the same order, cutting a partial
-    path as soon as it breaks one of the rules below.  A path that keeps
+def _word_paths(w: Permutation, kind: str, kept=None) -> Iterator[tuple]:
+    """Yield the paths of ``_paths(n)`` whose grids are of kind ``kind``
+    (BPD, bpd or BPD_K) for w and, with ``kept``, whose removable pipes
+    are those of the rows outside ``kept``, in the same order, cutting a
+    partial path on the row that breaks a rule below.  A path that keeps
     them may still find no way to finish, so the walk can cost far more
     than its grids (the identity, whose pipes may not cross, most of all).
 
@@ -372,31 +358,39 @@ def _word_paths(w: Permutation, reduced: bool) -> Iterator[tuple]:
     finds them: each move's program runs east to west with h = the row
     index.  Pipes move only west as they go down, so an r-elbow in
     column j may send pipe h down only when w(h) <= j + 1; a j-elbow
-    takes h from its column.  With ``reduced`` the pipes of a cross must
-    be an inversion of w that has not crossed yet.  A full path needs no
-    check: its n pipes sit in distinct columns c_a with c_a + 1 >= w(a),
-    and both sides sum to n(n+1)/2, so c_a + 1 = w(a) for every pipe a.
+    takes h from its column.  For bpd and BPD_K the first cross of two
+    pipes must be an inversion of w.  bpd cuts a second one; BPD_K
+    resolves it into a bump, which swaps the two labels, so the label it
+    turns down must keep the r-elbow rule.  A full path needs no check:
+    its n pipes sit in distinct columns c_a with c_a + 1 >= w(a), and
+    both sides sum to n(n+1)/2, so c_a + 1 = w(a) for every pipe a.
+
+    ``touched`` holds the columns of the +1s above.  Pipe x is removable
+    exactly when row x is the unit row with its +1 in column w(x), not in
+    ``touched``: the r-elbow rule keeps pipe x in that column, so no +1
+    follows below.  Such a row is cut in ``kept`` and required outside it.
     """
     n = w.size
     word = (0, *w)
     # the bit of each inverted pair of exit rows, either way round; 0 for
-    # a pair that may not cross in a reduced grid
-    inversion = [[0] * (n + 1) for _ in range(n + 1)]
-    for a in range(1, n + 1):
-        for b in range(a + 1, n + 1):
-            if word[a] > word[b]:
-                inversion[a][b] = inversion[b][a] = 1 << a * (n + 1) + b
-    work = [((), 0, [0] * n, 0)]
+    # a pair that may not cross
+    inversion = [[1 << min(a, b) * (n + 1) + max(a, b) if (a - b) * (word[a] - word[b]) < 0
+                  else 0 for b in range(n + 1)] for a in range(n + 1)]
+    plain, bumps = kind == "BPD", kind == "BPD_K"
+    work = [((), 0, [0] * n, 0, 0)]
     while work:
-        path, state, labels, crossed = work.pop()
+        path, state, labels, crossed, touched = work.pop()
         x = len(path) + 1
         if x > n:
             yield path
             continue
+        unit, stays = 1 << word[x] - 1, None if kept is None else x in kept
         for move in reversed(_state_moves(n, state).values()):
+            if stays is not None and stays == (move.plus == unit and not touched & unit):
+                continue
             below = labels[:]
             h, crosses = x, crossed
-            for j, t in move.program if reduced else move.turns:
+            for j, t in move.turns if plain else move.program:
                 if t is _R_ELBOW:
                     if word[h] > j + 1:
                         break
@@ -406,8 +400,14 @@ def _word_paths(w: Permutation, reduced: bool) -> Iterator[tuple]:
                     below[j] = 0
                 else:
                     bit = inversion[below[j]][h]
-                    if not bit or crosses & bit:
+                    if not crosses & bit:
+                        if not bit:
+                            break
+                        crosses |= bit
+                    elif bumps and word[h] <= j + 1:
+                        below[j], h = h, below[j]
+                    else:
                         break
-                    crosses |= bit
             else:
-                work.append((path + (move,), move.south, below, crosses))
+                work.append((path + (move,), move.south, below, crosses,
+                             touched | move.plus))

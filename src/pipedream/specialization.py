@@ -369,7 +369,7 @@ def minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
 
 
 def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
-    from .ktheory import beta_weight, resolve_stats
+    from .ktheory import beta_weight, resolve
     zero = BetaPolynomial.zero()
     summary = {}
     for w, (grids, reduced) in minimal_sets(n).items():
@@ -377,7 +377,7 @@ def _build_minimal_summary(n: int) -> dict[Permutation, MinimalSummary]:
         # grid's type is its permutation, so only the others are resolved
         weight_reduced = sum((beta_weight(g, w.length()) for g in reduced), zero)
         reduced_set = set(reduced)
-        weight_all = sum((beta_weight(g, Permutation(resolve_stats(g.rows, n)[1]).length())
+        weight_all = sum((beta_weight(g, resolve(g)[1].length())
                           for g in grids if g not in reduced_set), weight_reduced)
         summary[w] = MinimalSummary(len(grids), len(reduced), weight_all, weight_reduced)
     return summary

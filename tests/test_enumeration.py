@@ -6,7 +6,7 @@ from math import factorial
 
 import pytest
 
-from pipedream import (BpdGrid, GuardExceeded, Permutation,
+from pipedream import (BetaPolynomial, BpdGrid, GuardExceeded, Permutation,
                        SubwordMismatch, SubwordSelection, count_asms_bruteforce,
                        count_asms_literal, enumerate_asm, from_asm, query,
                        nu, removable_pipes, remove, resolve, size_guard, subwords,
@@ -15,6 +15,7 @@ from pipedream import enumeration, store
 from pipedream.enumeration import (QUERY_KINDS, bpd_stream, iter_asm_rows, iter_query,
                                    table_path)
 from pipedream.grid import Tile, tiles_from_asm_rows
+from pipedream.ktheory import beta_weight
 from pipedream.perms import all_perms
 from pipedream.specialization import interval_nu
 from pipedream.store import stored
@@ -203,13 +204,13 @@ def _stream_families(n, words=None):
     grid stream: {(kind, w): grids} in stream order, selected by type for
     BPD_K and by permutation otherwise, by reducedness for the lowercase
     kinds and by ``removable_pipes(g).minimal`` for the m-kinds.  With
-    ``words``, only the families of those words, and no BPD_K."""
+    ``words``, only the families of those words."""
     families = defaultdict(list)
     for grid in bpd_stream(n):
-        tr = trace(grid)
-        if words is None:
-            families["BPD_K", resolve(grid)[1]].append(grid)
-        elif tr.perm not in words:
+        tr, typ = trace(grid), resolve(grid)[1]
+        if words is None or typ in words:
+            families["BPD_K", typ].append(grid)
+        if words is not None and tr.perm not in words:
             continue
         minimal = removable_pipes(grid).minimal
         for kind in ("BPD", "bpd") if tr.is_reduced else ("BPD",):
@@ -230,10 +231,6 @@ def _assert_oracle(n, kinds, words=None):
             if n <= enumeration._MEMO_MAX_N:
                 assert all(a is b for a, b in zip(got, expected)), (kind, w)
 
-
-# the kinds ``query`` reads off the walk over one word's grids; BPD_K is
-# the stream filter itself, and costs about 20 ms a word at size 6
-WALKED_KINDS = ("BPD", "bpd", "mBPD", "mbpd")
 
 # sha256 of each grid's ascii followed by a blank line, over bpd_stream(n)
 STREAM_DIGESTS = {
@@ -260,19 +257,18 @@ class TestQueryOracle:
             _assert_oracle(n, QUERY_KINDS)
 
     def test_walked_kinds_at_size_6(self):
-        _assert_oracle(6, WALKED_KINDS)
+        # every kind, BPD_K too, reads the walk over one word's grids
+        _assert_oracle(6, QUERY_KINDS)
 
     def test_seeded_sample_at_size_7(self):
         words = set(random.Random(7).sample(all_perms(7), 100))
-        _assert_oracle(7, WALKED_KINDS, words)
+        _assert_oracle(7, QUERY_KINDS, words)
 
     def test_streamed_grids(self, cold_caches, monkeypatch):
         # above the memo size the walk builds each grid anew, as the stream does
         monkeypatch.setattr(enumeration, "_MEMO_MAX_N", 2)
-        for n in range(5):
+        for n in range(7):
             _assert_oracle(n, QUERY_KINDS)
-        for n in (5, 6):
-            _assert_oracle(n, WALKED_KINDS)
 
     def test_every_subword_up_to_size_4(self):
         for n in range(5):
@@ -305,7 +301,7 @@ class TestQueryOracle:
             assert moves and ("transitions", n) not in store._TABLES
             made = [(state, entries, move) for state, by_entries in moves.items()
                     for entries, move in by_entries.items()]
-            found = {(kind, w): query(kind, w) for w in all_perms(n) for kind in WALKED_KINDS}
+            found = {(kind, w): query(kind, w) for w in all_perms(n) for kind in QUERY_KINDS}
             families = _stream_families(n)
             for (kind, w), got in found.items():
                 assert got == expected[kind, w], (kind, w)
@@ -317,7 +313,7 @@ class TestQueryOracle:
     def test_stream_unchanged_after_query(self, cold_caches):
         for n in range(7):
             for w in random.Random(n).sample(all_perms(n), min(5, factorial(n))):
-                for kind in WALKED_KINDS:
+                for kind in QUERY_KINDS:
                     query(kind, w)
             assert _stream_digest(n) == STREAM_DIGESTS[n], n
 
@@ -338,6 +334,49 @@ class TestQueryReach:
         w = P("143298765")
         with size_guard(9):
             assert len(query("bpd", w)) == 130130 == interval_nu(w)(0)
+
+    def test_bpd_k_at_size_7(self):
+        # the rows of each grid, grouped by type off the stream; the rows
+        # are the table's shared tuples, so the groups stay small
+        by_type = defaultdict(list)
+        for grid in bpd_stream(7):
+            by_type[resolve(grid)[1]].append(grid.rows)
+        for w in all_perms(7):
+            assert [grid.rows for grid in query("BPD_K", w)] == by_type[w], w
+
+
+def _weigandt(w):
+    """Weigandt's formula: the sum of the beta weights of the grids of
+    type w, each against the length of w."""
+    return sum((beta_weight(grid, w.length()) for grid in query("BPD_K", w)),
+               BetaPolynomial.zero())
+
+
+class TestWeigandt:
+    # the grids of type w weigh to nu(w), an oracle for the Hecke product
+    # and for the interval walk that owes nothing to either
+
+    def test_nu_up_to_size_6(self):
+        for n in range(7):
+            for w in all_perms(n):
+                assert _weigandt(w) == nu(w), w
+
+    def test_interval_nu_on_seeded_words_of_sizes_7_and_8(self):
+        for n in (7, 8):
+            for w in random.Random(n).sample(all_perms(n), 20):
+                assert _weigandt(w) == interval_nu(w), w
+
+    def test_size_9_words(self):
+        with size_guard(9):
+            # on vexillary words the grids of type w are its reduced grids
+            for text, count in (("134679258", 540), ("235891467", 315)):
+                w = P(text)
+                assert w.avoids(P("2143"))
+                grids = query("BPD_K", w)
+                assert len(grids) == count and grids == query("bpd", w)
+            w = P("521436987")
+            assert not w.avoids(P("2143"))
+            assert _weigandt(w) == interval_nu(w)
 
 
 class TestPartitionLaws:
